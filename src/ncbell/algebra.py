@@ -16,6 +16,13 @@ Three polynomial containers live here:
 
 plus the q-integer helpers and the text / LaTeX / JSON renderers shared
 by the command line front end.
+
+NCPoly and CPoly each carry a monomial-key codec, so that code built on
+top of them (the bialgebras in ncbell.hopf and ncbell.mobius) never looks
+inside a key: letter_key(i) gives the key of one letter, key_mul
+multiplies two keys, key_letters lists the letters of a key and from_key
+turns a key back into a polynomial. The empty tuple is the unit key of
+both rings.
 """
 
 from __future__ import annotations
@@ -88,6 +95,16 @@ class NCPoly:
     @classmethod
     def from_word(cls, word, coeff=1) -> "NCPoly":
         return cls({tuple(word): coeff})
+
+    # monomial-key codec: a key is a reduced word
+    from_key = from_word
+    key_mul = staticmethod(word_mul)
+    key_letters = staticmethod(tuple)
+
+    @staticmethod
+    def letter_key(i: int) -> tuple:
+        """Key of the letter d_i (INV for d1^{-1}); i = 0 gives the unit key."""
+        return (i,) if i else ()
 
     def coefficient(self, word) -> Fraction:
         return self.terms.get(tuple(word), Fraction(0))
@@ -250,6 +267,14 @@ def mono_mul(m1: tuple, m2: tuple) -> tuple:
     return tuple(sorted(exps.items()))
 
 
+def _word_of_mono(m: tuple) -> tuple:
+    """The letters of a monomial in index order, INV for each d1^{-1}."""
+    out = []
+    for i, e in m:
+        out.extend([INV if (i == 1 and e < 0) else i] * abs(e))
+    return tuple(out)
+
+
 def check_mono(m: tuple) -> None:
     last = 0
     for i, e in m:
@@ -300,6 +325,18 @@ class CPoly:
     @classmethod
     def from_mono(cls, m, coeff=1) -> "CPoly":
         return cls({tuple(m): coeff})
+
+    # monomial-key codec: a key is a sorted tuple of (index, exponent) pairs
+    from_key = from_mono
+    key_mul = staticmethod(mono_mul)
+    key_letters = staticmethod(_word_of_mono)
+
+    @staticmethod
+    def letter_key(i: int) -> tuple:
+        """Key of the letter d_i (INV for d1^{-1}); i = 0 gives the unit key."""
+        if i == 0:
+            return ()
+        return ((1, -1),) if i == INV else ((i, 1),)
 
     def coefficient(self, m) -> Fraction:
         return self.terms.get(tuple(m), Fraction(0))
@@ -579,16 +616,6 @@ def qbinomial(n: int, k: int) -> QPoly:
     return qfactorial(n).divexact(qfactorial(k) * qfactorial(n - k))
 
 
-def qmultinomial(n: int, parts) -> QPoly:
-    parts = list(parts)
-    if sum(parts) != n:
-        raise ValueError("parts must sum to n")
-    den = QPoly.one()
-    for p in parts:
-        den = den * qfactorial(p)
-    return qfactorial(n).divexact(den)
-
-
 # ---------------------------------------------------------------------------
 # rendering and serialization
 
@@ -602,20 +629,11 @@ def _letter_value(letter: int) -> int:
     return 0 if letter == INV else letter
 
 
-def _word_of_mono(m: tuple) -> tuple:
-    out = []
-    for i, e in m:
-        out.extend([INV if (i == 1 and e < 0) else i] * abs(e))
-    return tuple(out)
-
-
 def _sorted_terms(p):
-    if isinstance(p, NCPoly):
-        items = [(w, c) for w, c in p.terms.items()]
-    elif isinstance(p, CPoly):
-        items = [(_word_of_mono(m), c) for m, c in p.terms.items()]
-    else:
+    if not isinstance(p, (NCPoly, CPoly)):
         raise TypeError(f"cannot render {type(p).__name__}")
+    letters = p.key_letters
+    items = [(letters(k), c) for k, c in p.terms.items()]
     items.sort(key=lambda wc: (len(wc[0]), tuple(_letter_value(x) for x in wc[0])))
     return items
 
@@ -657,14 +675,21 @@ def _word_latex(word: tuple, symbol: str, offset: int) -> str:
     return " ".join(parts)
 
 
+def join_signed(chunks) -> str:
+    """Join (negative, text) pairs as "a - b + c"; "0" when there are none."""
+    if not chunks:
+        return "0"
+    out = [("-" if chunks[0][0] else "") + chunks[0][1]]
+    out.extend((" - " if neg else " + ") + s for neg, s in chunks[1:])
+    return "".join(out)
+
+
 def _coeff_text(c: Fraction) -> str:
     return str(c)
 
 
 def render_text(p, symbol: str = "d", offset: int = 0) -> str:
     items = list(reversed(_sorted_terms(p)))
-    if not items:
-        return "0"
     chunks = []
     for word, c in items:
         mag = abs(c)
@@ -676,16 +701,11 @@ def render_text(p, symbol: str = "d", offset: int = 0) -> str:
         else:
             s = f"{_coeff_text(mag)}*{body}"
         chunks.append((c < 0, s))
-    out = ("-" if chunks[0][0] else "") + chunks[0][1]
-    for neg, s in chunks[1:]:
-        out += (" - " if neg else " + ") + s
-    return out
+    return join_signed(chunks)
 
 
 def render_latex(p, symbol: str = "d", offset: int = 0) -> str:
     items = list(reversed(_sorted_terms(p)))
-    if not items:
-        return "0"
     chunks = []
     for word, c in items:
         mag = abs(c)
@@ -701,15 +721,10 @@ def render_latex(p, symbol: str = "d", offset: int = 0) -> str:
         else:
             s = f"{coeff} {body}"
         chunks.append((c < 0, s))
-    out = ("-" if chunks[0][0] else "") + chunks[0][1]
-    for neg, s in chunks[1:]:
-        out += (" - " if neg else " + ") + s
-    return out
+    return join_signed(chunks)
 
 
 def render_qpoly(p: QPoly) -> str:
-    if not p.terms:
-        return "0"
     chunks = []
     for power in sorted(p.terms):
         c = p.terms[power]
@@ -720,10 +735,7 @@ def render_qpoly(p: QPoly) -> str:
             var = "q" if power == 1 else f"q^{power}"
             s = var if mag == 1 else f"{_coeff_text(mag)}*{var}"
         chunks.append((c < 0, s))
-    out = ("-" if chunks[0][0] else "") + chunks[0][1]
-    for neg, s in chunks[1:]:
-        out += (" - " if neg else " + ") + s
-    return out
+    return join_signed(chunks)
 
 
 def to_json_dict(p, algebra: str | None = None) -> dict:

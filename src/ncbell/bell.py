@@ -15,7 +15,6 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .algebra import CPoly, NCPoly, QPoly, qfactorial, qint
-from . import partitions
 
 
 def _cls(variant: str):
@@ -111,14 +110,6 @@ def bell_explicit(n: int, k: int) -> NCPoly:
         coeff = multinomial(n, parts) * kappa(parts)
         out = out + NCPoly.from_word(parts, coeff)
     return out
-
-
-def closed_coefficient(parts) -> int:
-    """The product form of the coefficient of d_{j_1}...d_{j_k} in B_{n,k}:
-    prod over i of binom(j_1+...+j_{i+1} - 1, j_{i+1} - 1). Identical to
-    partitions.N_formula; restated here because the bell-side theorem is
-    about word coefficients."""
-    return partitions.N_formula(parts)
 
 
 def bell_c_explicit(n: int, k: int) -> CPoly:

@@ -17,6 +17,7 @@ from fractions import Fraction
 from . import hopf, mobius, quasidet, trees, verify
 from .algebra import (
     NCPoly,
+    join_signed,
     render_latex,
     render_qpoly,
     render_text,
@@ -66,13 +67,7 @@ def _emit_series(s: FormalSeries, fmt: str) -> None:
         else:
             s_txt = f"{num}{' ' if fmt == 'latex' else '*'}{body}"
         chunks.append((c < 0, s_txt))
-    if not chunks:
-        print("0")
-        return
-    out = ("-" if chunks[0][0] else "") + chunks[0][1]
-    for neg, txt in chunks[1:]:
-        out += (" - " if neg else " + ") + txt
-    print(out)
+    print(join_signed(chunks))
 
 
 def _load_json(args) -> dict:

@@ -1,4 +1,5 @@
-"""Faa di Bruno Hopf algebras on generators X_1, X_2, ... with X_0 = 1.
+"""Faa di Bruno Hopf algebras on generators X_1, X_2, ... with X_0 = 1,
+and the bialgebra engine they share with ncbell.mobius.
 
 Two variants, selected by the strings "fdb" (commutative, CPoly) and
 "dfdb" (free, NCPoly). Letters with index i stand for X_i; the unit is the
@@ -6,10 +7,20 @@ empty monomial, standing in for X_0. Coproducts are assembled from the rank
 polynomials W_{n,k}, which are shifted partial Bell polynomials with the
 first variable set to the unit.
 
+The engine. These bialgebras and the d-alphabet bialgebra of
+ncbell.mobius all have the Bell coproduct shape
+Delta(x_n) = sum_k B_{n,k} (x) x_k. They differ only in their data on one
+letter: its coproduct, its antipode and the counit. Everything else lives
+here once, written over the key codec of the ring class (NCPoly or CPoly,
+looked up by ring() from the variant string): tensor_mul, the
+multiplicative coproduct extension coproduct_extend, the anti-morphism
+antipode extension antipode_extend, the Character class and the pairing
+pair behind both convolutions. The per-algebra data are passed in as
+functions of one letter: coproduct_gen / antipode_recursive here,
+coproduct_m / antipode_m in ncbell.mobius.
+
 Tensors are plain dicts mapping (left monomial key, right monomial key) to
-a Fraction; triple tensors use 3-tuples of keys. Monomial keys are words
-(tuples of letters) in the free variant and sorted (index, exponent) pairs
-in the commutative one.
+a Fraction; triple tensors use 3-tuples of keys.
 """
 
 from __future__ import annotations
@@ -17,48 +28,130 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .algebra import CPoly, NCPoly, mono_mul, word_mul
+from .algebra import CPoly, NCPoly, join_signed, render_latex, render_text
 from .bell import bell_partial
 from . import quasidet
 from .series import FormalSeries
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
-def _cls(variant: str):
-    if variant == "dfdb":
+
+# ---------------------------------------------------------------------------
+# engine
+
+
+def ring(variant: str):
+    """The ring class of a variant: NCPoly for the free ones ("dfdb", "nc"),
+    CPoly for the commutative ones ("fdb", "c")."""
+    if variant in ("dfdb", "nc"):
         return NCPoly
-    if variant == "fdb":
+    if variant in ("fdb", "c"):
         return CPoly
     raise ValueError(f"unknown variant {variant!r}")
 
 
+def tensor_mul(t1: dict, t2: dict, variant: str) -> dict:
+    """Product of two 2-tensors, leg by leg."""
+    key_mul = ring(variant).key_mul
+    out: dict = {}
+    for (l1, r1), c1 in t1.items():
+        for (l2, r2), c2 in t2.items():
+            key = (key_mul(l1, l2), key_mul(r1, r2))
+            s = out.get(key, _ZERO) + c1 * c2
+            if s:
+                out[key] = s
+            elif key in out:
+                del out[key]
+    return out
+
+
+def coproduct_extend(terms: dict, variant: str, letter_coproduct) -> dict:
+    """The coproduct of sum(c * key) over terms, extended multiplicatively
+    from letter_coproduct(i, variant), the coproduct of the letter i."""
+    key_letters = ring(variant).key_letters
+    total: dict = {}
+    for key, c in terms.items():
+        t = {((), ()): c}
+        for i in key_letters(key):
+            t = tensor_mul(t, letter_coproduct(i, variant), variant)
+        if not total:
+            total = t
+            continue
+        for tkey, tc in t.items():
+            s = total.get(tkey, _ZERO) + tc
+            if s:
+                total[tkey] = s
+            elif tkey in total:
+                del total[tkey]
+    return total
+
+
+def antipode_extend(p, variant: str, side: str, letter_antipode):
+    """The antipode of p, extended as an anti-morphism (a morphism in the
+    commutative rings) from letter_antipode(i, variant, side), the antipode
+    of the letter i."""
+    cls = ring(variant)
+    out = cls.zero()
+    for key, c in p.terms.items():
+        factor = cls.one()
+        for i in reversed(cls.key_letters(key)):
+            factor = factor * letter_antipode(i, variant, side)
+        out = out + factor * c
+    return out
+
+
+class Character:
+    """Multiplicative Rational-valued functional, stored by its values on
+    letters (the inverse letter d1^{-1} under INV = -1). The codomain is
+    commutative, so it evaluates NCPoly and CPoly alike."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: dict):
+        self.values = {i: Fraction(v) for i, v in values.items()}
+
+    def on_letter(self, i: int) -> Fraction:
+        if i not in self.values:
+            raise ValueError(f"character not defined on letter {i}")
+        return self.values[i]
+
+    def on_key(self, key, cls) -> Fraction:
+        """The value on the monomial key of the ring class cls."""
+        prod = _ONE
+        for i in cls.key_letters(key):
+            prod *= self.on_letter(i)
+        return prod
+
+    def __call__(self, p) -> Fraction:
+        cls = type(p)
+        total = _ZERO
+        for key, c in p.terms.items():
+            total += c * self.on_key(key, cls)
+        return total
+
+
+def pair(phi: Character, psi: Character, t: dict, variant: str) -> Fraction:
+    """(phi (x) psi)(t) = sum of c * phi(left) * psi(right) over a 2-tensor."""
+    cls = ring(variant)
+    total = _ZERO
+    for (l, r), c in t.items():
+        total += c * phi.on_key(l, cls) * psi.on_key(r, cls)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# rank polynomials and coproduct
+
+
+def _cls(variant: str):
+    if variant not in ("fdb", "dfdb"):
+        raise ValueError(f"unknown variant {variant!r}")
+    return ring(variant)
+
+
 def _bell_variant(variant: str) -> str:
     return "nc" if variant == "dfdb" else "c"
-
-
-def letter_key(i: int, variant: str):
-    if i == 0:
-        return ()
-    return (i,) if variant == "dfdb" else ((i, 1),)
-
-
-def key_mul(a, b, variant: str):
-    return word_mul(a, b) if variant == "dfdb" else mono_mul(a, b)
-
-
-def key_poly(key, variant: str):
-    cls = _cls(variant)
-    return NCPoly.from_word(key) if variant == "dfdb" else CPoly.from_mono(key)
-
-
-def key_letters(key, variant: str):
-    """The letters of a monomial key, left to right (any order is fine in
-    the commutative case)."""
-    if variant == "dfdb":
-        return list(key)
-    out = []
-    for i, e in key:
-        out.extend([i] * e)
-    return out
 
 
 _RANK: dict = {}
@@ -84,54 +177,29 @@ def rank_poly(n: int, k: int, variant: str = "dfdb"):
     return _RANK[key]
 
 
-# ---------------------------------------------------------------------------
-# coproduct
-
-
-def tensor_mul(t1: dict, t2: dict, variant: str) -> dict:
-    out: dict = {}
-    for (l1, r1), c1 in t1.items():
-        for (l2, r2), c2 in t2.items():
-            key = (key_mul(l1, l2, variant), key_mul(r1, r2, variant))
-            s = out.get(key, Fraction(0)) + c1 * c2
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    return out
-
-
 def coproduct_gen(n: int, variant: str = "dfdb") -> dict:
     """Coproduct of the generator X_n: sum_k W_{n,k} tensor X_k."""
+    cls = _cls(variant)
     if n == 0:
         return {((), ()): Fraction(1)}
     out: dict = {}
     for k in range(n + 1):
-        right = letter_key(k, variant)
+        right = cls.letter_key(k)
         for wkey, c in rank_poly(n, k, variant).terms.items():
             key = (wkey, right)
-            out[key] = out.get(key, Fraction(0)) + c
+            out[key] = out.get(key, _ZERO) + c
     return {k: v for k, v in out.items() if v}
 
 
 def coproduct_mono(key, variant: str) -> dict:
-    out = {((), ()): Fraction(1)}
-    for i in key_letters(key, variant):
-        out = tensor_mul(out, coproduct_gen(i, variant), variant)
-    return out
+    _cls(variant)
+    return coproduct_extend({key: _ONE}, variant, coproduct_gen)
 
 
 def coproduct(p, variant: str = "dfdb") -> dict:
     """The coproduct of an arbitrary element, extended as algebra morphism."""
-    out: dict = {}
-    for mkey, c in p.terms.items():
-        for tkey, tc in coproduct_mono(mkey, variant).items():
-            s = out.get(tkey, Fraction(0)) + c * tc
-            if s:
-                out[tkey] = s
-            elif tkey in out:
-                del out[tkey]
-    return out
+    _cls(variant)
+    return coproduct_extend(p.terms, variant, coproduct_gen)
 
 
 def coproduct_oracle(n: int, variant: str = "dfdb") -> dict:
@@ -140,19 +208,20 @@ def coproduct_oracle(n: int, variant: str = "dfdb") -> dict:
     maxima) tensor X_{#blocks-1}."""
     from . import partitions
 
+    cls = _cls(variant)
     out: dict = {}
     for P in partitions.enumerate_partitions(n + 1):
         left = ()
         for b in sorted(P, key=lambda b: b[-1]):
-            left = key_mul(left, letter_key(len(b) - 1, variant), variant)
-        key = (left, letter_key(len(P) - 1, variant))
-        out[key] = out.get(key, Fraction(0)) + 1
+            left = cls.key_mul(left, cls.letter_key(len(b) - 1))
+        key = (left, cls.letter_key(len(P) - 1))
+        out[key] = out.get(key, _ZERO) + 1
     return {k: v for k, v in out.items() if v}
 
 
 def counit(p) -> Fraction:
     """Coefficient of the unit monomial."""
-    return p.terms.get((), Fraction(0))
+    return p.terms.get((), _ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -192,14 +261,8 @@ def antipode_recursive(n: int, variant: str = "dfdb", side: str = "right"):
 def antipode_poly(p, variant: str = "dfdb", side: str = "right"):
     """Extend the antipode to arbitrary elements as an anti-morphism
     (which in the commutative variant is just a morphism)."""
-    cls = _cls(variant)
-    out = cls.zero()
-    for mkey, c in p.terms.items():
-        factor = cls.one()
-        for i in reversed(key_letters(mkey, variant)):
-            factor = factor * antipode_recursive(i, variant, side)
-        out = out + factor * c
-    return out
+    _cls(variant)
+    return antipode_extend(p, variant, side, antipode_recursive)
 
 
 def antipode_quasidet(n: int, variant: str = "dfdb"):
@@ -229,7 +292,7 @@ def _tensor_expand(t: dict, leg: int, variant: str) -> dict:
         inner = coproduct_mono(l if leg == 0 else r, variant)
         for (a, b), c2 in inner.items():
             key = (a, b, r) if leg == 0 else (l, a, b)
-            s = out.get(key, Fraction(0)) + c * c2
+            s = out.get(key, _ZERO) + c * c2
             if s:
                 out[key] = s
             elif key in out:
@@ -246,16 +309,16 @@ def _check_element(p, variant: str) -> str | None:
     right_counit = cls.zero()
     for (l, r), c in delta.items():
         if l == ():
-            left_counit = left_counit + key_poly(r, variant) * c
+            left_counit = left_counit + cls.from_key(r) * c
         if r == ():
-            right_counit = right_counit + key_poly(l, variant) * c
+            right_counit = right_counit + cls.from_key(l) * c
     if left_counit != p or right_counit != p:
         return "counit"
     s_left = cls.zero()
     s_right = cls.zero()
     for (l, r), c in delta.items():
-        s_left = s_left + antipode_poly(key_poly(l, variant), variant) * key_poly(r, variant) * c
-        s_right = s_right + key_poly(l, variant) * antipode_poly(key_poly(r, variant), variant) * c
+        s_left = s_left + antipode_poly(cls.from_key(l), variant) * cls.from_key(r) * c
+        s_right = s_right + cls.from_key(l) * antipode_poly(cls.from_key(r), variant) * c
     expect = cls.one() * counit(p)
     if s_left != expect or s_right != expect:
         return "antipode"
@@ -293,6 +356,8 @@ def hopf_axiom_check(max_degree: int, variant: str = "dfdb", seed: int = 0, n_pr
         bad = _check_element(p, variant)
         if bad is not None:
             failures.append(f"{bad} fails on {p!r}")
+    # vacuous as it stands: coproduct() is itself built with tensor_mul, so
+    # this holds by construction until an independent product oracle exists
     for _ in range(n_products):
         u = rng.choice(elements + products)
         v = rng.choice(elements + products)
@@ -303,30 +368,6 @@ def hopf_axiom_check(max_degree: int, variant: str = "dfdb", seed: int = 0, n_pr
 
 # ---------------------------------------------------------------------------
 # characters and composition
-
-
-class Character:
-    """Multiplicative functional on the commutative variant, stored by its
-    values on the generators X_1..X_N."""
-
-    def __init__(self, values: dict):
-        self.values = {i: Fraction(v) for i, v in values.items()}
-
-    def on_generator(self, i: int) -> Fraction:
-        if i == 0:
-            return Fraction(1)
-        if i not in self.values:
-            raise ValueError(f"character not defined on X_{i}")
-        return self.values[i]
-
-    def __call__(self, p) -> Fraction:
-        total = Fraction(0)
-        for mkey, c in p.terms.items():
-            prod = c
-            for i, e in mkey:
-                prod *= self.on_generator(i) ** e
-            total += prod
-        return total
 
 
 def character_of_series(g: "FormalSeries") -> Character:
@@ -345,18 +386,7 @@ def convolve(phi: Character, psi: Character, max_n: int | None = None) -> Charac
     truncation defaults to the range both inputs are defined on."""
     if max_n is None:
         max_n = min(max(phi.values, default=0), max(psi.values, default=0))
-    values = {}
-    for n in range(1, max_n + 1):
-        total = Fraction(0)
-        for (l, r), c in coproduct_gen(n, "fdb").items():
-            lval = Fraction(1)
-            for i, e in l:
-                lval *= phi.on_generator(i) ** e
-            rval = Fraction(1)
-            for i, e in r:
-                rval *= psi.on_generator(i) ** e
-            total += c * lval * rval
-        values[n] = total
+    values = {n: pair(phi, psi, coproduct_gen(n, "fdb"), "fdb") for n in range(1, max_n + 1)}
     return Character(values)
 
 
@@ -398,34 +428,14 @@ def generating_series_rank_check(n: int, k: int) -> bool:
     return power[order] == scaled
 
 
-def tensor_abelianize(t: dict) -> dict:
-    """Map a free-variant tensor leg-wise onto the commutative variant."""
-    from .algebra import mono_from_word
-
-    out: dict = {}
-    for (l, r), c in t.items():
-        key = (mono_from_word(l), mono_from_word(r))
-        s = out.get(key, Fraction(0)) + c
-        if s:
-            out[key] = s
-        elif key in out:
-            del out[key]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # rendering
 
-from .algebra import _word_of_mono  # noqa: E402
-
-
-def _leg_word(key, variant: str):
-    return list(key) if variant == "dfdb" else list(_word_of_mono(key))
-
 
 def tensor_to_json(t: dict, variant: str) -> dict:
+    letters = _cls(variant).key_letters
     terms = sorted(
-        ((list(_leg_word(l, variant)), list(_leg_word(r, variant)), c) for (l, r), c in t.items()),
+        ((list(letters(l)), list(letters(r)), c) for (l, r), c in t.items()),
         key=lambda x: (len(x[0]) + len(x[1]), x[1], x[0]),
     )
     return {
@@ -435,26 +445,21 @@ def tensor_to_json(t: dict, variant: str) -> dict:
 
 
 def render_tensor(t: dict, variant: str, latex: bool = False) -> str:
-    from .algebra import render_latex, render_text
-
-    if not t:
-        return "0"
+    cls = _cls(variant)
+    letters = cls.key_letters
     items = sorted(
         t.items(),
         key=lambda kv: (
-            len(_leg_word(kv[0][1], variant)) + len(_leg_word(kv[0][0], variant)),
-            _leg_word(kv[0][1], variant),
-            _leg_word(kv[0][0], variant),
+            len(letters(kv[0][1])) + len(letters(kv[0][0])),
+            letters(kv[0][1]),
+            letters(kv[0][0]),
         ),
     )
     render = render_latex if latex else render_text
     otimes = " \\otimes " if latex else " (x) "
     chunks = []
     for (l, r), c in items:
-        lp = render(key_poly(l, variant) * abs(c), symbol="X")
-        rp = render(key_poly(r, variant), symbol="X")
+        lp = render(cls.from_key(l) * abs(c), symbol="X")
+        rp = render(cls.from_key(r), symbol="X")
         chunks.append((c < 0, f"{lp}{otimes}{rp}"))
-    out = ("-" if chunks[0][0] else "") + chunks[0][1]
-    for neg, s in chunks[1:]:
-        out += (" - " if neg else " + ") + s
-    return out
+    return join_signed(chunks)

@@ -24,68 +24,42 @@ zeta is the all-ones character, mu = zeta o S is the Mobius character, and
 mobius_invert(n) writes d_n as a polynomial in the B-symbols whose
 substitution B_j -> bell(j) recovers d_n exactly.
 
-Tensors use the same dict[(left key, right key)] -> Fraction encoding as
-the rank-polynomial bialgebras; here keys may contain the inverse letter.
+Only the d-alphabet data live here: the inverse letter, the generator
+coproduct coproduct_m with d1^{-1} group-like, the counit, the antipode
+recursions, the characters zeta, epsilon and mu, and the inversion
+bell_map / mobius_invert / invert_round_trip. Tensors, the multiplicative
+coproduct and anti-morphism antipode extensions, Character and the
+convolution pairing come from the bialgebra engine in ncbell.hopf; keys
+may contain the inverse letter, which the ring classes' key codec handles.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .algebra import INV, NCPoly
 from .bell import bell, bell_partial
-from .algebra import INV, CPoly, NCPoly, mono_mul, word_mul
+from .hopf import Character, antipode_extend, coproduct_extend, pair, ring
 
 
 def _cls(variant: str):
-    if variant == "nc":
-        return NCPoly
-    if variant == "c":
-        return CPoly
-    raise ValueError(f"unknown variant {variant!r}, expected 'c' or 'nc'")
-
-
-def letter_key(i: int, variant: str) -> tuple:
-    """Term key of the single letter d_i, with i = -1 for the inverse."""
-    if variant == "nc":
-        return (i,)
-    return ((1, -1),) if i == INV else ((i, 1),)
-
-
-def key_mul(k1: tuple, k2: tuple, variant: str) -> tuple:
-    return word_mul(k1, k2) if variant == "nc" else mono_mul(k1, k2)
-
-
-def key_poly(key: tuple, variant: str):
-    cls = _cls(variant)
-    return cls.from_word(key) if variant == "nc" else cls.from_mono(key)
-
-
-def key_letters(key: tuple, variant: str) -> list:
-    """Letters of a term key, left to right, with -1 for the inverse."""
-    if variant == "nc":
-        return list(key)
-    out = []
-    for i, e in key:
-        out.extend([INV if (i == 1 and e < 0) else i] * abs(e))
-    return out
+    if variant not in ("c", "nc"):
+        raise ValueError(f"unknown variant {variant!r}, expected 'c' or 'nc'")
+    return ring(variant)
 
 
 def _variant_of(p) -> str:
     return "nc" if isinstance(p, NCPoly) else "c"
 
 
-def key_degree(key: tuple, variant: str) -> int:
-    """Degree of a term key: each d_i counts i - 1, inverse letters 0."""
-    return sum(i - 1 for i in key_letters(key, variant) if i != INV)
-
-
 def mobius_degree(p) -> int:
-    """Common degree of a homogeneous element.
+    """Common degree of a homogeneous element: each d_i counts i - 1, the
+    inverse letter 0.
 
     Raises ValueError on zero or on mixed-degree input.
     """
-    variant = _variant_of(p)
-    degrees = {key_degree(k, variant) for k in p.terms}
+    letters = type(p).key_letters
+    degrees = {sum(i - 1 for i in letters(k) if i != INV) for k in p.terms}
     if not degrees:
         raise ValueError("zero element has no degree")
     if len(degrees) > 1:
@@ -95,33 +69,21 @@ def mobius_degree(p) -> int:
 
 def _inv_power(n: int, variant: str):
     """The element d1^{-n}."""
-    if n == 0:
-        return _cls(variant).one()
-    if variant == "nc":
-        return NCPoly.from_word((INV,) * n)
-    return CPoly.from_mono(((1, -n),))
-
-
-def tensor_mul(t1: dict, t2: dict, variant: str) -> dict:
-    out: dict = {}
-    for (l1, r1), c1 in t1.items():
-        for (l2, r2), c2 in t2.items():
-            key = (key_mul(l1, l2, variant), key_mul(r1, r2, variant))
-            s = out.get(key, Fraction(0)) + c1 * c2
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    return out
+    cls = _cls(variant)
+    key = ()
+    for _ in range(n):
+        key = cls.key_mul(key, cls.letter_key(INV))
+    return cls.from_key(key)
 
 
 def coproduct_m(n: int, variant: str = "nc") -> dict:
     """Coproduct of the generator d_n: sum over k of B_{n,k} (x) d_k."""
     if n < 1:
         raise ValueError(f"generator index must be positive, got {n}")
+    cls = _cls(variant)
     out: dict = {}
     for k in range(1, n + 1):
-        right = letter_key(k, variant)
+        right = cls.letter_key(k)
         for key, c in bell_partial(n, k, variant).terms.items():
             out[(key, right)] = out.get((key, right), Fraction(0)) + c
     return out
@@ -129,7 +91,7 @@ def coproduct_m(n: int, variant: str = "nc") -> dict:
 
 def _coproduct_letter(i: int, variant: str) -> dict:
     if i == INV:
-        k = letter_key(INV, variant)
+        k = ring(variant).letter_key(INV)
         return {(k, k): Fraction(1)}
     return coproduct_m(i, variant)
 
@@ -138,26 +100,16 @@ def coproduct_poly(p, variant: str | None = None) -> dict:
     """Coproduct of an arbitrary element, extended multiplicatively."""
     if variant is None:
         variant = _variant_of(p)
-    total: dict = {}
-    for key, c in p.terms.items():
-        t = {((), ()): Fraction(1)}
-        for i in key_letters(key, variant):
-            t = tensor_mul(t, _coproduct_letter(i, variant), variant)
-        for tkey, tc in t.items():
-            s = total.get(tkey, Fraction(0)) + c * tc
-            if s:
-                total[tkey] = s
-            elif tkey in total:
-                del total[tkey]
-    return total
+    _cls(variant)
+    return coproduct_extend(p.terms, variant, _coproduct_letter)
 
 
 def counit_m(p) -> Fraction:
     """Counit: 1 on every pure power of d1 (inverse included), else 0."""
-    variant = _variant_of(p)
+    letters = type(p).key_letters
     total = Fraction(0)
     for key, c in p.terms.items():
-        if all(abs(i) == 1 for i in key_letters(key, variant)):
+        if all(abs(i) == 1 for i in letters(key)):
             total += c
     return total
 
@@ -176,6 +128,7 @@ def antipode_m(n: int, variant: str = "nc", side: str = "right"):
         raise ValueError(f"generator index must be positive, got {n}")
     if side not in ("left", "right"):
         raise ValueError(f"unknown side {side!r}, expected 'left' or 'right'")
+    cls = _cls(variant)
     cache_key = (n, variant, side)
     if cache_key in _ANTIPODE:
         return _ANTIPODE[cache_key]
@@ -183,15 +136,15 @@ def antipode_m(n: int, variant: str = "nc", side: str = "right"):
     if n == 1:
         s = inv
     elif side == "right":
-        acc = key_poly(letter_key(n, variant), variant) * inv
+        acc = cls.letter(n) * inv
         for k in range(2, n):
             acc = acc + bell_partial(n, k, variant) * antipode_m(k, variant, side)
         s = _inv_power(n, variant) * -acc
     else:
-        acc = _inv_power(n, variant) * key_poly(letter_key(n, variant), variant)
+        acc = _inv_power(n, variant) * cls.letter(n)
         for k in range(2, n):
             sb = antipode_poly(bell_partial(n, k, variant), variant, side)
-            acc = acc + sb * key_poly(letter_key(k, variant), variant)
+            acc = acc + sb * cls.letter(k)
         s = -acc * inv
     _ANTIPODE[cache_key] = s
     return s
@@ -199,7 +152,7 @@ def antipode_m(n: int, variant: str = "nc", side: str = "right"):
 
 def _antipode_letter(i: int, variant: str, side: str):
     if i == INV:
-        return key_poly(letter_key(1, variant), variant)
+        return ring(variant).letter(1)
     return antipode_m(i, variant, side)
 
 
@@ -207,43 +160,8 @@ def antipode_poly(p, variant: str | None = None, side: str = "right"):
     """Antipode of an arbitrary element, extended as an anti-morphism."""
     if variant is None:
         variant = _variant_of(p)
-    cls = _cls(variant)
-    total = cls.zero()
-    for key, c in p.terms.items():
-        factor = cls.one()
-        for i in reversed(key_letters(key, variant)):
-            factor = factor * _antipode_letter(i, variant, side)
-        total = total + factor * c
-    return total
-
-
-class Character:
-    """Multiplicative Rational-valued functional on the extended alphabet.
-
-    Stored by its values on letters; the value on the inverse letter is
-    under key -1. Applies to CPoly and NCPoly alike, since the codomain
-    is commutative.
-    """
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: dict):
-        self.values = {i: Fraction(v) for i, v in values.items()}
-
-    def on_letter(self, i: int) -> Fraction:
-        if i not in self.values:
-            raise ValueError(f"character not defined on letter {i}")
-        return self.values[i]
-
-    def __call__(self, p) -> Fraction:
-        variant = _variant_of(p)
-        total = Fraction(0)
-        for key, c in p.terms.items():
-            prod = c
-            for i in key_letters(key, variant):
-                prod *= self.on_letter(i)
-            total += prod
-        return total
+    _cls(variant)
+    return antipode_extend(p, variant, side, _antipode_letter)
 
 
 def zeta(max_n: int) -> Character:
@@ -271,10 +189,7 @@ def mobius_char(max_n: int, variant: str = "nc") -> Character:
 
 def convolve_m(phi: Character, psi: Character, n: int, variant: str = "nc") -> Fraction:
     """Convolution (phi * psi)(d_n) through the generator coproduct."""
-    total = Fraction(0)
-    for (l, r), c in coproduct_m(n, variant).items():
-        total += c * phi(key_poly(l, variant)) * psi(key_poly(r, variant))
-    return total
+    return pair(phi, psi, coproduct_m(n, variant), variant)
 
 
 def bell_map(p, variant: str | None = None):
@@ -296,8 +211,8 @@ def mobius_invert(n: int, variant: str = "nc"):
     """
     if n < 1:
         raise ValueError(f"generator index must be positive, got {n}")
-    mu = mobius_char(n, variant)
     cls = _cls(variant)
+    mu = mobius_char(n, variant)
     total = cls.zero()
     for k in range(1, n + 1):
         coeff = mu.on_letter(k)
@@ -311,4 +226,4 @@ def invert_round_trip(n: int, variant: str = "nc") -> bool:
     returns exactly d_n."""
     expr = mobius_invert(n, variant)
     table = {j: bell(j, variant) for j in range(1, n + 1)}
-    return expr.substitute(table) == key_poly(letter_key(n, variant), variant)
+    return expr.substitute(table) == _cls(variant).letter(n)

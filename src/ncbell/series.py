@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .algebra import _coeff
+from .algebra import _coeff, join_signed
 from .bell import bell, bell_partial
 
 
@@ -339,8 +339,6 @@ class MultiPoly:
 
 
 def render_multipoly(p: MultiPoly) -> str:
-    if not p.terms:
-        return "0"
     chunks = []
     for e, c in sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0])):
         body = "*".join(
@@ -354,10 +352,7 @@ def render_multipoly(p: MultiPoly) -> str:
         else:
             s = f"{mag}*{body}"
         chunks.append((c < 0, s))
-    out = ("-" if chunks[0][0] else "") + chunks[0][1]
-    for neg, s in chunks[1:]:
-        out += (" - " if neg else " + ") + s
-    return out
+    return join_signed(chunks)
 
 
 class VectorField:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import NCPoly, _coeff
+from .algebra import NCPoly, _coeff, join_signed
 
 LEAF: tuple = ()
 
@@ -161,14 +161,9 @@ def pushforward(p: NCPoly) -> dict:
 
 def render_tree_poly(tp: dict) -> str:
     items = sorted(tp.items(), key=lambda tc: (edges(tc[0]), serialize(tc[0])))
-    if not items:
-        return "0"
     chunks = []
     for t, c in items:
         mag = abs(c)
         s = serialize(t) if mag == 1 else f"{mag}*{serialize(t)}"
         chunks.append((c < 0, s))
-    out = ("-" if chunks[0][0] else "") + chunks[0][1]
-    for neg, s in chunks[1:]:
-        out += (" - " if neg else " + ") + s
-    return out
+    return join_signed(chunks)

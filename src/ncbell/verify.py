@@ -134,13 +134,14 @@ def _x_poly(s: str, variant: str):
 
 def _x_tensor(entries, variant: str) -> dict:
     """Build a tensor from (coeff, left letters, right letters) rows."""
+    cls = hopf.ring(variant)
     out: dict = {}
     for coeff, left, right in entries:
         lkey, rkey = (), ()
         for i in left:
-            lkey = hopf.key_mul(lkey, hopf.letter_key(i, variant), variant)
+            lkey = cls.key_mul(lkey, cls.letter_key(i))
         for i in right:
-            rkey = hopf.key_mul(rkey, hopf.letter_key(i, variant), variant)
+            rkey = cls.key_mul(rkey, cls.letter_key(i))
         out[(lkey, rkey)] = out.get((lkey, rkey), Fraction(0)) + coeff
     return out
 

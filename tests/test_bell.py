@@ -11,7 +11,6 @@ from ncbell.bell import (
     bell_partial,
     bell_recursion,
     bell_scaled,
-    closed_coefficient,
     compositions,
     kappa,
     multinomial,
@@ -19,7 +18,7 @@ from ncbell.bell import (
     qbell_coefficient,
     qbell_grouped,
 )
-from ncbell.partitions import bell_number, stirling2
+from ncbell.partitions import N_formula, bell_number, stirling2
 
 GOLDEN = {
     0: "1",
@@ -84,7 +83,7 @@ def test_kappa_and_closed_coefficient():
         p = bell(n)
         for word, c in p.terms.items():
             assert c == multinomial(n, word) * kappa(word)
-            assert c == closed_coefficient(word)
+            assert c == N_formula(word)
 
 
 def test_multinomial():

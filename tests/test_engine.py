@@ -1,0 +1,138 @@
+"""The bialgebra engine shared by ncbell.hopf and ncbell.mobius.
+
+Both modules run on the same tensor product, coproduct and antipode
+extensions and Character; only the data on one letter differ. The tests
+pin the variant guards of each module's entry points, and check the
+engine's structural properties on random elements of all four
+bialgebras: fdb, dfdb, and the d-alphabet "c" and "nc".
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ncbell import hopf, mobius
+from ncbell.algebra import INV, CPoly, NCPoly
+
+
+def _p(variant: str):
+    return hopf.ring(variant).letter(1)
+
+
+HOPF_ENTRY_POINTS = {
+    "rank_poly": lambda v: hopf.rank_poly(3, 1, v),
+    "coproduct_gen": lambda v: hopf.coproduct_gen(2, v),
+    "coproduct_gen_unit": lambda v: hopf.coproduct_gen(0, v),
+    "coproduct_mono": lambda v: hopf.coproduct_mono((), v),
+    "coproduct": lambda v: hopf.coproduct(_p(v), v),
+    "coproduct_oracle": lambda v: hopf.coproduct_oracle(3, v),
+    "antipode_recursive": lambda v: hopf.antipode_recursive(2, v),
+    "antipode_poly": lambda v: hopf.antipode_poly(_p(v), v),
+    "antipode_quasidet": lambda v: hopf.antipode_quasidet(2, v),
+    "hopf_axiom_check": lambda v: hopf.hopf_axiom_check(2, v, n_products=0),
+    "tensor_to_json": lambda v: hopf.tensor_to_json({}, v),
+    "render_tensor": lambda v: hopf.render_tensor({}, v),
+}
+
+MOBIUS_ENTRY_POINTS = {
+    "coproduct_m": lambda v: mobius.coproduct_m(2, v),
+    "coproduct_poly": lambda v: mobius.coproduct_poly(_p(v), v),
+    "antipode_m": lambda v: mobius.antipode_m(2, v),
+    "antipode_poly": lambda v: mobius.antipode_poly(_p(v), v),
+    "mobius_char": lambda v: mobius.mobius_char(3, v),
+    "convolve_m": lambda v: mobius.convolve_m(mobius.zeta(3), mobius.zeta(3), 2, v),
+    "bell_map": lambda v: mobius.bell_map(_p(v), v),
+    "mobius_invert": lambda v: mobius.mobius_invert(2, v),
+    "invert_round_trip": lambda v: mobius.invert_round_trip(2, v),
+}
+
+
+@pytest.mark.parametrize(
+    "call, variant",
+    [pytest.param(f, v, id=f"hopf.{name}-{v}")
+     for name, f in HOPF_ENTRY_POINTS.items() for v in ("nc", "c")]
+    + [pytest.param(f, v, id=f"mobius.{name}-{v}")
+       for name, f in MOBIUS_ENTRY_POINTS.items() for v in ("dfdb", "fdb")],
+)
+def test_entry_points_reject_the_other_modules_variants(call, variant):
+    with pytest.raises(ValueError, match="unknown variant"):
+        call(variant)
+
+
+def test_entry_points_accept_their_own_variants():
+    for f in HOPF_ENTRY_POINTS.values():
+        for v in ("fdb", "dfdb"):
+            f(v)
+    for f in MOBIUS_ENTRY_POINTS.values():
+        for v in ("c", "nc"):
+            f(v)
+
+
+# ---------------------------------------------------------------------------
+# properties on random elements
+
+# variant -> (its antipode on elements, the letters the elements are built from)
+INSTANCES = {
+    "fdb": (hopf.antipode_poly, (1, 2, 3)),
+    "dfdb": (hopf.antipode_poly, (1, 2, 3)),
+    "c": (mobius.antipode_poly, (INV, 1, 2, 3)),
+    "nc": (mobius.antipode_poly, (INV, 1, 2, 3)),
+}
+
+
+def _element(draw, variant: str):
+    """A random sum of up to three products of up to three letters."""
+    cls = hopf.ring(variant)
+    letters = INSTANCES[variant][1]
+    out = cls.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        term = cls.one() * draw(st.integers(-3, 3))
+        for i in draw(st.lists(st.sampled_from(letters), max_size=3)):
+            term = term * cls.from_key(cls.letter_key(i))
+        out = out + term
+    return out
+
+
+@st.composite
+def _pairs(draw, variant: str):
+    return _element(draw, variant), _element(draw, variant)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("variant", list(INSTANCES))
+def test_antipode_is_an_anti_morphism(variant, side):
+    antipode = INSTANCES[variant][0]
+
+    @settings(max_examples=25, deadline=None)
+    @given(_pairs(variant))
+    def check(uv):
+        u, v = uv
+        su = antipode(u, variant, side)
+        sv = antipode(v, variant, side)
+        assert antipode(u * v, variant, side) == sv * su
+
+    check()
+
+
+@st.composite
+def _word_and_character(draw):
+    p = _element(draw, "nc")
+    nonzero = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+    values = {i: draw(nonzero) for i in (1, 2, 3)}
+    values[INV] = 1 / values[1]
+    return p, hopf.Character(values)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_word_and_character())
+def test_character_ignores_letter_order(pc):
+    p, phi = pc
+    assert phi(p) == phi(p.abelianize())
+
+
+def test_character_on_both_rings():
+    phi = hopf.Character({1: 2, 2: Fraction(1, 3), INV: Fraction(1, 2)})
+    assert phi(NCPoly.from_word((2, 1, 2, INV))) == Fraction(1, 9)
+    assert phi(CPoly.from_mono(((1, -2), (2, 1)))) == Fraction(1, 12)

@@ -164,7 +164,7 @@ def test_character_convolution_is_composition():
     phi_h = character_of_series(compose(g, f, 8))
     conv = convolve(phi_f, phi_g)
     for n in range(1, 7):
-        assert conv.on_generator(n) == phi_h.on_generator(n)
+        assert conv.on_letter(n) == phi_h.on_letter(n)
 
 
 def test_character_antipode_is_reversion():
@@ -173,7 +173,7 @@ def test_character_antipode_is_reversion():
     anti = character_antipode(phi, 5)
     rev = character_of_series(reversion(g, 8))
     for n in range(1, 6):
-        assert anti.on_generator(n) == rev.on_generator(n)
+        assert anti.on_letter(n) == rev.on_letter(n)
 
 
 def test_generating_series_rank_identity():

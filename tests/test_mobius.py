@@ -15,6 +15,7 @@ import pytest
 
 from ncbell.algebra import CPoly, NCPoly, parse_text, render_text
 from ncbell.bell import bell, bell_partial
+from ncbell.hopf import tensor_mul
 from ncbell.mobius import (
     antipode_m,
     antipode_poly,
@@ -25,12 +26,9 @@ from ncbell.mobius import (
     counit_m,
     epsilon_char,
     invert_round_trip,
-    key_poly,
-    letter_key,
     mobius_char,
     mobius_degree,
     mobius_invert,
-    tensor_mul,
     zeta,
 )
 
@@ -99,10 +97,10 @@ def test_one_sided_convolution_identities():
         right_sum = NCPoly.zero()
         for (lk, rk), c in coproduct_m(n, "nc").items():
             right_sum = right_sum + c * (
-                key_poly(lk, "nc") * antipode_poly(key_poly(rk, "nc"), "nc", "right")
+                NCPoly.from_key(lk) * antipode_poly(NCPoly.from_key(rk), "nc", "right")
             )
             left_sum = left_sum + c * (
-                antipode_poly(key_poly(lk, "nc"), "nc", "left") * key_poly(rk, "nc")
+                antipode_poly(NCPoly.from_key(lk), "nc", "left") * NCPoly.from_key(rk)
             )
         assert right_sum == NCPoly.zero()
         assert left_sum == NCPoly.zero()
@@ -123,7 +121,7 @@ def test_coassociativity_boundary():
     def expand(t, leg):
         out = {}
         for (lk, rk), c in t.items():
-            inner = coproduct_poly(key_poly(lk if leg == 0 else rk, "nc"), "nc")
+            inner = coproduct_poly(NCPoly.from_key(lk if leg == 0 else rk), "nc")
             for (a, b), c2 in inner.items():
                 key = (a, b, rk) if leg == 0 else (lk, a, b)
                 s = out.get(key, Fraction(0)) + c * c2
