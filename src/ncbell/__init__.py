@@ -5,9 +5,10 @@ four independent constructions (recursion, closed formula, set-partition
 sums, quasideterminants), the two Hopf algebras their coefficients span,
 Moebius inversion on the d-alphabet bialgebra, and the pullback formulas
 that tie Bell words to composition of formal power series and to Taylor
-expansions of polynomial flows. All coefficients are Fractions; nothing
-is floating point. The ncbell console script exposes each piece, and
-ncbell.verify cross-checks every construction against the others.
+expansions of polynomial flows. All coefficients are exact: an int, or a
+Fraction once a real division has happened; nothing is floating point.
+The ncbell console script exposes each piece, and ncbell.verify
+cross-checks every construction against the others.
 """
 
 from .algebra import (

@@ -3,8 +3,12 @@
 Letters are plain integers: i >= 1 stands for d_i, and -1 stands for the
 formal inverse of d1 (index 1 is the only letter that may be inverted).
 A word is a tuple of letters kept reduced, meaning d1 and d1^{-1} never
-sit adjacent. Coefficients are fractions.Fraction throughout; integers
-are coerced on the way in.
+sit adjacent. Coefficients are exact: an int, or a fractions.Fraction
+once a real division has happened, never a float. The Bell polynomials
+have integer coefficients and so stay in ints, which are several times
+cheaper to add and multiply than Fractions. int == Fraction and their
+hashes agree, so equality, and the text, LaTeX and JSON output, do not
+depend on which of the two a coefficient is.
 
 Three polynomial containers live here:
 
@@ -32,12 +36,32 @@ from fractions import Fraction
 INV = -1  # the letter d1^{-1}
 
 
-def _coeff(x) -> Fraction:
+def _coeff(x) -> int | Fraction:
+    """An exact coefficient: a Fraction as given, an int as a plain int (a
+    bool becomes 0 or 1); anything else, a float in particular, is refused."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError(f"coefficient must be Fraction or int, got {type(x).__name__}")
+
+
+def exact_div(a, b) -> int | Fraction:
+    """a / b for exact coefficients: an int when both are ints and b divides
+    a, else a Fraction. Plain / on two ints would give a float."""
+    if isinstance(a, int) and isinstance(b, int) and a % b == 0:
+        return a // b
+    return Fraction(a) / b
+
+
+def add_into(acc: dict, terms: dict) -> None:
+    """Add the term dict terms into acc in place, dropping cancelled keys."""
+    for k, c in terms.items():
+        s = acc.get(k, 0) + c
+        if s:
+            acc[k] = s
+        elif k in acc:
+            del acc[k]
 
 
 def check_letter(letter: int) -> None:
@@ -76,7 +100,7 @@ class NCPoly:
                 if c:
                     word = tuple(word)
                     check_word(word)
-                    self.terms[word] = self.terms.get(word, Fraction(0)) + c
+                    self.terms[word] = self.terms.get(word, 0) + c
             self.terms = {w: c for w, c in self.terms.items() if c}
 
     @classmethod
@@ -106,8 +130,8 @@ class NCPoly:
         """Key of the letter d_i (INV for d1^{-1}); i = 0 gives the unit key."""
         return (i,) if i else ()
 
-    def coefficient(self, word) -> Fraction:
-        return self.terms.get(tuple(word), Fraction(0))
+    def coefficient(self, word) -> int | Fraction:
+        return self.terms.get(tuple(word), 0)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -133,12 +157,7 @@ class NCPoly:
         if not isinstance(other, NCPoly):
             return NotImplemented
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, Fraction(0)) + c
-            if s:
-                out[w] = s
-            elif w in out:
-                del out[w]
+        add_into(out, other.terms)
         res = NCPoly()
         res.terms = out
         return res
@@ -164,7 +183,7 @@ class NCPoly:
         for u, cu in self.terms.items():
             for v, cv in other.terms.items():
                 w = word_mul(u, v)
-                s = acc.get(w, Fraction(0)) + cu * cv
+                s = acc.get(w, 0) + cu * cv
                 if s:
                     acc[w] = s
                 elif w in acc:
@@ -186,7 +205,7 @@ class NCPoly:
                 if letter == INV:
                     raise ValueError("derive does not accept inverted letters")
                 nw = w[:pos] + (letter + 1,) + w[pos + 1 :]
-                s = acc.get(nw, Fraction(0)) + c
+                s = acc.get(nw, 0) + c
                 if s:
                     acc[nw] = s
                 elif nw in acc:
@@ -199,7 +218,7 @@ class NCPoly:
         acc: dict = {}
         for w, c in self.terms.items():
             m = mono_from_word(w)
-            s = acc.get(m, Fraction(0)) + c
+            s = acc.get(m, 0) + c
             if s:
                 acc[m] = s
             elif m in acc:
@@ -214,7 +233,7 @@ class NCPoly:
         Every letter occurring in self must have an image; inverted letters
         are rejected since a general image has no inverse here.
         """
-        out = NCPoly.zero()
+        acc: dict = {}
         for w, c in self.terms.items():
             factor = NCPoly.one()
             for letter in w:
@@ -223,8 +242,10 @@ class NCPoly:
                 if letter not in mapping:
                     raise ValueError(f"no image for letter {letter}")
                 factor = factor * mapping[letter]
-            out = out + factor * c
-        return out
+            add_into(acc, (factor * c).terms)
+        res = NCPoly()
+        res.terms = acc
+        return res
 
     def restrict_length(self, k: int) -> "NCPoly":
         """Keep only the words of length exactly k."""
@@ -305,7 +326,7 @@ class CPoly:
                 if c:
                     m = tuple(tuple(p) for p in m)
                     check_mono(m)
-                    self.terms[m] = self.terms.get(m, Fraction(0)) + c
+                    self.terms[m] = self.terms.get(m, 0) + c
             self.terms = {m: c for m, c in self.terms.items() if c}
 
     @classmethod
@@ -338,8 +359,8 @@ class CPoly:
             return ()
         return ((1, -1),) if i == INV else ((i, 1),)
 
-    def coefficient(self, m) -> Fraction:
-        return self.terms.get(tuple(m), Fraction(0))
+    def coefficient(self, m) -> int | Fraction:
+        return self.terms.get(tuple(m), 0)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -365,12 +386,7 @@ class CPoly:
         if not isinstance(other, CPoly):
             return NotImplemented
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
+        add_into(out, other.terms)
         res = CPoly()
         res.terms = out
         return res
@@ -396,7 +412,7 @@ class CPoly:
         for u, cu in self.terms.items():
             for v, cv in other.terms.items():
                 m = mono_mul(u, v)
-                s = acc.get(m, Fraction(0)) + cu * cv
+                s = acc.get(m, 0) + cu * cv
                 if s:
                     acc[m] = s
                 elif m in acc:
@@ -412,18 +428,24 @@ class CPoly:
 
     def derive(self) -> "CPoly":
         """Commutative shadow of the derivation: d_i^e -> e d_i^{e-1} d_{i+1}."""
-        out = CPoly.zero()
+        acc: dict = {}
         for m, c in self.terms.items():
             for i, e in m:
                 if e < 0:
                     raise ValueError("derive does not accept inverted letters")
                 lowered = mono_mul(m, ((i, -1),))
                 nm = mono_mul(lowered, ((i + 1, 1),))
-                out = out + CPoly.from_mono(nm, c * e)
-        return out
+                s = acc.get(nm, 0) + c * e
+                if s:
+                    acc[nm] = s
+                elif nm in acc:
+                    del acc[nm]
+        res = CPoly()
+        res.terms = acc
+        return res
 
     def substitute(self, mapping: dict) -> "CPoly":
-        out = CPoly.zero()
+        acc: dict = {}
         for m, c in self.terms.items():
             factor = CPoly.one()
             for i, e in m:
@@ -434,8 +456,10 @@ class CPoly:
                 img = mapping[i]
                 for _ in range(e):
                     factor = factor * img
-            out = out + factor * c
-        return out
+            add_into(acc, (factor * c).terms)
+        res = CPoly()
+        res.terms = acc
+        return res
 
     def restrict_length(self, k: int) -> "CPoly":
         res = CPoly()
@@ -445,15 +469,16 @@ class CPoly:
     def max_length(self) -> int:
         return max((mono_length(m) for m in self.terms), default=0)
 
-    def evaluate(self, values: dict) -> Fraction:
+    def evaluate(self, values: dict) -> int | Fraction:
         """Plug a Fraction (or int) in for every letter."""
-        total = Fraction(0)
+        total = 0
         for m, c in self.terms.items():
             prod = c
             for i, e in m:
                 if i not in values:
                     raise ValueError(f"no value for letter {i}")
-                prod *= _coeff(values[i]) ** e
+                v = _coeff(values[i])
+                prod = prod * v**e if e > 0 else exact_div(prod, v**-e)
             total += prod
         return total
 
@@ -471,7 +496,7 @@ class CPoly:
 
 
 class QPoly:
-    """Polynomial in q with Fraction coefficients, dict power -> coefficient."""
+    """Polynomial in q with exact coefficients, dict power -> coefficient."""
 
     __slots__ = ("terms",)
 
@@ -485,7 +510,7 @@ class QPoly:
                 if c:
                     if not isinstance(p, int) or p < 0:
                         raise ValueError(f"bad q power {p!r}")
-                    self.terms[p] = self.terms.get(p, Fraction(0)) + c
+                    self.terms[p] = self.terms.get(p, 0) + c
             self.terms = {p: c for p, c in self.terms.items() if c}
 
     @classmethod
@@ -524,12 +549,7 @@ class QPoly:
         if not isinstance(other, QPoly):
             return NotImplemented
         out = dict(self.terms)
-        for p, c in other.terms.items():
-            s = out.get(p, Fraction(0)) + c
-            if s:
-                out[p] = s
-            elif p in out:
-                del out[p]
+        add_into(out, other.terms)
         res = QPoly()
         res.terms = out
         return res
@@ -548,7 +568,7 @@ class QPoly:
         for p1, c1 in self.terms.items():
             for p2, c2 in other.terms.items():
                 p = p1 + p2
-                s = acc.get(p, Fraction(0)) + c1 * c2
+                s = acc.get(p, 0) + c1 * c2
                 if s:
                     acc[p] = s
                 elif p in acc:
@@ -575,11 +595,11 @@ class QPoly:
             if dnum < dden:
                 raise ValueError("non-exact q-polynomial division")
             shift = dnum - dden
-            factor = rem[dnum] / lead
+            factor = exact_div(rem[dnum], lead)
             quot[shift] = factor
             for p, c in other.terms.items():
                 pp = p + shift
-                s = rem.get(pp, Fraction(0)) - factor * c
+                s = rem.get(pp, 0) - factor * c
                 if s:
                     rem[pp] = s
                 elif pp in rem:
@@ -588,9 +608,9 @@ class QPoly:
         res.terms = quot
         return res
 
-    def evaluate(self, q) -> Fraction:
+    def evaluate(self, q) -> int | Fraction:
         q = _coeff(q)
-        return sum((c * q**p for p, c in self.terms.items()), Fraction(0))
+        return sum(c * q**p for p, c in self.terms.items())
 
     def __repr__(self) -> str:
         return f"QPoly({render_qpoly(self)!r})"
@@ -684,7 +704,7 @@ def join_signed(chunks) -> str:
     return "".join(out)
 
 
-def _coeff_text(c: Fraction) -> str:
+def _coeff_text(c: int | Fraction) -> str:
     return str(c)
 
 
@@ -754,19 +774,30 @@ def to_json_dict(p, algebra: str | None = None) -> dict:
     }
 
 
+def _parse_coeff(text: str) -> int | Fraction:
+    """A coefficient read from its text, e.g. "3" or "-1/2": an int when it
+    is integral, since no division has happened."""
+    c = Fraction(text)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _from_words(pieces, commutative: bool):
+    """The sum of c * word over the (word, c) pairs, in CPoly or NCPoly."""
+    cls = CPoly if commutative else NCPoly
+    acc: dict = {}
+    for word, c in pieces:
+        add_into(acc, cls.from_key(mono_from_word(word) if commutative else word, c).terms)
+    res = cls()
+    res.terms = acc
+    return res
+
+
 def from_json_dict(d: dict):
     algebra = d["algebra"]
-    if algebra in ("nc", "b-symbols"):
-        out = NCPoly.zero()
-        for t in d["terms"]:
-            out = out + NCPoly.from_word(tuple(t["word"]), Fraction(t["coeff"]))
-        return out
-    if algebra == "c":
-        out = CPoly.zero()
-        for t in d["terms"]:
-            out = out + CPoly.from_mono(mono_from_word(tuple(t["word"])), Fraction(t["coeff"]))
-        return out
-    raise ValueError(f"unknown algebra tag {algebra!r}")
+    if algebra not in ("nc", "b-symbols", "c"):
+        raise ValueError(f"unknown algebra tag {algebra!r}")
+    pieces = ((tuple(t["word"]), _parse_coeff(t["coeff"])) for t in d["terms"])
+    return _from_words(pieces, algebra == "c")
 
 
 def parse_text(s: str, symbol: str = "d", offset: int = 0, commutative: bool = False):
@@ -781,12 +812,12 @@ def parse_text(s: str, symbol: str = "d", offset: int = 0, commutative: bool = F
         if chunk.startswith("-"):
             tsign = -1
             chunk = chunk[1:].strip()
-        coeff = Fraction(1)
+        coeff = 1
         word = []
         for factor in chunk.split("*"):
             factor = factor.strip()
             if not factor.startswith(symbol):
-                coeff *= Fraction(factor)
+                coeff *= _parse_coeff(factor)
                 continue
             body = factor[len(symbol):]
             if "^" in body:
@@ -802,12 +833,4 @@ def parse_text(s: str, symbol: str = "d", offset: int = 0, commutative: bool = F
             else:
                 word.extend([idx] * exp)
         pieces.append((tuple(word), coeff * tsign))
-    if commutative:
-        out = CPoly.zero()
-        for w, c in pieces:
-            out = out + CPoly.from_mono(mono_from_word(w), c)
-        return out
-    out = NCPoly.zero()
-    for w, c in pieces:
-        out = out + NCPoly.from_word(w, c)
-    return out
+    return _from_words(pieces, commutative)

@@ -118,7 +118,6 @@ def bell_c_explicit(n: int, k: int) -> CPoly:
     n!/(alpha_1! ... alpha_n!) prod (d_i / i!)^{alpha_i}."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    out = CPoly.zero()
 
     def rec(i: int, blocks_left: int, weight_left: int, alpha: list):
         if i > n:
@@ -129,7 +128,7 @@ def bell_c_explicit(n: int, k: int) -> CPoly:
                     if a:
                         coeff /= factorial(a) * factorial(idx) ** a
                         mono.append((idx, a))
-                out_terms[tuple(mono)] = out_terms.get(tuple(mono), Fraction(0)) + coeff
+                out_terms[tuple(mono)] = out_terms.get(tuple(mono), 0) + coeff
             return
         max_a = min(blocks_left, weight_left // i)
         for a in range(max_a + 1):
@@ -139,6 +138,7 @@ def bell_c_explicit(n: int, k: int) -> CPoly:
 
     out_terms: dict = {}
     rec(1, k, n, [])
+    del rec  # rec refers to itself: break the cycle that holds out_terms
     return CPoly(out_terms)
 
 

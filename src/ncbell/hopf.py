@@ -20,7 +20,8 @@ functions of one letter: coproduct_gen / antipode_recursive here,
 coproduct_m / antipode_m in ncbell.mobius.
 
 Tensors are plain dicts mapping (left monomial key, right monomial key) to
-a Fraction; triple tensors use 3-tuples of keys.
+an exact coefficient, an int or a Fraction, never a float, as in the ring
+classes; triple tensors use 3-tuples of keys.
 """
 
 from __future__ import annotations
@@ -28,13 +29,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .algebra import CPoly, NCPoly, join_signed, render_latex, render_text
+from .algebra import CPoly, NCPoly, _coeff, add_into, join_signed, render_latex, render_text
 from .bell import bell_partial
 from . import quasidet
 from .series import FormalSeries
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +56,7 @@ def tensor_mul(t1: dict, t2: dict, variant: str) -> dict:
     for (l1, r1), c1 in t1.items():
         for (l2, r2), c2 in t2.items():
             key = (key_mul(l1, l2), key_mul(r1, r2))
-            s = out.get(key, _ZERO) + c1 * c2
+            s = out.get(key, 0) + c1 * c2
             if s:
                 out[key] = s
             elif key in out:
@@ -75,15 +73,10 @@ def coproduct_extend(terms: dict, variant: str, letter_coproduct) -> dict:
         t = {((), ()): c}
         for i in key_letters(key):
             t = tensor_mul(t, letter_coproduct(i, variant), variant)
-        if not total:
+        if total:
+            add_into(total, t)
+        else:
             total = t
-            continue
-        for tkey, tc in t.items():
-            s = total.get(tkey, _ZERO) + tc
-            if s:
-                total[tkey] = s
-            elif tkey in total:
-                del total[tkey]
     return total
 
 
@@ -92,49 +85,52 @@ def antipode_extend(p, variant: str, side: str, letter_antipode):
     commutative rings) from letter_antipode(i, variant, side), the antipode
     of the letter i."""
     cls = ring(variant)
-    out = cls.zero()
+    acc: dict = {}
     for key, c in p.terms.items():
         factor = cls.one()
         for i in reversed(cls.key_letters(key)):
             factor = factor * letter_antipode(i, variant, side)
-        out = out + factor * c
+        add_into(acc, (factor * c).terms)
+    out = cls()
+    out.terms = acc
     return out
 
 
 class Character:
     """Multiplicative Rational-valued functional, stored by its values on
-    letters (the inverse letter d1^{-1} under INV = -1). The codomain is
-    commutative, so it evaluates NCPoly and CPoly alike."""
+    letters (the inverse letter d1^{-1} under INV = -1), each an int or a
+    Fraction. The codomain is commutative, so it evaluates NCPoly and CPoly
+    alike."""
 
     __slots__ = ("values",)
 
     def __init__(self, values: dict):
-        self.values = {i: Fraction(v) for i, v in values.items()}
+        self.values = {i: _coeff(v) for i, v in values.items()}
 
-    def on_letter(self, i: int) -> Fraction:
+    def on_letter(self, i: int) -> int | Fraction:
         if i not in self.values:
             raise ValueError(f"character not defined on letter {i}")
         return self.values[i]
 
-    def on_key(self, key, cls) -> Fraction:
+    def on_key(self, key, cls) -> int | Fraction:
         """The value on the monomial key of the ring class cls."""
-        prod = _ONE
+        prod = 1
         for i in cls.key_letters(key):
             prod *= self.on_letter(i)
         return prod
 
-    def __call__(self, p) -> Fraction:
+    def __call__(self, p) -> int | Fraction:
         cls = type(p)
-        total = _ZERO
+        total = 0
         for key, c in p.terms.items():
             total += c * self.on_key(key, cls)
         return total
 
 
-def pair(phi: Character, psi: Character, t: dict, variant: str) -> Fraction:
+def pair(phi: Character, psi: Character, t: dict, variant: str) -> int | Fraction:
     """(phi (x) psi)(t) = sum of c * phi(left) * psi(right) over a 2-tensor."""
     cls = ring(variant)
-    total = _ZERO
+    total = 0
     for (l, r), c in t.items():
         total += c * phi.on_key(l, cls) * psi.on_key(r, cls)
     return total
@@ -181,19 +177,19 @@ def coproduct_gen(n: int, variant: str = "dfdb") -> dict:
     """Coproduct of the generator X_n: sum_k W_{n,k} tensor X_k."""
     cls = _cls(variant)
     if n == 0:
-        return {((), ()): Fraction(1)}
+        return {((), ()): 1}
     out: dict = {}
     for k in range(n + 1):
         right = cls.letter_key(k)
         for wkey, c in rank_poly(n, k, variant).terms.items():
             key = (wkey, right)
-            out[key] = out.get(key, _ZERO) + c
+            out[key] = out.get(key, 0) + c
     return {k: v for k, v in out.items() if v}
 
 
 def coproduct_mono(key, variant: str) -> dict:
     _cls(variant)
-    return coproduct_extend({key: _ONE}, variant, coproduct_gen)
+    return coproduct_extend({key: 1}, variant, coproduct_gen)
 
 
 def coproduct(p, variant: str = "dfdb") -> dict:
@@ -215,13 +211,13 @@ def coproduct_oracle(n: int, variant: str = "dfdb") -> dict:
         for b in sorted(P, key=lambda b: b[-1]):
             left = cls.key_mul(left, cls.letter_key(len(b) - 1))
         key = (left, cls.letter_key(len(P) - 1))
-        out[key] = out.get(key, _ZERO) + 1
+        out[key] = out.get(key, 0) + 1
     return {k: v for k, v in out.items() if v}
 
 
-def counit(p) -> Fraction:
+def counit(p) -> int | Fraction:
     """Coefficient of the unit monomial."""
-    return p.terms.get((), _ZERO)
+    return p.terms.get((), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +288,7 @@ def _tensor_expand(t: dict, leg: int, variant: str) -> dict:
         inner = coproduct_mono(l if leg == 0 else r, variant)
         for (a, b), c2 in inner.items():
             key = (a, b, r) if leg == 0 else (l, a, b)
-            s = out.get(key, _ZERO) + c * c2
+            s = out.get(key, 0) + c * c2
             if s:
                 out[key] = s
             elif key in out:

@@ -85,14 +85,14 @@ def coproduct_m(n: int, variant: str = "nc") -> dict:
     for k in range(1, n + 1):
         right = cls.letter_key(k)
         for key, c in bell_partial(n, k, variant).terms.items():
-            out[(key, right)] = out.get((key, right), Fraction(0)) + c
+            out[(key, right)] = out.get((key, right), 0) + c
     return out
 
 
 def _coproduct_letter(i: int, variant: str) -> dict:
     if i == INV:
         k = ring(variant).letter_key(INV)
-        return {(k, k): Fraction(1)}
+        return {(k, k): 1}
     return coproduct_m(i, variant)
 
 
@@ -104,10 +104,10 @@ def coproduct_poly(p, variant: str | None = None) -> dict:
     return coproduct_extend(p.terms, variant, _coproduct_letter)
 
 
-def counit_m(p) -> Fraction:
+def counit_m(p) -> int | Fraction:
     """Counit: 1 on every pure power of d1 (inverse included), else 0."""
     letters = type(p).key_letters
-    total = Fraction(0)
+    total = 0
     for key, c in p.terms.items():
         if all(abs(i) == 1 for i in letters(key)):
             total += c
@@ -166,16 +166,16 @@ def antipode_poly(p, variant: str | None = None, side: str = "right"):
 
 def zeta(max_n: int) -> Character:
     """The all-ones character on d1..d_max_n and the inverse letter."""
-    values = {i: Fraction(1) for i in range(1, max_n + 1)}
-    values[INV] = Fraction(1)
+    values = {i: 1 for i in range(1, max_n + 1)}
+    values[INV] = 1
     return Character(values)
 
 
 def epsilon_char(max_n: int) -> Character:
     """The counit as a character: 1 on d1 and its inverse, 0 above."""
-    values = {i: Fraction(0) for i in range(2, max_n + 1)}
-    values[1] = Fraction(1)
-    values[INV] = Fraction(1)
+    values = {i: 0 for i in range(2, max_n + 1)}
+    values[1] = 1
+    values[INV] = 1
     return Character(values)
 
 
@@ -183,11 +183,11 @@ def mobius_char(max_n: int, variant: str = "nc") -> Character:
     """The Mobius character mu = zeta o S, tabulated on d1..d_max_n."""
     z = zeta(max_n)
     values = {i: z(antipode_m(i, variant)) for i in range(1, max_n + 1)}
-    values[INV] = Fraction(1)
+    values[INV] = 1
     return Character(values)
 
 
-def convolve_m(phi: Character, psi: Character, n: int, variant: str = "nc") -> Fraction:
+def convolve_m(phi: Character, psi: Character, n: int, variant: str = "nc") -> int | Fraction:
     """Convolution (phi * psi)(d_n) through the generator coproduct."""
     return pair(phi, psi, coproduct_m(n, variant), variant)
 

@@ -8,7 +8,6 @@ ordering is the one the block-size words d_{|P_1|} ... d_{|P_k|} read off.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from .algebra import CPoly, NCPoly, QPoly, qbinomial
@@ -49,6 +48,7 @@ def enumerate_partitions(n: int, k: int | None = None) -> list:
             rec(i + 1, max(m, b))
 
     rec(0, -1)
+    del rec  # rec refers to itself: break the cycle that would keep out alive
     return out
 
 

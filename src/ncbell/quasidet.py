@@ -133,7 +133,9 @@ def det(M):
         memo[key] = acc
         return acc
 
-    return minor(0, tuple(range(n)))
+    out = minor(0, tuple(range(n)))
+    del minor  # minor refers to itself: break the cycle that holds memo
+    return out
 
 
 def _det_bareiss(M) -> Fraction:

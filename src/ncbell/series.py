@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .algebra import _coeff, join_signed
+from .algebra import _coeff, add_into, join_signed
 from .bell import bell, bell_partial
 
 
@@ -189,7 +189,7 @@ def egf_bell_check(max_n: int) -> list:
 
 
 class MultiPoly:
-    """Polynomial in x1..xm over Q: dict exponent-tuple -> Fraction."""
+    """Polynomial in x1..xm over Q: dict exponent-tuple -> exact coefficient."""
 
     __slots__ = ("nvars", "terms")
 
@@ -203,7 +203,7 @@ class MultiPoly:
                 if len(exps) != nvars or any(e < 0 for e in exps):
                     raise ValueError(f"bad exponent vector {exps!r} for {nvars} variables")
                 if c:
-                    self.terms[exps] = self.terms.get(exps, Fraction(0)) + c
+                    self.terms[exps] = self.terms.get(exps, 0) + c
             self.terms = {e: c for e, c in self.terms.items() if c}
 
     @classmethod
@@ -250,12 +250,7 @@ class MultiPoly:
             other = MultiPoly.const(self.nvars, other)
         self._same(other)
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
+        add_into(out, other.terms)
         res = MultiPoly(self.nvars)
         res.terms = out
         return res
@@ -279,7 +274,7 @@ class MultiPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = acc.get(e, Fraction(0)) + c1 * c2
+                s = acc.get(e, 0) + c1 * c2
                 if s:
                     acc[e] = s
                 elif e in acc:
@@ -301,15 +296,15 @@ class MultiPoly:
             if e[i] == 0:
                 continue
             ne = e[:i] + (e[i] - 1,) + e[i + 1 :]
-            acc[ne] = acc.get(ne, Fraction(0)) + c * e[i]
+            acc[ne] = acc.get(ne, 0) + c * e[i]
         out.terms = {e: c for e, c in acc.items() if c}
         return out
 
-    def evaluate(self, point) -> Fraction:
+    def evaluate(self, point) -> int | Fraction:
         point = [_coeff(v) for v in point]
         if len(point) != self.nvars:
             raise ValueError("dimension mismatch")
-        total = Fraction(0)
+        total = 0
         for e, c in self.terms.items():
             prod = c
             for v, p in zip(point, e):

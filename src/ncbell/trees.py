@@ -3,7 +3,8 @@
 A tree is a nested tuple of its child subtrees; the single node is ().
 Serialization is the balanced-letter string "a" + children + "b", so the
 single node prints "ab" and the one-edge ladder "aabb". A TreePoly is a
-plain dict tree -> Fraction with zero coefficients dropped.
+plain dict tree -> coefficient (an int, or a Fraction after a division,
+as in ncbell.algebra) with zero coefficients dropped.
 
 The word-tree dictionary: d_i is the ladder with i edges, and the word
 d_i w maps to ladder_{i-1} joined onto tree(w) by the left Butcher
@@ -14,8 +15,6 @@ one-edge tree once, not twice, at n = 1).
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .algebra import NCPoly, _coeff, join_signed
 
@@ -63,6 +62,7 @@ def parse_tree(s: str) -> tuple:
         return tuple(kids), i + 1
 
     t, end = rec(0)
+    del rec  # rec refers to itself: break the reference cycle
     if end != len(s):
         raise ValueError(f"trailing input in {s!r}")
     return t
@@ -93,17 +93,18 @@ def leaf_graft(s: tuple, t: tuple) -> dict:
             if child == LEAF:
                 grown = node[:pos] + ((s,),) + node[pos + 1 :]
                 tree = rebuild(grown)
-                out[tree] = out.get(tree, Fraction(0)) + 1
+                out[tree] = out.get(tree, 0) + 1
             else:
                 rec(child, lambda sub, p=pos, nd=node: rebuild(nd[:p] + (sub,) + nd[p + 1 :]))
 
     rec(t, lambda x: x)
+    del rec  # rec refers to itself: break the cycle that holds out
     return {k: v for k, v in out.items() if v}
 
 
 def poly_add(acc: dict, t: tuple, c) -> None:
     c = _coeff(c)
-    s = acc.get(t, Fraction(0)) + c
+    s = acc.get(t, 0) + c
     if s:
         acc[t] = s
     elif t in acc:
@@ -117,7 +118,7 @@ def tree_bell(n: int, planar: bool = True) -> dict:
     if n < 0:
         raise ValueError("need n >= 0")
     node = LEAF
-    cur: dict = {LEAF: Fraction(1)}
+    cur: dict = {LEAF: 1}
     for _ in range(n):
         nxt: dict = {}
         for t, c in cur.items():

@@ -142,7 +142,7 @@ def _x_tensor(entries, variant: str) -> dict:
             lkey = cls.key_mul(lkey, cls.letter_key(i))
         for i in right:
             rkey = cls.key_mul(rkey, cls.letter_key(i))
-        out[(lkey, rkey)] = out.get((lkey, rkey), Fraction(0)) + coeff
+        out[(lkey, rkey)] = out.get((lkey, rkey), 0) + coeff
     return out
 
 

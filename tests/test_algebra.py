@@ -97,6 +97,14 @@ def test_cpoly_evaluate():
 def test_cpoly_inverse_power_evaluates():
     p = CPoly.from_mono(((1, -2), (2, 1)))
     assert p.evaluate({1: Fraction(2), 2: Fraction(8)}) == Fraction(2)
+    # int values: dividing by d1 gives a Fraction (an int when exact), never a float
+    q = CPoly({((1, -1), (2, 1)): 3})
+    got = q.evaluate({1: 2, 2: 5})
+    assert got == Fraction(15, 2) and type(got) is Fraction
+    exact = q.evaluate({1: 3, 2: 5})
+    assert exact == 5 and type(exact) is int
+    with pytest.raises(ZeroDivisionError):
+        q.evaluate({1: 0, 2: 5})
 
 
 def test_parse_render_round_trip():
@@ -165,3 +173,10 @@ def test_qpoly_divexact():
     num = qfactorial(4)
     den = qfactorial(2)
     assert num.divexact(den) * den == num
+    # a leading coefficient other than 1: exact quotients stay int, others Fraction
+    quot = (QPoly({0: 1, 1: 2}) * QPoly({0: -1, 1: 3})).divexact(QPoly({0: 1, 1: 2}))
+    assert quot.terms == {0: -1, 1: 3}
+    assert all(type(c) is int for c in quot.terms.values())
+    assert all(type(c) is int for c in qbinomial(7, 3).terms.values())
+    half = QPoly({0: 3}).divexact(QPoly({0: 2}))
+    assert half.terms == {0: Fraction(3, 2)} and type(half.terms[0]) is Fraction
