@@ -8,7 +8,8 @@ that tie Bell words to composition of formal power series and to Taylor
 expansions of polynomial flows. All coefficients are exact: an int, or a
 Fraction once a real division has happened; nothing is floating point.
 The ncbell console script exposes each piece, and ncbell.verify
-cross-checks every construction against the others.
+cross-checks every construction against the others. clear_caches() and
+cache_info() empty and size the module memos, for cold measurements.
 """
 
 from .algebra import (
@@ -23,6 +24,7 @@ from .algebra import (
     to_json_dict,
 )
 from .bell import (
+    _BELL,
     bell,
     bell_partial,
     bell_scaled,
@@ -30,13 +32,15 @@ from .bell import (
     qbell_coefficient,
 )
 from .hopf import (
+    _ANTIPODE as _HOPF_ANTIPODE,
+    _RANK,
     antipode_quasidet,
     antipode_recursive,
     coproduct_gen,
     hopf_axiom_check,
 )
-from .mobius import antipode_m, mobius_char, mobius_invert
-from .partitions import bell_number, enumerate_partitions, stirling2
+from .mobius import _ANTIPODE as _MOBIUS_ANTIPODE, antipode_m, mobius_char, mobius_invert
+from .partitions import _QCOUNT, _STIRLING, bell_number, enumerate_partitions, stirling2
 from .quasidet import bell_via_quasidet, hessenberg_quasidet, numeric_quasidet
 from .series import (
     FormalSeries,
@@ -50,6 +54,31 @@ from .series import (
 )
 from .trees import tree_bell
 from .verify import run_suites
+
+_MEMOS = {
+    "hopf.rank": _RANK,
+    "hopf.antipode": _HOPF_ANTIPODE,
+    "mobius.antipode": _MOBIUS_ANTIPODE,
+    "partitions.stirling": _STIRLING,
+    "partitions.qcount": _QCOUNT,
+}
+
+
+def cache_info() -> dict:
+    """Number of entries in each module memo, by name. The B_0 seeds of
+    the Bell cache are not counted, so every size reads 0 when cold."""
+    info = {f"bell.{variant}": len(seq) - 1 for variant, seq in _BELL.items()}
+    info.update((name, len(memo)) for name, memo in _MEMOS.items())
+    return info
+
+
+def clear_caches() -> None:
+    """Empty every module memo; the Bell cache keeps only its B_0 seeds."""
+    for seq in _BELL.values():
+        del seq[1:]
+    for memo in _MEMOS.values():
+        memo.clear()
+
 
 __all__ = [
     "INV",
@@ -89,4 +118,6 @@ __all__ = [
     "reversion",
     "tree_bell",
     "run_suites",
+    "cache_info",
+    "clear_caches",
 ]

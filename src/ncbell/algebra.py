@@ -253,9 +253,6 @@ class NCPoly:
         res.terms = {w: c for w, c in self.terms.items() if len(w) == k}
         return res
 
-    def max_length(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
     def map_coeffs(self, f) -> "NCPoly":
         out = NCPoly()
         out.terms = {w: fc for w, c in self.terms.items() if (fc := f(c))}
@@ -465,9 +462,6 @@ class CPoly:
         res = CPoly()
         res.terms = {m: c for m, c in self.terms.items() if mono_length(m) == k}
         return res
-
-    def max_length(self) -> int:
-        return max((mono_length(m) for m in self.terms), default=0)
 
     def evaluate(self, values: dict) -> int | Fraction:
         """Plug a Fraction (or int) in for every letter."""

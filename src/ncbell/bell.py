@@ -157,7 +157,7 @@ def bell_scaled(n: int, k: int | None = None) -> NCPoly:
 # The q-coefficient as displayed leaves the kappa numerator unbracketed
 # (plain integers p_1...p_k against q-bracket denominators). That reading
 # fails to be polynomial in q: for the word d2 d2 it gives
-# 4(1+q+q^2)/(1+q)^2, and _qcoeff_plain raises on it. The fully bracketed
+# 4(1+q+q^2)/(1+q)^2, which is not a polynomial. The fully bracketed
 # reading below matches the brute-force partition-weight statistic, so it
 # is the one qbell uses; at q = 1 both would agree where the plain one is
 # defined.
@@ -186,24 +186,6 @@ def qbell_coefficient(parts) -> QPoly:
         den = den * qfactorial(p)
     knum, kden = qkappa(parts)
     return (num * knum).divexact(den * kden)
-
-
-def _qcoeff_plain(parts) -> QPoly:
-    """The unbracketed-numerator reading; raises ValueError when the division
-    is not exact (which already happens for parts = (2, 2))."""
-    parts = tuple(parts)
-    n = sum(parts)
-    num = qfactorial(n) * Fraction(1)
-    plain = 1
-    for p in parts:
-        plain *= p
-    den = QPoly.one()
-    total = 0
-    for p in parts:
-        den = den * qfactorial(p)
-        total += p
-        den = den * qint(total)
-    return (num * plain).divexact(den)
 
 
 def qbell(n: int, k: int) -> dict:

@@ -4,11 +4,18 @@ Bell numbers, and the q-weight statistic behind the q-analog coefficients.
 A partition is stored as a tuple of blocks, each block a sorted tuple of
 integers, with the blocks listed in increasing order of their maxima. That
 ordering is the one the block-size words d_{|P_1|} ... d_{|P_k|} read off.
+
+The brute-force q-count memoises per ground set: the partitions of {1..s}
+into k blocks are enumerated once, and their weights are tallied into one
+{weight: count} histogram per max-ordered size tuple. Every composition of
+s into k parts then reads its histogram from the memo (_QCOUNT, keyed by
+(s, k)), and each call returns a fresh QPoly built from it.
 """
 
 from __future__ import annotations
 
 from math import comb
+from operator import itemgetter
 
 from .algebra import CPoly, NCPoly, QPoly, qbinomial
 
@@ -35,13 +42,15 @@ def enumerate_partitions(n: int, k: int | None = None) -> list:
     a = [0] * n
 
     def rec(i: int, m: int) -> None:
+        # m + 1 blocks are open and n - i elements are left to place
+        if k is not None and (m + 1 > k or m + 1 + n - i < k):
+            return
         if i == n:
-            nblocks = m + 1
-            if k is None or nblocks == k:
-                blocks = [[] for _ in range(nblocks)]
-                for pos in range(n):
-                    blocks[a[pos]].append(pos + 1)
-                out.append(canonical(blocks))
+            blocks = [[] for _ in range(m + 1)]
+            for pos in range(n):
+                blocks[a[pos]].append(pos + 1)
+            # filled in increasing order, so each block is already sorted
+            out.append(tuple(sorted(map(tuple, blocks), key=itemgetter(-1))))
             return
         for b in range(m + 2):
             a[i] = b
@@ -139,18 +148,32 @@ def weight(P) -> int:
     return total
 
 
+_QCOUNT: dict = {}
+
+
 def qcount_max_ordered(sizes) -> QPoly:
     """Brute-force generating function sum of q^weight(P) over all partitions
-    of {1..sum(sizes)} with the given max-ordered block sizes."""
+    of {1..sum(sizes)} with the given max-ordered block sizes.
+
+    The first call for a ground set size s = sum(sizes) and block count
+    k = len(sizes) enumerates the partitions of {1..s} into k blocks once
+    and tallies q^weight(P) for every size tuple in _QCOUNT; later calls
+    with the same (s, k) read that tally. The QPoly returned is new on
+    every call, so changing it leaves the memo alone.
+    """
     sizes = tuple(sizes)
     if any(p < 1 for p in sizes):
         raise ValueError("block sizes must be positive")
-    s = sum(sizes)
-    out = QPoly.zero()
-    for P in enumerate_partitions(s, len(sizes)):
-        if block_sizes(P) == sizes:
-            out = out + QPoly.q(weight(P))
-    return out
+    key = (sum(sizes), len(sizes))
+    tally = _QCOUNT.get(key)
+    if tally is None:
+        tally = {}
+        for P in enumerate_partitions(*key):
+            hist = tally.setdefault(block_sizes(P), {})
+            w = weight(P)
+            hist[w] = hist.get(w, 0) + 1
+        _QCOUNT[key] = tally
+    return QPoly(tally.get(sizes))
 
 
 def qcount_product(sizes) -> QPoly:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb, factorial
 
 from .bell import (
     bell,

@@ -2,11 +2,15 @@
 
 from fractions import Fraction
 
+import ncbell
+from ncbell import hopf, mobius, partitions, verify
 from ncbell.algebra import NCPoly, QPoly
+from ncbell.bell import bell, compositions
 from ncbell.partitions import (
     N_formula,
     bell_number,
     block_sizes,
+    canonical,
     count_max_ordered,
     enumerate_partitions,
     monomial_of,
@@ -24,6 +28,25 @@ def test_enumerate_counts():
     for n in range(1, 7):
         assert len(enumerate_partitions(n)) == BELL[n]
     assert len(enumerate_partitions(4, 2)) == stirling2(4, 2) == 7
+
+
+def test_enumerate_order_is_pinned():
+    assert enumerate_partitions(3) == [
+        ((1, 2, 3),),
+        ((1, 2), (3,)),
+        ((2,), (1, 3)),
+        ((1,), (2, 3)),
+        ((1,), (2,), (3,)),
+    ]
+
+
+def test_enumerate_by_block_count_is_the_filter():
+    for n in range(1, 9):
+        everything = enumerate_partitions(n)
+        for P in everything:
+            assert P == canonical(P)
+        for k in range(1, n + 1):
+            assert enumerate_partitions(n, k) == [P for P in everything if len(P) == k]
 
 
 def test_enumerate_partitions_are_partitions():
@@ -100,3 +123,60 @@ def test_qcount_weight_generating_function():
 
 def test_render_partition():
     assert render_partition(((1, 3), (2,))) == "1 3 | 2"
+
+
+def test_memoised_qcount_matches_brute_force():
+    ncbell.clear_caches()
+    for total in range(1, 8):
+        everything = enumerate_partitions(total)
+        for k in range(1, total + 1):
+            for sizes in compositions(total, k):
+                brute = QPoly.zero()
+                for P in everything:
+                    if block_sizes(P) == sizes:
+                        brute = brute + QPoly.q(weight(P))
+                assert qcount_max_ordered(sizes) == brute
+                assert qcount_max_ordered(list(sizes)) == brute
+
+
+def test_qcount_result_is_a_fresh_copy():
+    sizes = (2, 1, 2)
+    first = qcount_max_ordered(sizes)
+    first.terms.clear()
+    first.terms[0] = 99
+    second = qcount_max_ordered(sizes)
+    assert second == qcount_product(sizes)
+    assert second.terms is not first.terms
+
+
+def test_clear_caches_empties_every_memo():
+    bell(4, "nc")
+    bell(4, "c")
+    hopf.rank_poly(3, 1, "dfdb")
+    hopf.antipode_recursive(3, "dfdb")
+    mobius.antipode_m(3, "nc")
+    stirling2(5, 2)
+    qcount_max_ordered((1, 2))
+    before = ncbell.cache_info()
+    assert set(before) == {"bell.nc", "bell.c", "hopf.rank", "hopf.antipode",
+                           "mobius.antipode", "partitions.stirling", "partitions.qcount"}
+    assert all(size > 0 for size in before.values()), before
+    ncbell.clear_caches()
+    assert all(size == 0 for size in ncbell.cache_info().values())
+    assert bell(3, "nc") == NCPoly.from_word((1, 1, 1)) + NCPoly.from_word((2, 1)) \
+        + 2 * NCPoly.from_word((1, 2)) + NCPoly.from_word((3,))
+
+
+def test_q_statistics_enumerates_each_ground_set_once(monkeypatch):
+    ncbell.clear_caches()
+    calls = []
+    original = partitions.enumerate_partitions
+
+    def counted(n, k=None):
+        calls.append((n, k))
+        return original(n, k)
+
+    monkeypatch.setattr(partitions, "enumerate_partitions", counted)
+    ok, detail = verify.suite_q_statistics(None, 0)
+    assert ok, detail
+    assert len(calls) == len(set(calls)) <= 36
