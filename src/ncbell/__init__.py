@@ -13,6 +13,7 @@ cache_info() empty and size the module memos, for cold measurements.
 """
 
 from .algebra import (
+    _QFACTORIAL,
     INV,
     CPoly,
     NCPoly,
@@ -61,6 +62,7 @@ _MEMOS = {
     "mobius.antipode": _MOBIUS_ANTIPODE,
     "partitions.stirling": _STIRLING,
     "partitions.qcount": _QCOUNT,
+    "algebra.qfactorial": _QFACTORIAL,
 }
 
 

@@ -617,10 +617,20 @@ def qint(n: int) -> QPoly:
     return QPoly({i: 1 for i in range(n)})
 
 
+_QFACTORIAL: list = []  # _QFACTORIAL[n] = [n]_q!, extended on demand
+
+
 def qfactorial(n: int) -> QPoly:
-    out = QPoly.one()
-    for i in range(1, n + 1):
-        out = out * qint(i)
+    """[n]_q! = [1]_q [2]_q ... [n]_q (1 for n <= 0). The products are
+    memoised as a prefix list; every call returns a new QPoly, so changing
+    it leaves the memo alone."""
+    memo = _QFACTORIAL
+    if not memo:
+        memo.append(QPoly.one())
+    while len(memo) <= n:
+        memo.append(memo[-1] * qint(len(memo)))
+    out = QPoly()
+    out.terms = dict(memo[max(n, 0)].terms)
     return out
 
 

@@ -206,7 +206,7 @@ def coproduct_oracle(n: int, variant: str = "dfdb") -> dict:
 
     cls = _cls(variant)
     out: dict = {}
-    for P in partitions.enumerate_partitions(n + 1):
+    for P in partitions.iter_partitions(n + 1):
         left = ()
         for b in sorted(P, key=lambda b: b[-1]):
             left = cls.key_mul(left, cls.letter_key(len(b) - 1))
@@ -282,11 +282,15 @@ def antipode_quasidet(n: int, variant: str = "dfdb"):
 
 
 def _tensor_expand(t: dict, leg: int, variant: str) -> dict:
-    """Apply the coproduct to one leg of a 2-tensor, giving a 3-tensor."""
+    """Apply the coproduct to one leg of a 2-tensor, giving a 3-tensor.
+    Each distinct leg is expanded once per call."""
     out: dict = {}
+    deltas: dict = {}
     for (l, r), c in t.items():
-        inner = coproduct_mono(l if leg == 0 else r, variant)
-        for (a, b), c2 in inner.items():
+        mono = l if leg == 0 else r
+        if mono not in deltas:
+            deltas[mono] = coproduct_mono(mono, variant)
+        for (a, b), c2 in deltas[mono].items():
             key = (a, b, r) if leg == 0 else (l, a, b)
             s = out.get(key, 0) + c * c2
             if s:

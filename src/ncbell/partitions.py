@@ -28,37 +28,53 @@ def canonical(blocks) -> tuple:
     return tuple(bs)
 
 
-def enumerate_partitions(n: int, k: int | None = None) -> list:
-    """All set partitions of {1..n}, optionally into exactly k blocks.
+def iter_partitions(n: int, k: int | None = None):
+    """Yield the set partitions of {1..n}, optionally into exactly k blocks.
 
     Generated by restricted growth strings: element i goes into block a_i
-    with a_1 = 0 and a_i <= max(a_1..a_{i-1}) + 1.
+    with a_1 = 0 and a_i <= max(a_1..a_{i-1}) + 1, the strings in
+    lexicographic order. A branch stops as soon as it has more than k
+    blocks or cannot reach k with the elements left. The walk keeps its
+    stack in lists rather than in a recursive closure, so an abandoned
+    generator leaves no reference cycle. Bad arguments raise on the first
+    next().
     """
     if n < 1:
         raise ValueError("ground set must be nonempty")
     if k is not None and (k < 1 or k > n):
         raise ValueError(f"block count {k} out of range for n={n}")
-    out = []
     a = [0] * n
-
-    def rec(i: int, m: int) -> None:
-        # m + 1 blocks are open and n - i elements are left to place
-        if k is not None and (m + 1 > k or m + 1 + n - i < k):
-            return
+    opened = [0] * (n + 1)  # opened[i]: blocks used by a[0..i-1]
+    untried = [0] * n  # untried[i]: the next block to try for a[i]
+    opened[1] = 1
+    i = 1
+    while i:
         if i == n:
-            blocks = [[] for _ in range(m + 1)]
+            blocks = [[] for _ in range(opened[n])]
             for pos in range(n):
                 blocks[a[pos]].append(pos + 1)
             # filled in increasing order, so each block is already sorted
-            out.append(tuple(sorted(map(tuple, blocks), key=itemgetter(-1))))
-            return
-        for b in range(m + 2):
-            a[i] = b
-            rec(i + 1, max(m, b))
+            yield tuple(sorted(map(tuple, blocks), key=itemgetter(-1)))
+            i -= 1
+            continue
+        b = untried[i]
+        if b > opened[i]:
+            i -= 1
+            continue
+        untried[i] = b + 1
+        c = max(opened[i], b + 1)
+        if k is not None and (c > k or c + n - i - 1 < k):
+            continue
+        a[i] = b
+        opened[i + 1] = c
+        i += 1
+        if i < n:
+            untried[i] = 0
 
-    rec(0, -1)
-    del rec  # rec refers to itself: break the cycle that would keep out alive
-    return out
+
+def enumerate_partitions(n: int, k: int | None = None) -> list:
+    """The list of iter_partitions(n, k)."""
+    return list(iter_partitions(n, k))
 
 
 def block_sizes(P) -> tuple:
@@ -81,7 +97,7 @@ def count_max_ordered(n: int, sizes) -> int:
         raise ValueError(f"size sum {s} exceeds ground set {n}")
     if not sizes:
         return 1
-    hits = sum(1 for P in enumerate_partitions(s, len(sizes)) if block_sizes(P) == sizes)
+    hits = sum(1 for P in iter_partitions(s, len(sizes)) if block_sizes(P) == sizes)
     return comb(n, s) * hits
 
 

@@ -13,7 +13,10 @@ F_{j_1}[F_{j_2}[...F_{j_k}[psi]...]]: the leftmost letter acts outermost.
 The opposite orientation silently passes every symmetric low-order check,
 so it is worth stating twice: leftmost letter, outermost derivative.
 flow_pullback_taylor is the independent oracle, integrating the flow ODE
-by Picard iteration with a symbolic base point.
+by Picard iteration with a symbolic base point. Iterate k is exact through
+t^k, so iteration k runs at truncation k and the powers of y it needs are
+built once per iteration; the coefficients through the requested order are
+the same as with every iteration at full truncation.
 """
 
 from __future__ import annotations
@@ -462,10 +465,6 @@ def bell_apply(field: VectorField, psi: MultiPoly, n: int) -> MultiPoly:
 # time series over MultiPoly coefficients, used only by the Picard oracle
 
 
-def _ts_add(a, b):
-    return [x + y for x, y in zip(a, b)]
-
-
 def _ts_mul(a, b, order):
     m = a[0].nvars
     out = [MultiPoly.zero(m) for _ in range(order + 1)]
@@ -473,20 +472,40 @@ def _ts_mul(a, b, order):
         if not x:
             continue
         for j in range(order + 1 - i):
-            out[i + j] = out[i + j] + x * b[j]
+            if b[j]:
+                out[i + j] = out[i + j] + x * b[j]
     return out
 
 
-def _ts_eval(poly: MultiPoly, args, order):
+def _ts_power(args, i: int, e: int, order: int, powers: dict):
+    """args[i]**e through t^order, memoised in powers by (i, e)."""
+    p = powers.get((i, e))
+    if p is None:
+        if e == 1:
+            p = args[i][: order + 1]
+        else:
+            p = _ts_mul(_ts_power(args, i, e - 1, order, powers), args[i], order)
+        powers[(i, e)] = p
+    return p
+
+
+def _ts_eval(poly: MultiPoly, args, order, powers: dict):
+    """poly(args) through t^order. powers caches args[i]**e; every call that
+    sees the same args and order may share one cache."""
     m = poly.nvars
-    zero = [MultiPoly.zero(m) for _ in range(order + 1)]
-    out = list(zero)
+    out = [MultiPoly.zero(m) for _ in range(order + 1)]
     for exps, c in poly.terms.items():
-        term = [MultiPoly.const(m, c)] + zero[1:]
+        term = None
         for i, e in enumerate(exps):
-            for _ in range(e):
-                term = _ts_mul(term, args[i], order)
-        out = _ts_add(out, term)
+            if e:
+                p = _ts_power(args, i, e, order, powers)
+                term = p if term is None else _ts_mul(term, p, order)
+        if term is None:
+            out[0] = out[0] + MultiPoly.const(m, c)
+            continue
+        for a, x in enumerate(term):
+            if x:
+                out[a] = out[a] + x * c
     return out
 
 
@@ -494,9 +513,14 @@ def flow_pullback_taylor(field: VectorField, psi: MultiPoly, order: int) -> list
     """Divided t-coefficients of psi pulled back along the flow of the field.
 
     Integrates y' = F_t(y), y(0) = x with a symbolic base point by Picard
-    iteration (order iterations pin the series through t^order), then
-    expands psi(y(t)). Entry n of the result is n! [t^n] psi(y(t)), which
-    must match bell_apply(field, psi, n).
+    iteration, then expands psi(y(t)). Entry n of the result is
+    n! [t^n] psi(y(t)), which must match bell_apply(field, psi, n).
+
+    Picard iterate k is exact through t^k, and its t^k coefficient reads
+    only the coefficients of iterate k-1 through t^(k-1). So iteration k
+    evaluates the field at truncation k-1 and keeps the coefficients
+    through t^k: iterate `order` holds the same exact coefficients through
+    t^order as `order` iterations at full truncation would.
     """
     if psi.nvars != field.nvars:
         raise ValueError("dimension mismatch")
@@ -505,24 +529,21 @@ def flow_pullback_taylor(field: VectorField, psi: MultiPoly, order: int) -> list
     if not field.exact and order > field.time_order():
         raise ValueError(f"order {order} exceeds time truncation {field.time_order()}")
     m = field.nvars
-    zero = [MultiPoly.zero(m) for _ in range(order + 1)]
-    base = [[MultiPoly.var(m, i)] + zero[1:] for i in range(m)]
-    y = [list(b) for b in base]
-    jmax = min(order + 1, field.time_order())
-    for _ in range(order):
-        rhs = [list(zero) for _ in range(m)]
-        for j in range(1, jmax + 1):
+    y = [[MultiPoly.var(m, i)] for i in range(m)]
+    for it in range(1, order + 1):
+        # y holds the coefficients through t^(it-1); F_t(y) is needed that far
+        rhs = [[MultiPoly.zero(m)] * it for _ in range(m)]
+        powers: dict = {}
+        for j in range(1, min(it, field.time_order()) + 1):
             scale = Fraction(1, factorial(j - 1))
             for i, comp in enumerate(field.field(j)):
-                vals = _ts_eval(comp, y, order)
-                for a in range(order + 1 - (j - 1)):
-                    rhs[i][a + j - 1] = rhs[i][a + j - 1] + vals[a] * scale
-        newy = []
-        for i in range(m):
-            integ = [base[i][0]] + [
-                rhs[i][a] * Fraction(1, a + 1) for a in range(order)
-            ]
-            newy.append(integ)
-        y = newy
-    values = _ts_eval(psi, y, order)
+                vals = _ts_eval(comp, y, it - 1, powers)
+                for a in range(it - (j - 1)):
+                    if vals[a]:
+                        rhs[i][a + j - 1] = rhs[i][a + j - 1] + vals[a] * scale
+        y = [
+            [yi[0]] + [rhs[i][a] * Fraction(1, a + 1) for a in range(it)]
+            for i, yi in enumerate(y)
+        ]
+    values = _ts_eval(psi, y, order, {})
     return [values[n] * factorial(n) for n in range(order + 1)]

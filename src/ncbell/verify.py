@@ -205,7 +205,7 @@ def suite_constructions(max_degree=None, seed=0):
             if quasidet.bell_via_quasidet(n, "c") != bc:
                 return False, f"determinant formula differs at n={n}"
             psum = CPoly.zero()
-            for P in partitions.enumerate_partitions(n):
+            for P in partitions.iter_partitions(n):
                 psum = psum + partitions.monomial_of(P, "c")
             if psum != bc:
                 return False, f"partition sum differs at n={n}"
@@ -221,7 +221,7 @@ def suite_partition_oracle(max_degree=None, seed=0):
     top = max_degree or 9
     for n in range(1, top + 1):
         tally: dict = {}
-        for P in partitions.enumerate_partitions(n):
+        for P in partitions.iter_partitions(n):
             sizes = partitions.block_sizes(P)
             tally[sizes] = tally.get(sizes, 0) + 1
         by_word: dict = {}

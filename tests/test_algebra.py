@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import ncbell
 from ncbell.algebra import (
     INV,
     CPoly,
@@ -167,6 +168,23 @@ def test_qint_qfactorial_qbinomial():
     assert qfactorial(3).evaluate(1) == 6
     assert qbinomial(4, 2).evaluate(1) == 6
     assert qbinomial(4, 2) == QPoly({0: 1, 1: 1, 2: 2, 3: 1, 4: 1})
+
+
+def test_qfactorial_is_a_fresh_product():
+    ncbell.clear_caches()
+    expect = QPoly.one()
+    for n in range(9):
+        if n:
+            expect = expect * qint(n)
+        assert qfactorial(n) == expect
+    assert qfactorial(0) == qfactorial(-1) == QPoly.one()
+    first = qfactorial(5)
+    first.terms.clear()
+    first.terms[0] = 99
+    second = qfactorial(5)
+    assert second.evaluate(1) == 120
+    assert second.terms is not qfactorial(5).terms
+    assert qbinomial(6, 3).evaluate(1) == 20
 
 
 def test_qpoly_divexact():

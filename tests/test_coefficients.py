@@ -163,6 +163,7 @@ def test_int_and_fraction_coefficients_render_alike(terms, commutative):
 
 CYCLE_FREE_CALLS = {
     "enumerate_partitions": lambda: partitions.enumerate_partitions(6, 3),
+    "iter_partitions": lambda: next(partitions.iter_partitions(6, 3)),
     "det": lambda: quasidet.det(quasidet.bell_matrix(5, "c")),
     "bell_c_explicit": lambda: bell_c_explicit(6, 3),
     "parse_tree": lambda: trees.parse_tree("aababb"),

@@ -10,6 +10,7 @@ boundary explicitly.
 import random
 from fractions import Fraction
 
+from ncbell import hopf
 from ncbell.algebra import parse_text
 from ncbell.hopf import (
     Character,
@@ -186,3 +187,27 @@ def test_character_on_products():
     phi = Character({1: Fraction(2), 2: Fraction(-1)})
     p = _x("3*X1^2*X2 - X1", "fdb")
     assert phi(p) == 3 * 4 * -1 - 2
+
+
+def test_tensor_expand_expands_each_leg_once(monkeypatch):
+    for variant, text in (("dfdb", "X1*X2*X1 + X3"), ("fdb", "X1^2*X2 + X3")):
+        delta = coproduct(parse_text(text, commutative=variant == "fdb", symbol="X"), variant)
+        for leg in (0, 1):
+            want: dict = {}
+            for (l, r), c in delta.items():
+                for (a, b), c2 in hopf.coproduct_mono(l if leg == 0 else r, variant).items():
+                    key = (a, b, r) if leg == 0 else (l, a, b)
+                    want[key] = want.get(key, 0) + c * c2
+            want = {k: v for k, v in want.items() if v}
+            calls = []
+            original = hopf.coproduct_mono
+
+            def counted(key, v, original=original):
+                calls.append(key)
+                return original(key, v)
+
+            monkeypatch.setattr(hopf, "coproduct_mono", counted)
+            assert hopf._tensor_expand(delta, leg, variant) == want
+            monkeypatch.undo()
+            legs = {l if leg == 0 else r for l, r in delta}
+            assert sorted(calls) == sorted(legs)

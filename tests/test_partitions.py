@@ -1,10 +1,12 @@
 """Set partitions, max-ordering statistics, and Stirling/Bell counts."""
 
+import gc
+import tracemalloc
 from fractions import Fraction
 
 import ncbell
 from ncbell import hopf, mobius, partitions, verify
-from ncbell.algebra import NCPoly, QPoly
+from ncbell.algebra import NCPoly, QPoly, qbinomial
 from ncbell.bell import bell, compositions
 from ncbell.partitions import (
     N_formula,
@@ -13,6 +15,7 @@ from ncbell.partitions import (
     canonical,
     count_max_ordered,
     enumerate_partitions,
+    iter_partitions,
     monomial_of,
     qcount_max_ordered,
     qcount_product,
@@ -47,6 +50,40 @@ def test_enumerate_by_block_count_is_the_filter():
             assert P == canonical(P)
         for k in range(1, n + 1):
             assert enumerate_partitions(n, k) == [P for P in everything if len(P) == k]
+
+
+def test_iter_partitions_is_the_enumeration():
+    for n in range(1, 9):
+        for k in (None, *range(1, n + 1)):
+            assert list(iter_partitions(n, k)) == enumerate_partitions(n, k)
+
+
+def test_iter_partitions_leaves_no_cyclic_garbage():
+    gc.collect()
+    gc.disable()
+    try:
+        walk = iter_partitions(7, 3)
+        next(walk)
+        del walk  # abandoned halfway
+        assert sum(1 for _ in iter_partitions(7)) == BELL[7]
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
+
+
+def test_partition_oracle_streams_its_partitions():
+    # the suite visits all 21,147 partitions of {1..9}; holding them in a
+    # list took a tracemalloc peak of about 7.5 MB
+    ncbell.clear_caches()
+    tracemalloc.start()
+    try:
+        ok, detail = verify.suite_partition_oracle(None, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ok, detail
+    assert peak < 2 * 2**20
 
 
 def test_enumerate_partitions_are_partitions():
@@ -157,9 +194,11 @@ def test_clear_caches_empties_every_memo():
     mobius.antipode_m(3, "nc")
     stirling2(5, 2)
     qcount_max_ordered((1, 2))
+    qbinomial(4, 2)
     before = ncbell.cache_info()
     assert set(before) == {"bell.nc", "bell.c", "hopf.rank", "hopf.antipode",
-                           "mobius.antipode", "partitions.stirling", "partitions.qcount"}
+                           "mobius.antipode", "partitions.stirling", "partitions.qcount",
+                           "algebra.qfactorial"}
     assert all(size > 0 for size in before.values()), before
     ncbell.clear_caches()
     assert all(size == 0 for size in ncbell.cache_info().values())

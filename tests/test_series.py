@@ -2,9 +2,13 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ncbell import series, verify
 from ncbell.series import (
     FormalSeries,
     MultiPoly,
@@ -155,3 +159,113 @@ def test_vector_field_json_round_trip():
     assert back.nvars == field.nvars
     assert back.exact
     assert back.components == field.components
+
+
+# ---------------------------------------------------------------------------
+# the Picard oracle against the full-truncation loop it replaced
+
+
+def _full_truncation_taylor(field, psi, order):
+    """Picard iteration with every iteration at the full truncation and every
+    power rebuilt from scratch: slower, but obviously the same integral."""
+
+    def ts_mul(a, b):
+        out = [MultiPoly.zero(m) for _ in range(order + 1)]
+        for i, x in enumerate(a):
+            for j in range(order + 1 - i):
+                out[i + j] = out[i + j] + x * b[j]
+        return out
+
+    def ts_eval(poly, args):
+        out = [MultiPoly.zero(m) for _ in range(order + 1)]
+        for exps, c in poly.terms.items():
+            term = [MultiPoly.const(m, c)] + [MultiPoly.zero(m)] * order
+            for i, e in enumerate(exps):
+                for _ in range(e):
+                    term = ts_mul(term, args[i])
+            out = [x + y for x, y in zip(out, term)]
+        return out
+
+    m = field.nvars
+    y = [[MultiPoly.var(m, i)] + [MultiPoly.zero(m)] * order for i in range(m)]
+    jmax = min(order + 1, field.time_order())
+    for _ in range(order):
+        rhs = [[MultiPoly.zero(m)] * (order + 1) for _ in range(m)]
+        for j in range(1, jmax + 1):
+            for i, comp in enumerate(field.field(j)):
+                vals = ts_eval(comp, y)
+                for a in range(order + 2 - j):
+                    rhs[i][a + j - 1] = rhs[i][a + j - 1] + vals[a] * Fraction(1, factorial(j - 1))
+        y = [[y[i][0]] + [rhs[i][a] * Fraction(1, a + 1) for a in range(order)] for i in range(m)]
+    values = ts_eval(psi, y)
+    return [values[n] * factorial(n) for n in range(order + 1)]
+
+
+@st.composite
+def _multipoly(draw, nvars):
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * nvars),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        max_size=3,
+    ))
+    return MultiPoly(nvars, terms)
+
+
+@st.composite
+def _flow_case(draw):
+    nvars = draw(st.integers(1, 3))
+    order = draw(st.integers(0, 5 if nvars < 3 else 3))
+    components = [draw(_multipoly(nvars)) for _ in range(nvars)]
+    if draw(st.booleans()):
+        field = VectorField(nvars, components)
+    else:
+        extra = draw(st.integers(order, order + 2))
+        field = VectorField(nvars, components, [components] + [
+            [draw(_multipoly(nvars)) for _ in range(nvars)] for _ in range(extra)
+        ])
+    return field, draw(_multipoly(nvars)), order
+
+
+@settings(max_examples=60, deadline=None)
+@given(_flow_case())
+def test_flow_pullback_equals_full_truncation_picard(case):
+    field, psi, order = case
+    got = flow_pullback_taylor(field, psi, order)
+    want = _full_truncation_taylor(field, psi, order)
+    assert [p.to_json_dict() for p in got] == [p.to_json_dict() for p in want]
+
+
+def test_analytic_suite_multiplication_budget(monkeypatch):
+    # the full-truncation loop made 7,871 MultiPoly products in this suite
+    calls = []
+    original = MultiPoly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    ok, detail = verify.suite_analytic(None, 0)
+    assert ok, detail
+    assert len(calls) <= 7871 // 2
+
+
+def test_picard_builds_each_power_once_per_iteration(monkeypatch):
+    x = MultiPoly.var(1, 0)
+    cube = x * x * x
+    order = 4
+    # F_1 .. F_4 all x^3: every iteration needs x^2 and x^3 for up to four
+    # time coefficients, and the expansion of psi = x^3 needs them once more
+    field = VectorField(1, [cube], [[cube]] * order)
+    calls = []
+    original = series._ts_mul
+
+    def counted(a, b, n):
+        calls.append(n)
+        return original(a, b, n)
+
+    monkeypatch.setattr(series, "_ts_mul", counted)
+    taylor = flow_pullback_taylor(field, cube, order)
+    assert len(calls) == 2 * order + 2
+    monkeypatch.undo()
+    assert taylor == _full_truncation_taylor(field, cube, order)
