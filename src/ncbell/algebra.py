@@ -201,10 +201,13 @@ class NCPoly:
         """The derivation sending each d_i to d_{i+1}, extended by Leibniz."""
         acc: dict = {}
         for w, c in self.terms.items():
+            if INV in w:
+                raise ValueError("derive does not accept inverted letters")
+            letters = list(w)
             for pos, letter in enumerate(w):
-                if letter == INV:
-                    raise ValueError("derive does not accept inverted letters")
-                nw = w[:pos] + (letter + 1,) + w[pos + 1 :]
+                letters[pos] = letter + 1
+                nw = tuple(letters)
+                letters[pos] = letter
                 s = acc.get(nw, 0) + c
                 if s:
                     acc[nw] = s
@@ -427,11 +430,17 @@ class CPoly:
         """Commutative shadow of the derivation: d_i^e -> e d_i^{e-1} d_{i+1}."""
         acc: dict = {}
         for m, c in self.terms.items():
-            for i, e in m:
+            last = len(m) - 1
+            for pos, (i, e) in enumerate(m):
                 if e < 0:
                     raise ValueError("derive does not accept inverted letters")
-                lowered = mono_mul(m, ((i, -1),))
-                nm = mono_mul(lowered, ((i + 1, 1),))
+                # splice d_i^{e-1} d_{i+1}^{f+1} into the sorted monomial; a
+                # d_{i+1}^f with f > 0 can only be the next pair
+                head = m[:pos] + ((i, e - 1),) if e > 1 else m[:pos]
+                if pos < last and m[pos + 1][0] == i + 1:
+                    nm = head + ((i + 1, m[pos + 1][1] + 1),) + m[pos + 2 :]
+                else:
+                    nm = head + ((i + 1, 1),) + m[pos + 1 :]
                 s = acc.get(nm, 0) + c * e
                 if s:
                     acc[nm] = s

@@ -4,7 +4,8 @@ Verbs: bell, partial, qbell, trees, quasidet, hopf, mobius, series, and
 verify. Polynomial output honors --format text|latex|json; the json form
 round-trips through from_json_dict to the identical polynomial. verify
 prints one pass/fail line per suite and exits nonzero when any suite
-fails, as do the self-checking series commands.
+fails, as do the self-checking series commands. Each verb imports the
+submodules it uses when it runs, so a call loads only those.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import json
 import sys
 from fractions import Fraction
 
-from . import hopf, mobius, quasidet, trees, verify
 from .algebra import (
     NCPoly,
     join_signed,
@@ -24,15 +24,6 @@ from .algebra import (
     to_json_dict,
 )
 from .bell import bell, bell_partial, bell_scaled, qbell, qbell_coefficient, qbell_grouped
-from .series import (
-    FormalSeries,
-    MultiPoly,
-    VectorField,
-    bell_apply,
-    compose,
-    flow_pullback_taylor,
-    reversion,
-)
 
 
 def _emit_poly(p, fmt: str, symbol: str = "d", algebra: str | None = None) -> None:
@@ -44,7 +35,7 @@ def _emit_poly(p, fmt: str, symbol: str = "d", algebra: str | None = None) -> No
         print(render_text(p, symbol))
 
 
-def _emit_series(s: FormalSeries, fmt: str) -> None:
+def _emit_series(s, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(s.to_json_dict()))
         return
@@ -127,6 +118,8 @@ def cmd_qbell(args) -> int:
 
 
 def cmd_trees(args) -> int:
+    from . import trees
+
     tp = trees.tree_bell(args.n, planar=not args.nonplanar)
     if args.format == "json":
         rows = [{"tree": trees.serialize(t), "coeff": str(c)}
@@ -138,6 +131,8 @@ def cmd_trees(args) -> int:
 
 
 def cmd_quasidet(args) -> int:
+    from . import quasidet
+
     if args.bell_matrix:
         if args.n is None:
             raise ValueError("--bell-matrix needs -n")
@@ -155,6 +150,8 @@ def cmd_quasidet(args) -> int:
 
 
 def cmd_hopf(args) -> int:
+    from . import hopf
+
     variant = "fdb" if args.fdb else "dfdb"
     if args.coproduct:
         t = hopf.coproduct_gen(args.n, variant)
@@ -172,6 +169,8 @@ def cmd_hopf(args) -> int:
 
 
 def cmd_mobius(args) -> int:
+    from . import mobius
+
     variant = "nc" if args.nc else "c"
     if args.invert:
         p = mobius.mobius_invert(args.n, variant)
@@ -182,13 +181,17 @@ def cmd_mobius(args) -> int:
     return 0
 
 
-def _flow_check(field: VectorField, psi: MultiPoly, order: int) -> bool:
+def _flow_check(field, psi, order: int) -> bool:
+    from .series import bell_apply, flow_pullback_taylor
+
     taylor = flow_pullback_taylor(field, psi, order)
     return all(bell_apply(field, psi, n) == taylor[n]
                for n in range(order + 1))
 
 
 def _default_flow_instance() -> tuple:
+    from .series import MultiPoly, VectorField
+
     x = MultiPoly.var(2, 0)
     y = MultiPoly.var(2, 1)
     field = VectorField(2, [x * y, y * y + 1])
@@ -196,6 +199,8 @@ def _default_flow_instance() -> tuple:
 
 
 def cmd_series(args) -> int:
+    from .series import FormalSeries, MultiPoly, VectorField, compose, reversion
+
     if args.compose:
         data = _load_json(args)
         f = FormalSeries.from_json_dict(data["f"])
@@ -221,6 +226,8 @@ def cmd_series(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     results = verify.run_suites(args.suite, args.max_degree, args.seed)
     print(verify.format_report(results))
     return 0 if all(ok for _, ok, _ in results) else 1

@@ -32,7 +32,6 @@ from math import factorial
 from .algebra import CPoly, NCPoly, _coeff, add_into, join_signed, render_latex, render_text
 from .bell import bell_partial
 from . import quasidet
-from .series import FormalSeries
 
 
 # ---------------------------------------------------------------------------

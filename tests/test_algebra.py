@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ncbell
 from ncbell.algebra import (
@@ -88,6 +90,95 @@ def test_substitute():
 def test_derive_shifts_letters_by_leibniz():
     assert D2.derive() == D3
     assert (D1 * D1).derive() == D2 * D1 + D1 * D2
+
+
+# The derive loops as they were written before the splicing kernels: the
+# differential tests below require the same terms in the same order.
+
+
+def _derive_nc_reference(p: NCPoly) -> dict:
+    acc: dict = {}
+    for w, c in p.terms.items():
+        for pos, letter in enumerate(w):
+            if letter == INV:
+                raise ValueError("derive does not accept inverted letters")
+            nw = w[:pos] + (letter + 1,) + w[pos + 1 :]
+            s = acc.get(nw, 0) + c
+            if s:
+                acc[nw] = s
+            elif nw in acc:
+                del acc[nw]
+    return acc
+
+
+def _derive_c_reference(p: CPoly) -> dict:
+    acc: dict = {}
+    for m, c in p.terms.items():
+        for i, e in m:
+            if e < 0:
+                raise ValueError("derive does not accept inverted letters")
+            lowered = mono_mul(m, ((i, -1),))
+            nm = mono_mul(lowered, ((i + 1, 1),))
+            s = acc.get(nm, 0) + c * e
+            if s:
+                acc[nm] = s
+            elif nm in acc:
+                del acc[nm]
+    return acc
+
+
+def _reduced(letters) -> tuple:
+    word: tuple = ()
+    for letter in letters:
+        word = word_mul(word, (letter,))
+    return word
+
+
+# small alphabets and coefficients, so that derived terms often cancel
+_DERIVE_TERMS = st.lists(
+    st.tuples(st.lists(st.sampled_from((1, 1, 2, 2, 3, 4)), max_size=5),
+              st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=3))),
+    max_size=8)
+
+
+def _same_derive(p, reference) -> None:
+    try:
+        want = reference(p)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            p.derive()
+        return
+    got = p.derive().terms
+    assert got == want
+    assert list(got) == list(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_DERIVE_TERMS, st.booleans())
+def test_derive_matches_the_reference_loops(terms, inverted):
+    words = {}
+    for letters, c in terms:
+        if inverted and letters:
+            letters = [INV if x == 1 else x for x in letters[:1]] + letters[1:]
+        words[_reduced(letters)] = c
+    p = NCPoly(words)
+    _same_derive(p, _derive_nc_reference)
+    _same_derive(p.abelianize(), _derive_c_reference)
+
+
+def test_derive_cancellations():
+    # D(d2 d1 - d1 d2) = d3 d1 + d2 d2 - d2 d2 - d1 d3
+    p = D2 * D1 - D1 * D2
+    assert p.derive() == D3 * D1 - D1 * D3
+    assert list(p.derive().terms) == list(_derive_nc_reference(p))
+    # commutative: D(d1 d3 - d2^2) = d2 d3 + d1 d4 - 2 d2 d3 = d1 d4 - d2 d3
+    c = CPoly.from_mono(((1, 1), (3, 1))) - CPoly.from_mono(((2, 2),))
+    assert c.derive().terms == {((1, 1), (4, 1)): 1, ((2, 1), (3, 1)): -1}
+    assert list(c.derive().terms) == list(_derive_c_reference(c))
+    with pytest.raises(ValueError, match="inverted"):
+        NCPoly.from_word((2, INV)).derive()
+    with pytest.raises(ValueError, match="inverted"):
+        CPoly.from_mono(((1, -1), (2, 1))).derive()
 
 
 def test_cpoly_evaluate():

@@ -1,0 +1,134 @@
+"""Lazy loading: what `import ncbell` and each CLI verb load, and that the
+names served on first use behave like the eager bindings they replace."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ncbell
+
+_SRC = str(Path(ncbell.__file__).resolve().parents[1])
+
+_PUBLIC = {
+    "INV", "CPoly", "NCPoly", "QPoly", "from_json_dict", "parse_text", "render_latex",
+    "render_text", "to_json_dict", "bell", "bell_partial", "bell_scaled", "qbell",
+    "qbell_coefficient", "antipode_quasidet", "antipode_recursive", "coproduct_gen",
+    "hopf_axiom_check", "antipode_m", "mobius_char", "mobius_invert", "bell_number",
+    "enumerate_partitions", "stirling2", "bell_via_quasidet", "hessenberg_quasidet",
+    "numeric_quasidet", "FormalSeries", "MultiPoly", "VectorField", "bell_apply",
+    "compose", "compose_via_bell", "flow_pullback_taylor", "reversion", "tree_bell",
+    "run_suites", "cache_info", "clear_caches",
+}
+
+_SUBMODULES = ("algebra", "bell", "partitions", "trees", "quasidet", "hopf", "mobius",
+               "series", "verify", "cli")
+
+_REPORT = """
+import json, sys
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "ncbell")))
+"""
+
+
+def _cold(body: str) -> list:
+    """Run body in a fresh interpreter; the last stdout line is the sorted
+    list of ncbell modules it loaded."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", body + _REPORT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def _modules(*names) -> set:
+    return {"ncbell", *(f"ncbell.{name}" for name in names)}
+
+
+CLI = ("algebra", "bell", "cli")
+FOOTPRINTS = [
+    (["bell", "-n", "4"], _modules(*CLI)),
+    (["partial", "-n", "4", "-k", "2"], _modules(*CLI)),
+    (["qbell", "-n", "4", "-k", "2"], _modules(*CLI)),
+    (["trees", "-n", "3"], _modules(*CLI, "trees")),
+    (["quasidet", "--bell-matrix", "-n", "3"], _modules(*CLI, "quasidet")),
+    (["series", "--flow-check", "--order", "2"], _modules(*CLI, "series")),
+    (["hopf", "--coproduct", "-n", "3"], _modules(*CLI, "hopf", "quasidet")),
+    (["mobius", "--invert", "-n", "3"], _modules(*CLI, "hopf", "quasidet", "mobius")),
+    (["verify", "--suite", "stirling", "--max-degree", "3"], _modules(*_SUBMODULES)),
+]
+
+
+def test_import_loads_only_algebra_and_bell():
+    (loaded,) = _cold("import ncbell")
+    assert set(json.loads(loaded)) == _modules("algebra", "bell")
+
+
+@pytest.mark.parametrize("argv, footprint", FOOTPRINTS, ids=[a[0] for a, _ in FOOTPRINTS])
+def test_cli_verb_loads_only_its_footprint(argv, footprint):
+    body = ("import contextlib, io, ncbell.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert ncbell.cli.main({argv!r}) == 0\n")
+    assert set(json.loads(_cold(body)[-1])) == footprint
+
+
+def test_submodule_attribute_imports_it_on_first_use():
+    (loaded,) = _cold("import ncbell\nassert ncbell.trees.tree_bell is ncbell.tree_bell")
+    assert set(json.loads(loaded)) == _modules("algebra", "bell", "trees")
+
+
+def test_cold_cache_info_imports_nothing():
+    info, loaded = _cold("import json, ncbell\nprint(json.dumps(ncbell.cache_info()))")
+    assert json.loads(info) == dict.fromkeys(
+        ["bell.nc", "bell.c", "hopf.rank", "hopf.antipode", "mobius.antipode",
+         "partitions.stirling", "partitions.qcount", "algebra.qfactorial"], 0)
+    assert set(json.loads(loaded)) == _modules("algebra", "bell")
+
+
+def test_public_names_resolve_to_their_definitions():
+    assert set(ncbell.__all__) == _PUBLIC
+    assert set(dir(ncbell)) >= _PUBLIC
+    for name in ncbell.__all__:
+        obj = getattr(ncbell, name)
+        if name == "INV":
+            assert obj == sys.modules["ncbell.algebra"].INV
+        else:
+            assert getattr(sys.modules[obj.__module__], name) is obj, name
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from ncbell import *", namespace)
+    assert _PUBLIC <= set(namespace)
+    assert namespace["coproduct_gen"] is sys.modules["ncbell.hopf"].coproduct_gen
+
+
+def test_bell_stays_the_function():
+    for name in _SUBMODULES:
+        __import__(f"ncbell.{name}")
+    assert ncbell.bell is sys.modules["ncbell.bell"].bell
+    assert ncbell.bell(2, "nc") == ncbell.NCPoly.from_word((1, 1)) + ncbell.NCPoly.from_word((2,))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ncbell.no_such_name
+    assert not hasattr(ncbell, "_RANK")
+
+
+def test_rebinding_in_a_submodule_shows_through(monkeypatch):
+    from ncbell import hopf
+
+    original = hopf.coproduct_gen
+    assert ncbell.coproduct_gen is original
+
+    def patched(n, variant="dfdb"):
+        return {}
+
+    monkeypatch.setattr(hopf, "coproduct_gen", patched)
+    assert ncbell.coproduct_gen is patched
+    monkeypatch.undo()
+    assert ncbell.coproduct_gen is original
