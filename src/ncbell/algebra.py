@@ -10,16 +10,42 @@ cheaper to add and multiply than Fractions. int == Fraction and their
 hashes agree, so equality, and the text, LaTeX and JSON output, do not
 depend on which of the two a coefficient is.
 
-Three polynomial containers live here:
+Every polynomial here is a TermRing: a dict .terms from monomial key to
+nonzero coefficient, with the ring arithmetic written once in the base
+class. A ring class supplies only its keys, through four hooks:
 
-  NCPoly  free associative algebra, dict word -> coefficient
-  CPoly   commutative polynomials, dict monomial -> coefficient, where a
-          monomial is a tuple of (index, exponent) pairs sorted by index;
-          only index 1 may carry a negative exponent
-  QPoly   polynomials in a single variable q, used by the q-analogs
+  key_mul   multiplies two keys (a staticmethod)
+  unit_key  the key of the constant monomial
+  _key      checks and normalises one key given to the constructor, and
+            raises ValueError on a bad one, whatever its coefficient
+  _new      builds a value from a dict that is already reduced (no zero
+            coefficients, every key checked), without checking it again
 
-plus the q-integer helpers and the text / LaTeX / JSON renderers shared
-by the command line front end.
+The rings built on it are
+
+  NCPoly  free associative algebra, key a reduced word
+  CPoly   commutative polynomials, key a monomial: a tuple of (index,
+          exponent) pairs sorted by index; only index 1 may carry a
+          negative exponent
+  QPoly   polynomials in a single variable q, key the power of q, used by
+          the q-analogs
+
+and ncbell.series.MultiPoly, polynomials in x1..xm keyed by exponent
+vectors. A scalar (int or Fraction) is lifted to a constant at unit_key
+on either side of +, -, * and ==; any other operand is NotImplemented.
+
+Each ring class binds its own __add__ and __mul__: fresh copies of one
+shared source, made by _ring_ops. The benchmark's span tracer
+(perfbench/tracer.py) looks a traced method up in the class's own
+namespace and rebinds every namespace that holds the same function
+object, so a method inherited from TermRing, or one function shared by
+all rings, would be traced under one ring's name for all of them. The
+copies test for an operand of the same ring before anything else and
+call no helper per product, which keeps the tens of thousands of tiny
+products of the Bell kernel as cheap as a hand-written loop.
+
+The module also holds the q-integer helpers and the text / LaTeX / JSON
+renderers shared by the command line front end.
 
 NCPoly and CPoly each carry a monomial-key codec, so that code built on
 top of them (the bialgebras in ncbell.hopf and ncbell.mobius) never looks
@@ -64,6 +90,121 @@ def add_into(acc: dict, terms: dict) -> None:
             del acc[k]
 
 
+# ---------------------------------------------------------------------------
+# the shared term-dict ring
+
+
+class TermRing:
+    """A polynomial as a dict .terms from key to nonzero exact coefficient.
+
+    Subclasses set key_mul and unit_key, define _key, and bind
+    ``__add__, __mul__ = _ring_ops(); __radd__ = __add__`` in their body.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        acc: dict = {}
+        if terms:
+            key = self._key
+            for k, c in terms.items():
+                c = _coeff(c)
+                k = key(k)
+                if c:
+                    acc[k] = acc.get(k, 0) + c
+            acc = {k: c for k, c in acc.items() if c}
+        self.terms = acc
+
+    @classmethod
+    def _new(cls, terms: dict):
+        out = object.__new__(cls)
+        out.terms = terms
+        return out
+
+    def _lift(self, other):
+        """other in this ring: itself when it is of this ring, a scalar as a
+        constant; NotImplemented otherwise."""
+        if type(other) is type(self):
+            return other
+        if isinstance(other, (int, Fraction)):
+            c = _coeff(other)
+            return self._new({self.unit_key: c} if c else {})
+        return NotImplemented
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self * other
+        return NotImplemented
+
+    def map_coeffs(self, f):
+        return self._new({k: fc for k, c in self.terms.items() if (fc := f(c))})
+
+
+def _ring_ops():
+    """Fresh (__add__, __mul__) functions for one TermRing class; see the
+    module docstring for why every class needs its own pair."""
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            other = self._lift(other)
+            if other is NotImplemented:
+                return NotImplemented
+        out = dict(self.terms)
+        add_into(out, other.terms)
+        return self._new(out)
+
+    def __mul__(self, other):
+        if type(other) is not type(self):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            c = _coeff(other)
+            return self._new({k: cc * c for k, cc in self.terms.items()} if c else {})
+        key_mul = self.key_mul
+        acc: dict = {}
+        for u, cu in self.terms.items():
+            for v, cv in other.terms.items():
+                w = key_mul(u, v)
+                s = acc.get(w, 0) + cu * cv
+                if s:
+                    acc[w] = s
+                elif w in acc:
+                    del acc[w]
+        return self._new(acc)
+
+    return __add__, __mul__
+
+
+# ---------------------------------------------------------------------------
+# free associative polynomials
+
+
 def check_letter(letter: int) -> None:
     if not isinstance(letter, int) or (letter < 1 and letter != INV):
         raise ValueError(f"bad letter {letter!r}: need index >= 1, or -1 for d1^-1")
@@ -87,21 +228,18 @@ def check_word(word: tuple) -> None:
             raise ValueError(f"word {word!r} is not reduced")
 
 
-class NCPoly:
+class NCPoly(TermRing):
     """Element of the free associative algebra on d1, d2, ... over Q."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    __add__, __mul__ = _ring_ops()
+    __radd__ = __add__
 
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for word, c in terms.items():
-                c = _coeff(c)
-                if c:
-                    word = tuple(word)
-                    check_word(word)
-                    self.terms[word] = self.terms.get(word, 0) + c
-            self.terms = {w: c for w, c in self.terms.items() if c}
+    @staticmethod
+    def _key(word) -> tuple:
+        word = tuple(word)
+        check_word(word)
+        return word
 
     @classmethod
     def zero(cls) -> "NCPoly":
@@ -121,6 +259,7 @@ class NCPoly:
         return cls({tuple(word): coeff})
 
     # monomial-key codec: a key is a reduced word
+    unit_key = ()
     from_key = from_word
     key_mul = staticmethod(word_mul)
     key_letters = staticmethod(tuple)
@@ -132,70 +271,6 @@ class NCPoly:
 
     def coefficient(self, word) -> int | Fraction:
         return self.terms.get(tuple(word), 0)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = NCPoly({(): other})
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __neg__(self) -> "NCPoly":
-        out = NCPoly()
-        out.terms = {w: -c for w, c in self.terms.items()}
-        return out
-
-    def __add__(self, other) -> "NCPoly":
-        if isinstance(other, (int, Fraction)):
-            other = NCPoly({(): other})
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        add_into(out, other.terms)
-        res = NCPoly()
-        res.terms = out
-        return res
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "NCPoly":
-        return self + (-other if isinstance(other, NCPoly) else NCPoly({(): -_coeff(other)}))
-
-    def __rsub__(self, other) -> "NCPoly":
-        return NCPoly({(): other}) - self
-
-    def __mul__(self, other) -> "NCPoly":
-        if isinstance(other, (int, Fraction)):
-            c = _coeff(other)
-            out = NCPoly()
-            if c:
-                out.terms = {w: cc * c for w, cc in self.terms.items()}
-            return out
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        acc: dict = {}
-        for u, cu in self.terms.items():
-            for v, cv in other.terms.items():
-                w = word_mul(u, v)
-                s = acc.get(w, 0) + cu * cv
-                if s:
-                    acc[w] = s
-                elif w in acc:
-                    del acc[w]
-        res = NCPoly()
-        res.terms = acc
-        return res
-
-    def __rmul__(self, other) -> "NCPoly":
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
 
     def derive(self) -> "NCPoly":
         """The derivation sending each d_i to d_{i+1}, extended by Leibniz."""
@@ -213,9 +288,7 @@ class NCPoly:
                     acc[nw] = s
                 elif nw in acc:
                     del acc[nw]
-        res = NCPoly()
-        res.terms = acc
-        return res
+        return NCPoly._new(acc)
 
     def abelianize(self) -> "CPoly":
         acc: dict = {}
@@ -226,9 +299,7 @@ class NCPoly:
                 acc[m] = s
             elif m in acc:
                 del acc[m]
-        res = CPoly()
-        res.terms = acc
-        return res
+        return CPoly._new(acc)
 
     def substitute(self, mapping: dict) -> "NCPoly":
         """Replace each letter i by mapping[i] (an NCPoly), multiplicatively.
@@ -246,20 +317,11 @@ class NCPoly:
                     raise ValueError(f"no image for letter {letter}")
                 factor = factor * mapping[letter]
             add_into(acc, (factor * c).terms)
-        res = NCPoly()
-        res.terms = acc
-        return res
+        return NCPoly._new(acc)
 
     def restrict_length(self, k: int) -> "NCPoly":
         """Keep only the words of length exactly k."""
-        res = NCPoly()
-        res.terms = {w: c for w, c in self.terms.items() if len(w) == k}
-        return res
-
-    def map_coeffs(self, f) -> "NCPoly":
-        out = NCPoly()
-        out.terms = {w: fc for w, c in self.terms.items() if (fc := f(c))}
-        return out
+        return NCPoly._new({w: c for w, c in self.terms.items() if len(w) == k})
 
     def __repr__(self) -> str:
         return f"NCPoly({render_text(self)!r})"
@@ -313,21 +375,18 @@ def mono_length(m: tuple) -> int:
     return sum(abs(e) for _, e in m)
 
 
-class CPoly:
+class CPoly(TermRing):
     """Element of the commutative polynomial ring in d1, d2, ... over Q."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    __add__, __mul__ = _ring_ops()
+    __radd__ = __add__
 
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for m, c in terms.items():
-                c = _coeff(c)
-                if c:
-                    m = tuple(tuple(p) for p in m)
-                    check_mono(m)
-                    self.terms[m] = self.terms.get(m, 0) + c
-            self.terms = {m: c for m, c in self.terms.items() if c}
+    @staticmethod
+    def _key(m) -> tuple:
+        m = tuple(tuple(p) for p in m)
+        check_mono(m)
+        return m
 
     @classmethod
     def zero(cls) -> "CPoly":
@@ -348,6 +407,7 @@ class CPoly:
         return cls({tuple(m): coeff})
 
     # monomial-key codec: a key is a sorted tuple of (index, exponent) pairs
+    unit_key = ()
     from_key = from_mono
     key_mul = staticmethod(mono_mul)
     key_letters = staticmethod(_word_of_mono)
@@ -361,70 +421,6 @@ class CPoly:
 
     def coefficient(self, m) -> int | Fraction:
         return self.terms.get(tuple(m), 0)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = CPoly({(): other})
-        if not isinstance(other, CPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __neg__(self) -> "CPoly":
-        out = CPoly()
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
-
-    def __add__(self, other) -> "CPoly":
-        if isinstance(other, (int, Fraction)):
-            other = CPoly({(): other})
-        if not isinstance(other, CPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        add_into(out, other.terms)
-        res = CPoly()
-        res.terms = out
-        return res
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "CPoly":
-        return self + (-other if isinstance(other, CPoly) else CPoly({(): -_coeff(other)}))
-
-    def __rsub__(self, other) -> "CPoly":
-        return CPoly({(): other}) - self
-
-    def __mul__(self, other) -> "CPoly":
-        if isinstance(other, (int, Fraction)):
-            c = _coeff(other)
-            out = CPoly()
-            if c:
-                out.terms = {m: cc * c for m, cc in self.terms.items()}
-            return out
-        if not isinstance(other, CPoly):
-            return NotImplemented
-        acc: dict = {}
-        for u, cu in self.terms.items():
-            for v, cv in other.terms.items():
-                m = mono_mul(u, v)
-                s = acc.get(m, 0) + cu * cv
-                if s:
-                    acc[m] = s
-                elif m in acc:
-                    del acc[m]
-        res = CPoly()
-        res.terms = acc
-        return res
-
-    def __rmul__(self, other) -> "CPoly":
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
 
     def derive(self) -> "CPoly":
         """Commutative shadow of the derivation: d_i^e -> e d_i^{e-1} d_{i+1}."""
@@ -446,9 +442,7 @@ class CPoly:
                     acc[nm] = s
                 elif nm in acc:
                     del acc[nm]
-        res = CPoly()
-        res.terms = acc
-        return res
+        return CPoly._new(acc)
 
     def substitute(self, mapping: dict) -> "CPoly":
         acc: dict = {}
@@ -463,14 +457,10 @@ class CPoly:
                 for _ in range(e):
                     factor = factor * img
             add_into(acc, (factor * c).terms)
-        res = CPoly()
-        res.terms = acc
-        return res
+        return CPoly._new(acc)
 
     def restrict_length(self, k: int) -> "CPoly":
-        res = CPoly()
-        res.terms = {m: c for m, c in self.terms.items() if mono_length(m) == k}
-        return res
+        return CPoly._new({m: c for m, c in self.terms.items() if mono_length(m) == k})
 
     def evaluate(self, values: dict) -> int | Fraction:
         """Plug a Fraction (or int) in for every letter."""
@@ -485,11 +475,6 @@ class CPoly:
             total += prod
         return total
 
-    def map_coeffs(self, f) -> "CPoly":
-        out = CPoly()
-        out.terms = {m: fc for m, c in self.terms.items() if (fc := f(c))}
-        return out
-
     def __repr__(self) -> str:
         return f"CPoly({render_text(self)!r})"
 
@@ -498,23 +483,23 @@ class CPoly:
 # polynomials in q
 
 
-class QPoly:
+class QPoly(TermRing):
     """Polynomial in q with exact coefficients, dict power -> coefficient."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    __add__, __mul__ = _ring_ops()
+    __radd__ = __add__
+    unit_key = 0
+    key_mul = staticmethod(int.__add__)
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms is not None:
-            if isinstance(terms, (int, Fraction)):
-                terms = {0: terms}
-            for p, c in terms.items():
-                c = _coeff(c)
-                if c:
-                    if not isinstance(p, int) or p < 0:
-                        raise ValueError(f"bad q power {p!r}")
-                    self.terms[p] = self.terms.get(p, 0) + c
-            self.terms = {p: c for p, c in self.terms.items() if c}
+        super().__init__({0: terms} if isinstance(terms, (int, Fraction)) else terms)
+
+    @staticmethod
+    def _key(p) -> int:
+        if not isinstance(p, int) or p < 0:
+            raise ValueError(f"bad q power {p!r}")
+        return p
 
     @classmethod
     def zero(cls) -> "QPoly":
@@ -527,60 +512,6 @@ class QPoly:
     @classmethod
     def q(cls, power: int = 1) -> "QPoly":
         return cls({power: 1})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = QPoly({0: other})
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __neg__(self) -> "QPoly":
-        out = QPoly()
-        out.terms = {p: -c for p, c in self.terms.items()}
-        return out
-
-    def __add__(self, other) -> "QPoly":
-        if isinstance(other, (int, Fraction)):
-            other = QPoly({0: other})
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        add_into(out, other.terms)
-        res = QPoly()
-        res.terms = out
-        return res
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "QPoly":
-        return self + (-(other if isinstance(other, QPoly) else QPoly({0: other})))
-
-    def __mul__(self, other) -> "QPoly":
-        if isinstance(other, (int, Fraction)):
-            other = QPoly({0: other})
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        acc: dict = {}
-        for p1, c1 in self.terms.items():
-            for p2, c2 in other.terms.items():
-                p = p1 + p2
-                s = acc.get(p, 0) + c1 * c2
-                if s:
-                    acc[p] = s
-                elif p in acc:
-                    del acc[p]
-        res = QPoly()
-        res.terms = acc
-        return res
-
-    __rmul__ = __mul__
 
     def degree(self) -> int:
         return max(self.terms, default=-1)
@@ -607,9 +538,7 @@ class QPoly:
                     rem[pp] = s
                 elif pp in rem:
                     del rem[pp]
-        res = QPoly()
-        res.terms = quot
-        return res
+        return QPoly._new(quot)
 
     def evaluate(self, q) -> int | Fraction:
         q = _coeff(q)
@@ -638,9 +567,7 @@ def qfactorial(n: int) -> QPoly:
         memo.append(QPoly.one())
     while len(memo) <= n:
         memo.append(memo[-1] * qint(len(memo)))
-    out = QPoly()
-    out.terms = dict(memo[max(n, 0)].terms)
-    return out
+    return QPoly._new(dict(memo[max(n, 0)].terms))
 
 
 def qbinomial(n: int, k: int) -> QPoly:
@@ -800,9 +727,7 @@ def _from_words(pieces, commutative: bool):
     acc: dict = {}
     for word, c in pieces:
         add_into(acc, cls.from_key(mono_from_word(word) if commutative else word, c).terms)
-    res = cls()
-    res.terms = acc
-    return res
+    return cls._new(acc)
 
 
 def from_json_dict(d: dict):

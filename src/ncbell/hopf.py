@@ -90,9 +90,7 @@ def antipode_extend(p, variant: str, side: str, letter_antipode):
         for i in reversed(cls.key_letters(key)):
             factor = factor * letter_antipode(i, variant, side)
         add_into(acc, (factor * c).terms)
-    out = cls()
-    out.terms = acc
-    return out
+    return cls._new(acc)
 
 
 class Character:

@@ -21,10 +21,11 @@ the same as with every iteration at full truncation.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import factorial
 
-from .algebra import _coeff, add_into, join_signed
+from .algebra import TermRing, _coeff, _parse_coeff, _ring_ops, join_signed
 from .bell import bell, bell_partial
 
 
@@ -191,23 +192,36 @@ def egf_bell_check(max_n: int) -> list:
 # multivariate polynomials and vector fields
 
 
-class MultiPoly:
+def _exps_add(e1: tuple, e2: tuple) -> tuple:
+    return tuple(map(operator.add, e1, e2))
+
+
+class MultiPoly(TermRing):
     """Polynomial in x1..xm over Q: dict exponent-tuple -> exact coefficient."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars",)
+    key_mul = staticmethod(_exps_add)
+    _add, _mul = _ring_ops()
 
     def __init__(self, nvars: int, terms=None):
         self.nvars = nvars
-        self.terms = {}
-        if terms:
-            for exps, c in terms.items():
-                c = _coeff(c)
-                exps = tuple(exps)
-                if len(exps) != nvars or any(e < 0 for e in exps):
-                    raise ValueError(f"bad exponent vector {exps!r} for {nvars} variables")
-                if c:
-                    self.terms[exps] = self.terms.get(exps, 0) + c
-            self.terms = {e: c for e, c in self.terms.items() if c}
+        super().__init__(terms)
+
+    def _key(self, exps) -> tuple:
+        exps = tuple(exps)
+        if len(exps) != self.nvars or any(e < 0 for e in exps):
+            raise ValueError(f"bad exponent vector {exps!r} for {self.nvars} variables")
+        return exps
+
+    def _new(self, terms: dict) -> "MultiPoly":
+        out = object.__new__(MultiPoly)
+        out.nvars = self.nvars
+        out.terms = terms
+        return out
+
+    @property
+    def unit_key(self) -> tuple:
+        return (0,) * self.nvars
 
     @classmethod
     def zero(cls, nvars: int) -> "MultiPoly":
@@ -227,81 +241,37 @@ class MultiPoly:
         return cls(nvars, {tuple(exps): 1})
 
     def _same(self, other):
-        if self.nvars != other.nvars:
+        if type(other) is MultiPoly and self.nvars != other.nvars:
             raise ValueError("dimension mismatch")
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
+    # the shared ring operations, after a check that the dimensions agree
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(self.nvars, other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        if type(other) is MultiPoly and self.nvars != other.nvars:
+            return False
+        return TermRing.__eq__(self, other)
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def __neg__(self) -> "MultiPoly":
-        out = MultiPoly(self.nvars)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return hash((self.nvars, TermRing.__hash__(self)))
 
     def __add__(self, other) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(self.nvars, other)
         self._same(other)
-        out = dict(self.terms)
-        add_into(out, other.terms)
-        res = MultiPoly(self.nvars)
-        res.terms = out
-        return res
+        return self._add(other)
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(self.nvars, other)
-        return self + (-other)
-
     def __mul__(self, other) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
-            c = _coeff(other)
-            out = MultiPoly(self.nvars)
-            if c:
-                out.terms = {e: cc * c for e, cc in self.terms.items()}
-            return out
         self._same(other)
-        acc: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = acc.get(e, 0) + c1 * c2
-                if s:
-                    acc[e] = s
-                elif e in acc:
-                    del acc[e]
-        res = MultiPoly(self.nvars)
-        res.terms = acc
-        return res
-
-    def __rmul__(self, other) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
+        return self._mul(other)
 
     def partial(self, i: int) -> "MultiPoly":
         """Derivative with respect to x_{i+1} (i is 0-based)."""
-        out = MultiPoly(self.nvars)
         acc: dict = {}
         for e, c in self.terms.items():
             if e[i] == 0:
                 continue
             ne = e[:i] + (e[i] - 1,) + e[i + 1 :]
             acc[ne] = acc.get(ne, 0) + c * e[i]
-        out.terms = {e: c for e, c in acc.items() if c}
-        return out
+        return self._new({e: c for e, c in acc.items() if c})
 
     def evaluate(self, point) -> int | Fraction:
         point = [_coeff(v) for v in point]
@@ -329,7 +299,7 @@ class MultiPoly:
     def from_json_dict(cls, d: dict) -> "MultiPoly":
         return cls(
             d["nvars"],
-            {tuple(t["exponents"]): Fraction(t["coeff"]) for t in d["terms"]},
+            {tuple(t["exponents"]): _parse_coeff(t["coeff"]) for t in d["terms"]},
         )
 
     def __repr__(self) -> str:

@@ -22,6 +22,7 @@ from ncbell.algebra import (
     to_json_dict,
 )
 from ncbell.bell import bell, bell_c_explicit, bell_partial
+from ncbell.series import MultiPoly
 
 
 def _exact(c) -> bool:
@@ -60,6 +61,16 @@ def test_parsed_integers_are_ints():
     assert type(p.coefficient((1,))) is int
     assert p.coefficient((3,)) == Fraction(1, 2)
     assert _ints(from_json_dict(to_json_dict(bell(4, "c"))))
+
+
+def test_multipoly_json_integers_are_ints():
+    x, y = MultiPoly.var(2, 0), MultiPoly.var(2, 1)
+    p = 3 * x * x - y + 2
+    back = MultiPoly.from_json_dict(p.to_json_dict())
+    assert back == p and _ints(back)
+    half = MultiPoly.from_json_dict((p * Fraction(1, 2)).to_json_dict())
+    assert half.terms[(2, 0)] == Fraction(3, 2) and type(half.terms[(0, 1)]) is Fraction
+    assert type(half.terms[(0, 0)]) is int
 
 
 @pytest.mark.parametrize("variant", ["nc", "c"])
