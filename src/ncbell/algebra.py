@@ -44,8 +44,15 @@ copies test for an operand of the same ring before anything else and
 call no helper per product, which keeps the tens of thousands of tiny
 products of the Bell kernel as cheap as a hand-written loop.
 
-The module also holds the q-integer helpers and the text / LaTeX / JSON
-renderers shared by the command line front end.
+The module also holds the q-integer helpers and the one term format that
+every text and LaTeX renderer in the package writes through. term(mag,
+body) writes one unsigned term: a bare constant when the body is empty,
+the body alone when the magnitude is 1, and otherwise "3*body" in text or
+"3 body" in LaTeX, where a non-integer magnitude becomes \\frac{p}{q}.
+signed_sum takes (coefficient, body) pairs in display order and joins
+their terms as "a - b + c", or "0" when there are none. The polynomial,
+q-polynomial, tensor, tree, multivariate and series renderers only choose
+the bodies and their order.
 
 NCPoly and CPoly each carry a monomial-key codec, so that code built on
 top of them (the bialgebras in ncbell.hopf and ncbell.mobius) never looks
@@ -58,6 +65,7 @@ both rings.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 
 INV = -1  # the letter d1^{-1}
 
@@ -141,6 +149,10 @@ class TermRing:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its coefficient, and zero equals 0, so each
+        # hashes as that scalar
+        if self.terms.keys() <= {self.unit_key}:
+            return hash(self.terms.get(self.unit_key, 0))
         return hash(frozenset(self.terms.items()))
 
     def __neg__(self):
@@ -598,41 +610,21 @@ def _sorted_terms(p):
     return items
 
 
-def _runs(word: tuple):
-    out = []
-    for letter in word:
-        if out and out[-1][0] == letter:
-            out[-1][1] += 1
-        else:
-            out.append([letter, 1])
-    return out
+def _script(mark: str, v: int, latex: bool) -> str:
+    """An index or exponent after its mark, braced in LaTeX unless one digit."""
+    return f"{mark}{{{v}}}" if latex and not 0 <= v <= 9 else f"{mark}{v}"
 
 
-def _word_text(word: tuple, symbol: str, offset: int) -> str:
+def _word(word: tuple, symbol: str, offset: int, latex: bool) -> str:
+    """A word as powers of its letter runs: d1^2*d3 in text, d_1^2 d_3 in
+    LaTeX; a run of d1^{-1} is a negative power of d1."""
     parts = []
-    for letter, count in _runs(word):
-        if letter == INV:
-            base, exp = f"{symbol}1", -count
-        else:
-            base, exp = f"{symbol}{letter + offset}", count
-        parts.append(base if exp == 1 else f"{base}^{exp}")
-    return "*".join(parts)
-
-
-def _word_latex(word: tuple, symbol: str, offset: int) -> str:
-    def sub(i):
-        return f"_{i}" if 0 <= i <= 9 else f"_{{{i}}}"
-
-    def sup(e):
-        return "" if e == 1 else (f"^{e}" if 0 <= e <= 9 else f"^{{{e}}}")
-
-    parts = []
-    for letter, count in _runs(word):
-        if letter == INV:
-            parts.append(f"{symbol}{sub(1)}" + (f"^{{-{count}}}" if count > 1 else "^{-1}"))
-        else:
-            parts.append(f"{symbol}{sub(letter + offset)}{sup(count)}")
-    return " ".join(parts)
+    for letter, run in groupby(word):
+        count = sum(1 for _ in run)
+        idx, exp = (1, -count) if letter == INV else (letter + offset, count)
+        part = symbol + _script("_" if latex else "", idx, latex)
+        parts.append(part if exp == 1 else part + _script("^", exp, latex))
+    return (" " if latex else "*").join(parts)
 
 
 def join_signed(chunks) -> str:
@@ -644,58 +636,39 @@ def join_signed(chunks) -> str:
     return "".join(out)
 
 
-def _coeff_text(c: int | Fraction) -> str:
-    return str(c)
+def term(mag, body: str, latex: bool = False) -> str:
+    """One unsigned term mag * body; see the module docstring."""
+    if body and mag == 1:
+        return body
+    if latex and mag.denominator != 1:
+        coeff = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
+    else:
+        coeff = str(mag)
+    if not body:
+        return coeff
+    return f"{coeff} {body}" if latex else f"{coeff}*{body}"
+
+
+def signed_sum(pairs, latex: bool = False) -> str:
+    """(coefficient, body) pairs in display order as "a - b + c"; "0" when
+    there are none."""
+    return join_signed([(c < 0, term(abs(c), body, latex)) for c, body in pairs])
 
 
 def render_text(p, symbol: str = "d", offset: int = 0) -> str:
-    items = list(reversed(_sorted_terms(p)))
-    chunks = []
-    for word, c in items:
-        mag = abs(c)
-        body = _word_text(word, symbol, offset)
-        if not word:
-            s = _coeff_text(mag)
-        elif mag == 1:
-            s = body
-        else:
-            s = f"{_coeff_text(mag)}*{body}"
-        chunks.append((c < 0, s))
-    return join_signed(chunks)
+    return signed_sum((c, _word(w, symbol, offset, False)) for w, c in reversed(_sorted_terms(p)))
 
 
 def render_latex(p, symbol: str = "d", offset: int = 0) -> str:
-    items = list(reversed(_sorted_terms(p)))
-    chunks = []
-    for word, c in items:
-        mag = abs(c)
-        body = _word_latex(word, symbol, offset)
-        if mag.denominator == 1:
-            coeff = str(mag.numerator)
-        else:
-            coeff = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
-        if not word:
-            s = coeff
-        elif mag == 1:
-            s = body
-        else:
-            s = f"{coeff} {body}"
-        chunks.append((c < 0, s))
-    return join_signed(chunks)
+    return signed_sum(
+        ((c, _word(w, symbol, offset, True)) for w, c in reversed(_sorted_terms(p))), latex=True
+    )
 
 
 def render_qpoly(p: QPoly) -> str:
-    chunks = []
-    for power in sorted(p.terms):
-        c = p.terms[power]
-        mag = abs(c)
-        if power == 0:
-            s = _coeff_text(mag)
-        else:
-            var = "q" if power == 1 else f"q^{power}"
-            s = var if mag == 1 else f"{_coeff_text(mag)}*{var}"
-        chunks.append((c < 0, s))
-    return join_signed(chunks)
+    return signed_sum(
+        (p.terms[k], "" if k == 0 else "q" if k == 1 else f"q^{k}") for k in sorted(p.terms)
+    )
 
 
 def to_json_dict(p, algebra: str | None = None) -> dict:

@@ -17,13 +17,13 @@ from fractions import Fraction
 
 from .algebra import (
     NCPoly,
-    join_signed,
     render_latex,
     render_qpoly,
     render_text,
+    signed_sum,
     to_json_dict,
 )
-from .bell import bell, bell_partial, bell_scaled, qbell, qbell_coefficient, qbell_grouped
+from .bell import bell, bell_partial, bell_scaled, qbell, qbell_grouped
 
 
 def _emit_poly(p, fmt: str, symbol: str = "d", algebra: str | None = None) -> None:
@@ -39,26 +39,23 @@ def _emit_series(s, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(s.to_json_dict()))
         return
-    chunks = []
-    for n in range(s.order):
-        c = s.coeff(n)
-        if not c:
-            continue
-        mag = abs(c)
-        if fmt == "latex":
-            body = "" if n == 0 else ("t" if n == 1 else f"t^{{{n}}}")
-            num = str(mag) if mag.denominator == 1 else f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
-        else:
-            body = "" if n == 0 else ("t" if n == 1 else f"t^{n}")
-            num = str(mag)
-        if not body:
-            s_txt = num
-        elif mag == 1:
-            s_txt = body
-        else:
-            s_txt = f"{num}{' ' if fmt == 'latex' else '*'}{body}"
-        chunks.append((c < 0, s_txt))
-    print(join_signed(chunks))
+    latex = fmt == "latex"
+    power = "t^{{{}}}" if latex else "t^{}"
+    pairs = [(c, "" if n == 0 else "t" if n == 1 else power.format(n))
+             for n in range(s.order) if (c := s.coeff(n))]
+    print(signed_sum(pairs, latex))
+
+
+def _emit_qtable(table: dict, fmt: str) -> None:
+    """A q-Bell table, word -> QPoly: JSON, or one "word: q-poly" line each."""
+    rows = sorted(table.items())
+    if fmt == "json":
+        terms = [{"word": list(parts), "coeff": {str(p): str(c) for p, c in qc.terms.items()}}
+                 for parts, qc in rows]
+        print(json.dumps({"algebra": "q-bell", "terms": terms}))
+        return
+    for parts, qc in rows:
+        print(f"{render_text(NCPoly.from_word(parts))}: {render_qpoly(qc)}")
 
 
 def _load_json(args) -> dict:
@@ -83,10 +80,7 @@ def cmd_bell(args) -> int:
             raise ValueError("--q needs -k (q-coefficients are per word length)")
         if args.scaled:
             raise ValueError("--q and --scaled cannot be combined")
-        for parts in sorted(qbell(args.n, args.k)):
-            qc = qbell_coefficient(parts)
-            word = render_text(NCPoly.from_word(parts))
-            print(f"{word}: {render_qpoly(qc)}")
+        _emit_qtable(qbell(args.n, args.k), args.format)
         return 0
     if args.scaled:
         p = bell_scaled(args.n, args.k)
@@ -106,14 +100,7 @@ def cmd_partial(args) -> int:
 
 def cmd_qbell(args) -> int:
     table = qbell_grouped(args.n, args.k) if args.grouped else qbell(args.n, args.k)
-    if args.format == "json":
-        rows = [{"word": list(parts), "coeff": {str(p): str(c) for p, c in qc.terms.items()}}
-                for parts, qc in sorted(table.items())]
-        print(json.dumps({"algebra": "q-bell", "terms": rows}))
-        return 0
-    for parts, qc in sorted(table.items()):
-        word = render_text(NCPoly.from_word(parts))
-        print(f"{word}: {render_qpoly(qc)}")
+    _emit_qtable(table, args.format)
     return 0
 
 

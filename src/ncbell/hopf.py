@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .algebra import CPoly, NCPoly, _coeff, add_into, join_signed, render_latex, render_text
+from .algebra import CPoly, NCPoly, _coeff, _word, add_into, join_signed, term
 from .bell import bell_partial
 from . import quasidet
 
@@ -429,34 +429,30 @@ def generating_series_rank_check(n: int, k: int) -> bool:
 # rendering
 
 
-def tensor_to_json(t: dict, variant: str) -> dict:
+def _sorted_legs(t: dict, variant: str) -> list:
+    """(left letters, right letters, coefficient) of each term of t, by total
+    length, then the right leg, then the left."""
     letters = _cls(variant).key_letters
-    terms = sorted(
-        ((list(letters(l)), list(letters(r)), c) for (l, r), c in t.items()),
+    return sorted(
+        ((letters(l), letters(r), c) for (l, r), c in t.items()),
         key=lambda x: (len(x[0]) + len(x[1]), x[1], x[0]),
     )
+
+
+def tensor_to_json(t: dict, variant: str) -> dict:
     return {
         "algebra": variant,
-        "terms": [{"coeff": str(c), "left": lw, "right": rw} for lw, rw, c in terms],
+        "terms": [{"coeff": str(c), "left": list(lw), "right": list(rw)}
+                  for lw, rw, c in _sorted_legs(t, variant)],
     }
 
 
 def render_tensor(t: dict, variant: str, latex: bool = False) -> str:
-    cls = _cls(variant)
-    letters = cls.key_letters
-    items = sorted(
-        t.items(),
-        key=lambda kv: (
-            len(letters(kv[0][1])) + len(letters(kv[0][0])),
-            letters(kv[0][1]),
-            letters(kv[0][0]),
-        ),
-    )
-    render = render_latex if latex else render_text
+    """Each term as c * left (x) right: the coefficient goes on the left leg,
+    and a unit leg prints as its coefficient (so "1 (x) X3", "-1/3 (x) X4")."""
     otimes = " \\otimes " if latex else " (x) "
-    chunks = []
-    for (l, r), c in items:
-        lp = render(cls.from_key(l) * abs(c), symbol="X")
-        rp = render(cls.from_key(r), symbol="X")
-        chunks.append((c < 0, f"{lp}{otimes}{rp}"))
-    return join_signed(chunks)
+    return join_signed([
+        (c < 0, term(abs(c), _word(lw, "X", 0, latex), latex) + otimes
+         + term(1, _word(rw, "X", 0, latex), latex))
+        for lw, rw, c in _sorted_legs(t, variant)
+    ])

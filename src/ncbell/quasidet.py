@@ -14,6 +14,7 @@ from itertools import combinations
 from math import comb
 
 from .algebra import CPoly, NCPoly
+from .bell import _cls
 
 
 def _entry_class(M):
@@ -78,7 +79,7 @@ def bell_matrix(n: int, variant: str = "nc"):
     on and above the diagonal, -1 on the subdiagonal."""
     if n < 1:
         raise ValueError("need n >= 1")
-    cls = NCPoly if variant == "nc" else CPoly
+    cls = _cls(variant)
     M = []
     for i in range(1, n + 1):
         row = []

@@ -25,7 +25,7 @@ import operator
 from fractions import Fraction
 from math import factorial
 
-from .algebra import TermRing, _coeff, _parse_coeff, _ring_ops, join_signed
+from .algebra import TermRing, _coeff, _parse_coeff, _ring_ops, signed_sum
 from .bell import bell, bell_partial
 
 
@@ -251,7 +251,9 @@ class MultiPoly(TermRing):
         return TermRing.__eq__(self, other)
 
     def __hash__(self):
-        return hash((self.nvars, TermRing.__hash__(self)))
+        # a constant hashes as its coefficient, whatever nvars, as it equals it
+        h = TermRing.__hash__(self)
+        return hash((self.nvars, h)) if self.terms.keys() - {self.unit_key} else h
 
     def __add__(self, other) -> "MultiPoly":
         self._same(other)
@@ -285,9 +287,6 @@ class MultiPoly(TermRing):
             total += prod
         return total
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def to_json_dict(self) -> dict:
         terms = sorted(self.terms.items())
         return {
@@ -307,20 +306,10 @@ class MultiPoly(TermRing):
 
 
 def render_multipoly(p: MultiPoly) -> str:
-    chunks = []
-    for e, c in sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0])):
-        body = "*".join(
-            f"x{i + 1}" if k == 1 else f"x{i + 1}^{k}" for i, k in enumerate(e) if k
-        )
-        mag = abs(c)
-        if not body:
-            s = str(mag)
-        elif mag == 1:
-            s = body
-        else:
-            s = f"{mag}*{body}"
-        chunks.append((c < 0, s))
-    return join_signed(chunks)
+    return signed_sum(
+        (c, "*".join(f"x{i + 1}" if k == 1 else f"x{i + 1}^{k}" for i, k in enumerate(e) if k))
+        for e, c in sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0]))
+    )
 
 
 class VectorField:

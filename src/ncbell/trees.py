@@ -16,7 +16,7 @@ one-edge tree once, not twice, at n = 1).
 
 from __future__ import annotations
 
-from .algebra import NCPoly, _coeff, join_signed
+from .algebra import NCPoly, _coeff, signed_sum
 
 LEAF: tuple = ()
 
@@ -162,9 +162,4 @@ def pushforward(p: NCPoly) -> dict:
 
 def render_tree_poly(tp: dict) -> str:
     items = sorted(tp.items(), key=lambda tc: (edges(tc[0]), serialize(tc[0])))
-    chunks = []
-    for t, c in items:
-        mag = abs(c)
-        s = serialize(t) if mag == 1 else f"{mag}*{serialize(t)}"
-        chunks.append((c < 0, s))
-    return join_signed(chunks)
+    return signed_sum((c, serialize(t)) for t, c in items)

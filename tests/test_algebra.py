@@ -223,6 +223,16 @@ def test_render_latex():
     p = parse_text("d1^3 + d2*d1 + 2*d1*d2 + d3")
     assert render_latex(p) == "d_1^3 + d_2 d_1 + 2 d_1 d_2 + d_3"
     assert render_latex(parse_text("3*d1^-2*d2 - d3")) == "3 d_1^{-2} d_2 - d_3"
+    p = parse_text("d12*d1^10 - 1/2*d1^-1 + d3^2*d11^12 - 5/3")
+    assert render_latex(p) == (
+        "d_3^2 d_{11}^{12} + d_{12} d_1^{10} - \\frac{1}{2} d_1^{-1} - \\frac{5}{3}"
+    )
+    assert render_latex(p, "X", 1) == (
+        "X_4^2 X_{12}^{12} + X_{13} X_2^{10} - \\frac{1}{2} X_1^{-1} - \\frac{5}{3}"
+    )
+    assert render_text(p) == "d3^2*d11^12 + d12*d1^10 - 1/2*d1^-1 - 5/3"
+    c = parse_text("-d1^-3*d10 + d1^10*d12", commutative=True)
+    assert render_latex(c) == "d_1^{10} d_{12} - d_1^{-3} d_{10}"
 
 
 def test_render_alternate_symbol():
@@ -252,6 +262,11 @@ def test_qpoly_arithmetic():
     assert p.evaluate(1) == 4
     assert p.evaluate(Fraction(1, 2)) == Fraction(9, 4)
     assert render_qpoly(1 + q + q * q) == "1 + q + q^2"
+    assert render_qpoly(Fraction(1, 2) - 3 * q + Fraction(-2, 7) * q * q + QPoly.q(11)) == (
+        "1/2 - 3*q - 2/7*q^2 + q^11"
+    )
+    assert render_qpoly(-1 - q) == "-1 - q"
+    assert render_qpoly(QPoly()) == "0"
 
 
 def test_qint_qfactorial_qbinomial():

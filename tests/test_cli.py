@@ -74,6 +74,14 @@ def test_qbell_lines(capsys):
     ]
 
 
+def test_bell_q_is_the_qbell_table(capsys):
+    for fmt in ("text", "json"):
+        _, via_bell, _ = run(capsys, "bell", "-n", "5", "-k", "2", "--q", "--format", fmt)
+        _, via_qbell, _ = run(capsys, "qbell", "-n", "5", "-k", "2", "--format", fmt)
+        assert via_bell == via_qbell
+    assert json.loads(via_bell)["algebra"] == "q-bell"
+
+
 def test_q_needs_k(capsys):
     code, _, err = run(capsys, "bell", "-n", "3", "--q")
     assert code == 2

@@ -63,6 +63,13 @@ def test_bell_via_quasidet():
         assert bell_via_quasidet(n, "c") == bell(n, "c")
 
 
+@pytest.mark.parametrize("variant", ["fdb", "dfdb", "xyz"])
+def test_unknown_variant_is_refused(variant):
+    for build in (bell_matrix, bell_via_quasidet, bell):
+        with pytest.raises(ValueError, match="unknown variant"):
+            build(3, variant)
+
+
 def test_det_known_values():
     assert det([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]) == -2
     m = [
