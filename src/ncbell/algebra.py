@@ -60,6 +60,10 @@ inside a key: letter_key(i) gives the key of one letter, key_mul
 multiplies two keys, key_letters lists the letters of a key and from_key
 turns a key back into a polynomial. The empty tuple is the unit key of
 both rings.
+
+The package's one variant table VARIANTS maps "nc" and "dfdb" to NCPoly,
+"c" and "fdb" to CPoly; ring(variant, names) looks a name up, and a
+ring's tag ("nc" or "c") names it back.
 """
 
 from __future__ import annotations
@@ -244,6 +248,7 @@ class NCPoly(TermRing):
     """Element of the free associative algebra on d1, d2, ... over Q."""
 
     __slots__ = ()
+    tag = "nc"
     __add__, __mul__ = _ring_ops()
     __radd__ = __add__
 
@@ -391,6 +396,7 @@ class CPoly(TermRing):
     """Element of the commutative polynomial ring in d1, d2, ... over Q."""
 
     __slots__ = ()
+    tag = "c"
     __add__, __mul__ = _ring_ops()
     __radd__ = __add__
 
@@ -489,6 +495,20 @@ class CPoly(TermRing):
 
     def __repr__(self) -> str:
         return f"CPoly({render_text(self)!r})"
+
+
+# ---------------------------------------------------------------------------
+# the variant table
+
+VARIANTS = {"nc": NCPoly, "dfdb": NCPoly, "c": CPoly, "fdb": CPoly}
+
+
+def ring(variant: str, names=("nc", "c")):
+    """The ring class of a variant name; ValueError when the name is not one
+    of names, by default the d-alphabet ones."""
+    if variant not in names:
+        raise ValueError(f"unknown variant {variant!r}, expected one of {', '.join(names)}")
+    return VARIANTS[variant]
 
 
 # ---------------------------------------------------------------------------
@@ -677,13 +697,10 @@ def to_json_dict(p, algebra: str | None = None) -> dict:
     Words are flat letter lists with -1 encoding d1^{-1}; commutative
     monomials are expanded to their sorted letter list.
     """
-    if algebra is None:
-        algebra = "nc" if isinstance(p, NCPoly) else "c"
+    terms = _sorted_terms(p)  # before p.tag: a TypeError for a ring it cannot render
     return {
-        "algebra": algebra,
-        "terms": [
-            {"coeff": str(c), "word": list(word)} for word, c in _sorted_terms(p)
-        ],
+        "algebra": p.tag if algebra is None else algebra,
+        "terms": [{"coeff": str(c), "word": list(word)} for word, c in terms],
     }
 
 

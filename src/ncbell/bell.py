@@ -6,7 +6,7 @@ quasidet.py, and the tree route in trees.py. They are implemented
 independently of one another on purpose: their agreement is a test, not a
 definition.
 
-Variants are selected by the strings "nc" and "c".
+Variants are selected by the strings "nc" and "c", through algebra.ring.
 """
 
 from __future__ import annotations
@@ -14,16 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .algebra import CPoly, NCPoly, QPoly, qfactorial, qint
-
-
-def _cls(variant: str):
-    if variant == "nc":
-        return NCPoly
-    if variant == "c":
-        return CPoly
-    raise ValueError(f"unknown variant {variant!r}")
-
+from .algebra import CPoly, NCPoly, QPoly, qfactorial, qint, ring
 
 _BELL: dict = {"nc": [NCPoly.one()], "c": [CPoly.one()]}
 
@@ -32,7 +23,7 @@ def bell(n: int, variant: str = "nc"):
     """B_n by the derivation recursion B_n = (d_1 + derive) B_{n-1}."""
     if n < 0:
         raise ValueError("need n >= 0")
-    cls = _cls(variant)
+    cls = ring(variant)
     cache = _BELL[variant]
     while len(cache) <= n:
         prev = cache[-1]
@@ -47,7 +38,7 @@ def bell_recursion(n: int, variant: str = "nc"):
     """
     if n < 0:
         raise ValueError("need n >= 0")
-    cls = _cls(variant)
+    cls = ring(variant)
     seq = [cls.one()]
     for m in range(n):
         nxt = cls.zero()
@@ -62,7 +53,7 @@ def bell_partial(n: int, k: int, variant: str = "nc"):
     if n < 0 or k < 0:
         raise ValueError("need n, k >= 0")
     if k > n:
-        return _cls(variant).zero()
+        return ring(variant).zero()
     return bell(n, variant).restrict_length(k)
 
 

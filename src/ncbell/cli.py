@@ -2,7 +2,8 @@
 
 Verbs: bell, partial, qbell, trees, quasidet, hopf, mobius, series, and
 verify. Polynomial output honors --format text|latex|json; the json form
-round-trips through from_json_dict to the identical polynomial. verify
+round-trips through from_json_dict to the identical polynomial; a format
+an output has no renderer for is refused with exit code 2. verify
 prints one pass/fail line per suite and exits nonzero when any suite
 fails, as do the self-checking series commands. Each verb imports the
 submodules it uses when it runs, so a call loads only those.
@@ -65,21 +66,15 @@ def _load_json(args) -> dict:
     return json.load(sys.stdin)
 
 
-def _variant(args, default_nc: bool) -> str:
-    if getattr(args, "nc", False):
-        return "nc"
-    if getattr(args, "c", False):
-        return "c"
-    return "nc" if default_nc else "c"
-
-
 def cmd_bell(args) -> int:
-    variant = _variant(args, default_nc=True)
+    variant = "c" if args.c else "nc"
     if args.q:
         if args.k is None:
             raise ValueError("--q needs -k (q-coefficients are per word length)")
         if args.scaled:
             raise ValueError("--q and --scaled cannot be combined")
+        if args.format == "latex":
+            raise ValueError("--q prints text or json only")
         _emit_qtable(qbell(args.n, args.k), args.format)
         return 0
     if args.scaled:
@@ -93,7 +88,7 @@ def cmd_bell(args) -> int:
 
 
 def cmd_partial(args) -> int:
-    variant = _variant(args, default_nc=True)
+    variant = "c" if args.c else "nc"
     _emit_poly(bell_partial(args.n, args.k, variant), args.format)
     return 0
 
@@ -123,11 +118,13 @@ def cmd_quasidet(args) -> int:
     if args.bell_matrix:
         if args.n is None:
             raise ValueError("--bell-matrix needs -n")
-        variant = _variant(args, default_nc=True)
+        variant = "c" if args.c else "nc"
         _emit_poly(quasidet.bell_via_quasidet(args.n, variant), args.format)
         return 0
     if not args.file:
         raise ValueError("give either --bell-matrix -n or --file <matrix.json>")
+    if args.format != "text":
+        raise ValueError("quasidet --file prints text only")
     rows = _load_json(args)
     A = [[Fraction(e) for e in row] for row in rows]
     p = args.row or 1
@@ -161,7 +158,7 @@ def cmd_mobius(args) -> int:
     variant = "nc" if args.nc else "c"
     if args.invert:
         p = mobius.mobius_invert(args.n, variant)
-        algebra = "b-symbols" if variant == "nc" else None
+        algebra = "b-symbols" if args.nc else None
         _emit_poly(p, args.format, symbol="B", algebra=algebra)
         return 0
     _emit_poly(mobius.antipode_m(args.n, variant, args.side), args.format)
@@ -199,6 +196,8 @@ def cmd_series(args) -> int:
         g = FormalSeries.from_json_dict(data.get("g", data))
         _emit_series(reversion(g, args.order), args.format)
         return 0
+    if args.format != "text":
+        raise ValueError("--flow-check prints text only")
     order = args.order or 5
     if args.file:
         data = _load_json(args)
@@ -220,8 +219,8 @@ def cmd_verify(args) -> int:
     return 0 if all(ok for _, ok, _ in results) else 1
 
 
-def _add_format(sub) -> None:
-    sub.add_argument("--format", choices=("text", "latex", "json"),
+def _add_format(sub, choices=("text", "latex", "json")) -> None:
+    sub.add_argument("--format", choices=choices,
                      default="text", help="output format")
 
 
@@ -259,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--grouped", action="store_true",
                    help="group words with the same letter multiset")
-    _add_format(p)
+    _add_format(p, ("text", "json"))
     p.set_defaults(func=cmd_qbell)
 
     p = subs.add_parser("trees", help="Bell polynomial as a sum of rooted trees")
@@ -267,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--planar", action="store_true", help="planar trees (default)")
     group.add_argument("--nonplanar", action="store_true", help="collapse to nonplanar trees")
-    _add_format(p)
+    _add_format(p, ("text", "json"))
     p.set_defaults(func=cmd_trees)
 
     p = subs.add_parser("quasidet", help="quasideterminants: Bell matrix or numeric file")

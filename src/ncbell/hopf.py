@@ -12,11 +12,11 @@ ncbell.mobius all have the Bell coproduct shape
 Delta(x_n) = sum_k B_{n,k} (x) x_k. They differ only in their data on one
 letter: its coproduct, its antipode and the counit. Everything else lives
 here once, written over the key codec of the ring class (NCPoly or CPoly,
-looked up by ring() from the variant string): tensor_mul, the
-multiplicative coproduct extension coproduct_extend, the anti-morphism
-antipode extension antipode_extend, the Character class and the pairing
-pair behind both convolutions. The per-algebra data are passed in as
-functions of one letter: coproduct_gen / antipode_recursive here,
+which ring() looks up by any of the four variant names with algebra.ring):
+tensor_mul, the multiplicative coproduct extension coproduct_extend, the
+anti-morphism antipode extension antipode_extend, the Character class and
+the pairing pair behind both convolutions. The per-algebra data are passed
+in as functions of one letter: coproduct_gen / antipode_recursive here,
 coproduct_m / antipode_m in ncbell.mobius.
 
 Tensors are plain dicts mapping (left monomial key, right monomial key) to
@@ -29,9 +29,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .algebra import CPoly, NCPoly, _coeff, _word, add_into, join_signed, term
+from .algebra import CPoly, _coeff, _word, add_into, join_signed, term
 from .bell import bell_partial
-from . import quasidet
+from . import algebra, quasidet
 
 
 # ---------------------------------------------------------------------------
@@ -39,13 +39,9 @@ from . import quasidet
 
 
 def ring(variant: str):
-    """The ring class of a variant: NCPoly for the free ones ("dfdb", "nc"),
-    CPoly for the commutative ones ("fdb", "c")."""
-    if variant in ("dfdb", "nc"):
-        return NCPoly
-    if variant in ("fdb", "c"):
-        return CPoly
-    raise ValueError(f"unknown variant {variant!r}")
+    """The ring class of any of the four variant names, since the engine
+    serves ncbell.mobius ("nc", "c") as well as this module ("dfdb", "fdb")."""
+    return algebra.ring(variant, algebra.VARIANTS)
 
 
 def tensor_mul(t1: dict, t2: dict, variant: str) -> dict:
@@ -138,13 +134,7 @@ def pair(phi: Character, psi: Character, t: dict, variant: str) -> int | Fractio
 
 
 def _cls(variant: str):
-    if variant not in ("fdb", "dfdb"):
-        raise ValueError(f"unknown variant {variant!r}")
-    return ring(variant)
-
-
-def _bell_variant(variant: str) -> str:
-    return "nc" if variant == "dfdb" else "c"
+    return algebra.ring(variant, ("fdb", "dfdb"))
 
 
 _RANK: dict = {}
@@ -162,7 +152,7 @@ def rank_poly(n: int, k: int, variant: str = "dfdb"):
         return cls.zero()
     key = (n, k, variant)
     if key not in _RANK:
-        base = bell_partial(n + 1, k + 1, _bell_variant(variant))
+        base = bell_partial(n + 1, k + 1, cls.tag)
         mapping = {1: cls.one()}
         for j in range(2, n + 2):
             mapping[j] = cls.letter(j - 1)
@@ -269,9 +259,7 @@ def antipode_quasidet(n: int, variant: str = "dfdb"):
         [-rank_poly(n - i + 1, n - j, variant) for j in range(1, n + 1)]
         for i in range(1, n + 1)
     ]
-    if variant == "dfdb":
-        return quasidet.hessenberg_quasidet(M)
-    return quasidet.det(M)
+    return quasidet.quasidet(M)
 
 
 # ---------------------------------------------------------------------------

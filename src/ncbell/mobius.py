@@ -31,25 +31,17 @@ bell_map / mobius_invert / invert_round_trip. Tensors, the multiplicative
 coproduct and anti-morphism antipode extensions, Character and the
 convolution pairing come from the bialgebra engine in ncbell.hopf; keys
 may contain the inverse letter, which the ring classes' key codec handles.
+algebra.ring looks the variant names up; a variant left out is the tag of
+the element's ring.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import INV, NCPoly
+from .algebra import INV, ring
 from .bell import bell, bell_partial
-from .hopf import Character, antipode_extend, coproduct_extend, pair, ring
-
-
-def _cls(variant: str):
-    if variant not in ("c", "nc"):
-        raise ValueError(f"unknown variant {variant!r}, expected 'c' or 'nc'")
-    return ring(variant)
-
-
-def _variant_of(p) -> str:
-    return "nc" if isinstance(p, NCPoly) else "c"
+from .hopf import Character, antipode_extend, coproduct_extend, pair
 
 
 def mobius_degree(p) -> int:
@@ -69,7 +61,7 @@ def mobius_degree(p) -> int:
 
 def _inv_power(n: int, variant: str):
     """The element d1^{-n}."""
-    cls = _cls(variant)
+    cls = ring(variant)
     key = ()
     for _ in range(n):
         key = cls.key_mul(key, cls.letter_key(INV))
@@ -80,7 +72,7 @@ def coproduct_m(n: int, variant: str = "nc") -> dict:
     """Coproduct of the generator d_n: sum over k of B_{n,k} (x) d_k."""
     if n < 1:
         raise ValueError(f"generator index must be positive, got {n}")
-    cls = _cls(variant)
+    cls = ring(variant)
     out: dict = {}
     for k in range(1, n + 1):
         right = cls.letter_key(k)
@@ -99,8 +91,8 @@ def _coproduct_letter(i: int, variant: str) -> dict:
 def coproduct_poly(p, variant: str | None = None) -> dict:
     """Coproduct of an arbitrary element, extended multiplicatively."""
     if variant is None:
-        variant = _variant_of(p)
-    _cls(variant)
+        variant = p.tag
+    ring(variant)
     return coproduct_extend(p.terms, variant, _coproduct_letter)
 
 
@@ -128,7 +120,7 @@ def antipode_m(n: int, variant: str = "nc", side: str = "right"):
         raise ValueError(f"generator index must be positive, got {n}")
     if side not in ("left", "right"):
         raise ValueError(f"unknown side {side!r}, expected 'left' or 'right'")
-    cls = _cls(variant)
+    cls = ring(variant)
     cache_key = (n, variant, side)
     if cache_key in _ANTIPODE:
         return _ANTIPODE[cache_key]
@@ -159,8 +151,8 @@ def _antipode_letter(i: int, variant: str, side: str):
 def antipode_poly(p, variant: str | None = None, side: str = "right"):
     """Antipode of an arbitrary element, extended as an anti-morphism."""
     if variant is None:
-        variant = _variant_of(p)
-    _cls(variant)
+        variant = p.tag
+    ring(variant)
     return antipode_extend(p, variant, side, _antipode_letter)
 
 
@@ -200,8 +192,8 @@ def bell_map(p, variant: str | None = None):
     serialize with the "b-symbols" algebra tag.
     """
     if variant is None:
-        variant = _variant_of(p)
-    return _cls(variant)(p.terms)
+        variant = p.tag
+    return ring(variant)(p.terms)
 
 
 def mobius_invert(n: int, variant: str = "nc"):
@@ -211,7 +203,7 @@ def mobius_invert(n: int, variant: str = "nc"):
     """
     if n < 1:
         raise ValueError(f"generator index must be positive, got {n}")
-    cls = _cls(variant)
+    cls = ring(variant)
     mu = mobius_char(n, variant)
     total = cls.zero()
     for k in range(1, n + 1):
@@ -226,4 +218,4 @@ def invert_round_trip(n: int, variant: str = "nc") -> bool:
     returns exactly d_n."""
     expr = mobius_invert(n, variant)
     table = {j: bell(j, variant) for j in range(1, n + 1)}
-    return expr.substitute(table) == _cls(variant).letter(n)
+    return expr.substitute(table) == ring(variant).letter(n)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import comb
 from operator import itemgetter
 
-from .algebra import CPoly, NCPoly, QPoly, qbinomial
+from .algebra import QPoly, qbinomial, ring
 
 
 def canonical(blocks) -> tuple:
@@ -122,15 +122,11 @@ def monomial_of(P, variant: str = "nc"):
 
     Noncommutative: letters in increasing order of block maxima.
     """
-    sizes = block_sizes(P)
-    if variant == "nc":
-        return NCPoly.from_word(sizes)
-    if variant == "c":
-        out = CPoly.one()
-        for s in sizes:
-            out = out * CPoly.letter(s)
-        return out
-    raise ValueError(f"unknown variant {variant!r}")
+    cls = ring(variant)
+    key = cls.unit_key
+    for s in block_sizes(P):
+        key = cls.key_mul(key, cls.letter_key(s))
+    return cls.from_key(key)
 
 
 def weight(P) -> int:

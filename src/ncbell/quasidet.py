@@ -13,8 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .algebra import CPoly, NCPoly
-from .bell import _cls
+from .algebra import CPoly, NCPoly, ring
 
 
 def _entry_class(M):
@@ -79,7 +78,7 @@ def bell_matrix(n: int, variant: str = "nc"):
     on and above the diagonal, -1 on the subdiagonal."""
     if n < 1:
         raise ValueError("need n >= 1")
-    cls = _cls(variant)
+    cls = ring(variant)
     M = []
     for i in range(1, n + 1):
         row = []
@@ -94,13 +93,17 @@ def bell_matrix(n: int, variant: str = "nc"):
     return M
 
 
-def bell_via_quasidet(n: int, variant: str = "nc"):
-    """B_n as the top-right quasideterminant (nc) or the determinant (c) of
-    the Bell matrix."""
-    M = bell_matrix(n, variant)
-    if variant == "nc":
+def quasidet(M):
+    """The top-right quasideterminant of a Hessenberg matrix over NCPoly, and
+    over CPoly the determinant, which it equals there."""
+    if _entry_class(M) is NCPoly:
         return hessenberg_quasidet(M)
     return det(M)
+
+
+def bell_via_quasidet(n: int, variant: str = "nc"):
+    """B_n as the quasidet of its Bell matrix."""
+    return quasidet(bell_matrix(n, variant))
 
 
 def det(M):

@@ -244,10 +244,13 @@ class MultiPoly(TermRing):
         if type(other) is MultiPoly and self.nvars != other.nvars:
             raise ValueError("dimension mismatch")
 
-    # the shared ring operations, after a check that the dimensions agree
+    # the shared ring operations, after a check that the dimensions agree;
+    # constants of any nvars compare by their coefficient, as each equals it
     def __eq__(self, other) -> bool:
         if type(other) is MultiPoly and self.nvars != other.nvars:
-            return False
+            if other.terms.keys() - {other.unit_key}:
+                return False
+            other = other.terms.get(other.unit_key, 0)
         return TermRing.__eq__(self, other)
 
     def __hash__(self):

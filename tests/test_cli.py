@@ -192,3 +192,50 @@ def test_missing_file_is_clean_error(capsys):
     code, _, err = run(capsys, "quasidet", "--file", "/nonexistent/m.json")
     assert code == 2
     assert "error:" in err
+
+
+# (argv, whether argparse refuses it): a format an output has no renderer
+# for exits 2 with an error line and prints nothing, never plain text
+REFUSED_FORMATS = {
+    "qbell-latex": (["qbell", "-n", "4", "-k", "2", "--format", "latex"], True),
+    "qbell-grouped-latex": (["qbell", "-n", "4", "-k", "2", "--grouped", "--format", "latex"],
+                            True),
+    "trees-latex": (["trees", "-n", "3", "--format", "latex"], True),
+    "bell-q-latex": (["bell", "-n", "4", "-k", "2", "--q", "--format", "latex"], False),
+    "flow-check-json": (["series", "--flow-check", "--format", "json"], False),
+    "flow-check-latex": (["series", "--flow-check", "--format", "latex"], False),
+    "quasidet-file-latex": (["quasidet", "--file", "{m}", "--format", "latex"], False),
+    "quasidet-file-json": (["quasidet", "--file", "{m}", "--format", "json"], False),
+}
+
+
+def _matrix(tmp_path) -> str:
+    f = tmp_path / "m.json"
+    f.write_text('[["1","2"],["3","4"]]')
+    return str(f)
+
+
+@pytest.mark.parametrize("name", list(REFUSED_FORMATS))
+def test_format_without_a_renderer_is_refused(name, tmp_path, capsys):
+    argv, by_argparse = REFUSED_FORMATS[name]
+    argv = [a.format(m=_matrix(tmp_path)) for a in argv]
+    if by_argparse:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        code = exc.value.code
+    else:
+        code = main(argv)
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert "error:" in out.err and ("invalid choice" in out.err) == by_argparse
+
+
+def test_text_only_outputs_accept_text(tmp_path, capsys):
+    m = _matrix(tmp_path)
+    assert run(capsys, "quasidet", "--file", m, "--format", "text")[:2] == (0, "2/3")
+    code, out, _ = run(capsys, "series", "--flow-check", "--order", "3", "--format", "text")
+    assert code == 0 and out.endswith("ok")
+    for verb in (["qbell", "-n", "4", "-k", "2"], ["trees", "-n", "3"],
+                 ["bell", "-n", "4", "-k", "2", "--q"]):
+        code, out, _ = run(capsys, *verb, "--format", "json")
+        assert code == 0 and json.loads(out)["terms"]

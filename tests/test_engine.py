@@ -2,9 +2,11 @@
 
 Both modules run on the same tensor product, coproduct and antipode
 extensions and Character; only the data on one letter differ. The tests
-pin the variant guards of each module's entry points, and check the
-engine's structural properties on random elements of all four
-bialgebras: fdb, dfdb, and the d-alphabet "c" and "nc".
+pin the variant guards of each module's entry points (and of the Bell,
+Bell-matrix and partition-monomial entry points, which take the
+d-alphabet names "nc" and "c" too), and check the engine's structural
+properties on random elements of all four bialgebras: fdb, dfdb, and the
+d-alphabet "c" and "nc".
 """
 
 from fractions import Fraction
@@ -14,7 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncbell import hopf, mobius
-from ncbell.algebra import INV, CPoly, NCPoly
+from ncbell.algebra import INV, CPoly, NCPoly, QPoly, ring, to_json_dict
+from ncbell.bell import bell, bell_partial, bell_recursion
+from ncbell.partitions import monomial_of
+from ncbell.quasidet import bell_matrix
 
 
 def _p(variant: str):
@@ -48,13 +53,25 @@ MOBIUS_ENTRY_POINTS = {
     "invert_round_trip": lambda v: mobius.invert_round_trip(2, v),
 }
 
+# the d-alphabet constructions outside the engine take "nc" and "c" too
+BELL_ENTRY_POINTS = {
+    "bell": lambda v: bell(2, v),
+    "bell_recursion": lambda v: bell_recursion(2, v),
+    "bell_partial": lambda v: bell_partial(2, 1, v),
+    "bell_partial_zero": lambda v: bell_partial(1, 2, v),
+    "bell_matrix": lambda v: bell_matrix(2, v),
+    "monomial_of": lambda v: monomial_of(((1,), (2, 3)), v),
+}
+
 
 @pytest.mark.parametrize(
     "call, variant",
     [pytest.param(f, v, id=f"hopf.{name}-{v}")
-     for name, f in HOPF_ENTRY_POINTS.items() for v in ("nc", "c")]
+     for name, f in HOPF_ENTRY_POINTS.items() for v in ("nc", "c", "xyz")]
     + [pytest.param(f, v, id=f"mobius.{name}-{v}")
-       for name, f in MOBIUS_ENTRY_POINTS.items() for v in ("dfdb", "fdb")],
+       for name, f in MOBIUS_ENTRY_POINTS.items() for v in ("dfdb", "fdb", "xyz")]
+    + [pytest.param(f, v, id=f"bell.{name}-{v}")
+       for name, f in BELL_ENTRY_POINTS.items() for v in ("dfdb", "fdb", "xyz")],
 )
 def test_entry_points_reject_the_other_modules_variants(call, variant):
     with pytest.raises(ValueError, match="unknown variant"):
@@ -65,9 +82,27 @@ def test_entry_points_accept_their_own_variants():
     for f in HOPF_ENTRY_POINTS.values():
         for v in ("fdb", "dfdb"):
             f(v)
-    for f in MOBIUS_ENTRY_POINTS.values():
+    for f in [*MOBIUS_ENTRY_POINTS.values(), *BELL_ENTRY_POINTS.values()]:
         for v in ("c", "nc"):
             f(v)
+
+
+def test_engine_ring_serves_all_four_variants():
+    assert [hopf.ring(v) for v in ("nc", "dfdb", "c", "fdb")] == [NCPoly, NCPoly, CPoly, CPoly]
+    with pytest.raises(ValueError, match="unknown variant"):
+        hopf.ring("xyz")
+
+
+@pytest.mark.parametrize("cls", [NCPoly, CPoly])
+def test_tag_names_the_ring(cls):
+    assert ring(cls.tag) is cls and hopf.ring(cls.tag) is cls
+    assert to_json_dict(cls.one())["algebra"] == cls.tag
+    assert to_json_dict(cls.one(), "b-symbols")["algebra"] == "b-symbols"
+
+
+def test_to_json_dict_refuses_a_ring_without_a_renderer():
+    with pytest.raises(TypeError, match="cannot render QPoly"):
+        to_json_dict(QPoly.one())
 
 
 # ---------------------------------------------------------------------------

@@ -78,8 +78,17 @@ def test_multipoly_dimensions_must_agree():
         with pytest.raises(ValueError, match="dimension mismatch"):
             op(x2, x3)
     assert x2 != x3
-    assert MultiPoly.zero(2) != MultiPoly.zero(3)
-    assert MultiPoly.zero(2) == MultiPoly.zero(2) == 0
+    assert MultiPoly.zero(2) == MultiPoly.zero(3) == 0
+
+
+def test_multipoly_constants_compare_by_coefficient_across_dimensions():
+    c2, c3 = MultiPoly.const(2, 3), MultiPoly.const(3, 3)
+    assert c2 == 3 == c3 and c2 == c3 and c3 == c2
+    assert len({c2, c3, 3}) == 1
+    assert c2 != MultiPoly.const(3, 4)
+    x2, x3 = MultiPoly.var(2, 0), MultiPoly.var(3, 0)
+    assert x2 != c3 and c3 != x2 and c2 != x3
+    assert x2 + 3 != x3 + 3
 
 
 # ---------------------------------------------------------------------------
