@@ -57,9 +57,10 @@ the bodies and their order.
 NCPoly and CPoly each carry a monomial-key codec, so that code built on
 top of them (the bialgebras in ncbell.hopf and ncbell.mobius) never looks
 inside a key: letter_key(i) gives the key of one letter, key_mul
-multiplies two keys, key_letters lists the letters of a key and from_key
-turns a key back into a polynomial. The empty tuple is the unit key of
-both rings.
+multiplies two keys, key_letters lists the letters of a key, key_of(cls,
+letters) builds the key back from them, and from_key turns a key into a
+polynomial. The empty tuple, also letter_key(0), is the unit key of both
+rings. Each binds its own copy of one substitute, over key_letters.
 
 The package's one variant table VARIANTS maps "nc" and "dfdb" to NCPoly,
 "c" and "fdb" to CPoly; ring(variant, names) looks a name up, and a
@@ -217,6 +218,41 @@ def _ring_ops():
     return __add__, __mul__
 
 
+def _substitute_op():
+    """A fresh substitute for NCPoly or CPoly, one per class as in _ring_ops."""
+
+    def substitute(self, mapping: dict):
+        """Replace each letter i by mapping[i], of the same ring, multiplicatively.
+
+        Every letter occurring in self must have an image; inverted letters
+        are rejected since a general image has no inverse here.
+        """
+        cls = type(self)
+        acc: dict = {}
+        for key, c in self.terms.items():
+            factor = cls.one()
+            for letter in cls.key_letters(key):
+                if letter == INV:
+                    raise ValueError("substitute does not accept inverted letters")
+                if letter not in mapping:
+                    raise ValueError(f"no image for letter {letter}")
+                factor = factor * mapping[letter]
+            add_into(acc, (factor * c).terms)
+        return cls._new(acc)
+
+    return substitute
+
+
+def key_of(cls, letters) -> tuple:
+    """The key of the product of letters, in order, in the ring class cls:
+    the inverse of cls.key_letters. The letter 0 is the unit."""
+    key_mul, letter_key = cls.key_mul, cls.letter_key
+    key = cls.unit_key
+    for i in letters:
+        key = key_mul(key, letter_key(i))
+    return key
+
+
 # ---------------------------------------------------------------------------
 # free associative polynomials
 
@@ -251,6 +287,7 @@ class NCPoly(TermRing):
     tag = "nc"
     __add__, __mul__ = _ring_ops()
     __radd__ = __add__
+    substitute = _substitute_op()
 
     @staticmethod
     def _key(word) -> tuple:
@@ -318,24 +355,6 @@ class NCPoly(TermRing):
                 del acc[m]
         return CPoly._new(acc)
 
-    def substitute(self, mapping: dict) -> "NCPoly":
-        """Replace each letter i by mapping[i] (an NCPoly), multiplicatively.
-
-        Every letter occurring in self must have an image; inverted letters
-        are rejected since a general image has no inverse here.
-        """
-        acc: dict = {}
-        for w, c in self.terms.items():
-            factor = NCPoly.one()
-            for letter in w:
-                if letter == INV:
-                    raise ValueError("substitute does not accept inverted letters")
-                if letter not in mapping:
-                    raise ValueError(f"no image for letter {letter}")
-                factor = factor * mapping[letter]
-            add_into(acc, (factor * c).terms)
-        return NCPoly._new(acc)
-
     def restrict_length(self, k: int) -> "NCPoly":
         """Keep only the words of length exactly k."""
         return NCPoly._new({w: c for w, c in self.terms.items() if len(w) == k})
@@ -399,6 +418,7 @@ class CPoly(TermRing):
     tag = "c"
     __add__, __mul__ = _ring_ops()
     __radd__ = __add__
+    substitute = _substitute_op()
 
     @staticmethod
     def _key(m) -> tuple:
@@ -460,21 +480,6 @@ class CPoly(TermRing):
                     acc[nm] = s
                 elif nm in acc:
                     del acc[nm]
-        return CPoly._new(acc)
-
-    def substitute(self, mapping: dict) -> "CPoly":
-        acc: dict = {}
-        for m, c in self.terms.items():
-            factor = CPoly.one()
-            for i, e in m:
-                if i not in mapping:
-                    raise ValueError(f"no image for letter {i}")
-                if e < 0:
-                    raise ValueError("substitute does not accept inverted letters")
-                img = mapping[i]
-                for _ in range(e):
-                    factor = factor * img
-            add_into(acc, (factor * c).terms)
         return CPoly._new(acc)
 
     def restrict_length(self, k: int) -> "CPoly":

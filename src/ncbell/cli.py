@@ -3,10 +3,10 @@
 Verbs: bell, partial, qbell, trees, quasidet, hopf, mobius, series, and
 verify. Polynomial output honors --format text|latex|json; the json form
 round-trips through from_json_dict to the identical polynomial; a format
-an output has no renderer for is refused with exit code 2. verify
-prints one pass/fail line per suite and exits nonzero when any suite
-fails, as do the self-checking series commands. Each verb imports the
-submodules it uses when it runs, so a call loads only those.
+or option the chosen output cannot use is refused with exit code 2.
+verify prints one pass/fail line per suite and exits nonzero when any
+suite fails, as do the self-checking series commands. Each verb imports
+the submodules it uses when it runs, so a call loads only those.
 """
 
 from __future__ import annotations
@@ -68,6 +68,8 @@ def _load_json(args) -> dict:
 
 def cmd_bell(args) -> int:
     variant = "c" if args.c else "nc"
+    if args.c and (args.scaled or args.q):
+        raise ValueError("--scaled and --q are noncommutative only")
     if args.q:
         if args.k is None:
             raise ValueError("--q needs -k (q-coefficients are per word length)")
@@ -116,6 +118,8 @@ def cmd_quasidet(args) -> int:
     from . import quasidet
 
     if args.bell_matrix:
+        if (args.file, args.row, args.col) != (None, None, None):
+            raise ValueError("--bell-matrix takes no --file, --row or --col")
         if args.n is None:
             raise ValueError("--bell-matrix needs -n")
         variant = "c" if args.c else "nc"
@@ -123,6 +127,8 @@ def cmd_quasidet(args) -> int:
         return 0
     if not args.file:
         raise ValueError("give either --bell-matrix -n or --file <matrix.json>")
+    if args.c or args.nc or args.n is not None:
+        raise ValueError("--file takes no --c, --nc or -n")
     if args.format != "text":
         raise ValueError("quasidet --file prints text only")
     rows = _load_json(args)

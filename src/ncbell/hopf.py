@@ -9,15 +9,17 @@ first variable set to the unit.
 
 The engine. These bialgebras and the d-alphabet bialgebra of
 ncbell.mobius all have the Bell coproduct shape
-Delta(x_n) = sum_k B_{n,k} (x) x_k. They differ only in their data on one
-letter: its coproduct, its antipode and the counit. Everything else lives
-here once, written over the key codec of the ring class (NCPoly or CPoly,
-which ring() looks up by any of the four variant names with algebra.ring):
+Delta(x_n) = sum_{k=low}^{n} P_{n,k} (x) x_k with a group-like, invertible
+lowest generator g = x_low and P_{n,n} = g^n. They differ only in their
+data: the table P(n, k, variant) and the index low, with the letter of
+g^{-1}. Here P = W (rank_poly) and g = X_0 = 1; ncbell.mobius has
+P = B (bell_partial) and g = d1. Everything else lives here once, written
+over the key codec of the ring class (NCPoly or CPoly, which ring() looks
+up by any of the four variant names with algebra.ring): the generator
+coproduct bell_coproduct, the antipode recursions bell_antipode,
 tensor_mul, the multiplicative coproduct extension coproduct_extend, the
 anti-morphism antipode extension antipode_extend, the Character class and
-the pairing pair behind both convolutions. The per-algebra data are passed
-in as functions of one letter: coproduct_gen / antipode_recursive here,
-coproduct_m / antipode_m in ncbell.mobius.
+the pairing pair behind both convolutions.
 
 Tensors are plain dicts mapping (left monomial key, right monomial key) to
 an exact coefficient, an int or a Fraction, never a float, as in the ring
@@ -29,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .algebra import CPoly, _coeff, _word, add_into, join_signed, term
+from .algebra import CPoly, _coeff, _word, add_into, join_signed, key_of, term
 from .bell import bell_partial
 from . import algebra, quasidet
 
@@ -42,6 +44,37 @@ def ring(variant: str):
     """The ring class of any of the four variant names, since the engine
     serves ncbell.mobius ("nc", "c") as well as this module ("dfdb", "fdb")."""
     return algebra.ring(variant, algebra.VARIANTS)
+
+
+def bell_coproduct(n: int, variant: str, table, low: int) -> dict:
+    """The generator coproduct sum_{k=low}^{n} table(n, k, variant) (x) x_k."""
+    letter_key = ring(variant).letter_key
+    return {(key, letter_key(k)): c
+            for k in range(low, n + 1) for key, c in table(n, k, variant).terms.items()}
+
+
+def bell_antipode(n: int, variant: str, side: str, table, low: int, inverse: int,
+                  antipode_gen, antipode_poly):
+    """S(x_n), n >= low, solved from the Bell coproduct with P = table: the
+    lowest generator g = x_low has P_{n,n} = g^n and S(g) = g^{-1}, the
+    letter inverse, and for n > low the one-sided antipode identities give
+
+        right: S(x_n) = g^{-n} (-sum_{low <= k < n} P_{n,k} S(x_k))
+        left:  S(x_n) = (-sum_{low < k <= n} S(P_{n,k}) x_k) g^{-1}
+
+    antipode_gen(k, variant, side) is S(x_k) and antipode_poly(p, variant,
+    side) S of an element, each module's own memoised functions."""
+    cls = ring(variant)
+    if n == low:
+        return cls.from_key(cls.letter_key(inverse))
+    acc: dict = {}
+    if side == "right":
+        for k in range(low, n):
+            add_into(acc, (table(n, k, variant) * antipode_gen(k, variant, side)).terms)
+        return cls.from_key(key_of(cls, [inverse] * n)) * -cls._new(acc)
+    for k in range(low + 1, n + 1):
+        add_into(acc, (antipode_poly(table(n, k, variant), variant, side) * cls.letter(k)).terms)
+    return -cls._new(acc) * antipode_gen(low, variant, side)
 
 
 def tensor_mul(t1: dict, t2: dict, variant: str) -> dict:
@@ -162,16 +195,8 @@ def rank_poly(n: int, k: int, variant: str = "dfdb"):
 
 def coproduct_gen(n: int, variant: str = "dfdb") -> dict:
     """Coproduct of the generator X_n: sum_k W_{n,k} tensor X_k."""
-    cls = _cls(variant)
-    if n == 0:
-        return {((), ()): 1}
-    out: dict = {}
-    for k in range(n + 1):
-        right = cls.letter_key(k)
-        for wkey, c in rank_poly(n, k, variant).terms.items():
-            key = (wkey, right)
-            out[key] = out.get(key, 0) + c
-    return {k: v for k, v in out.items() if v}
+    _cls(variant)
+    return bell_coproduct(n, variant, rank_poly, 0)
 
 
 def coproduct_mono(key, variant: str) -> dict:
@@ -194,12 +219,9 @@ def coproduct_oracle(n: int, variant: str = "dfdb") -> dict:
     cls = _cls(variant)
     out: dict = {}
     for P in partitions.iter_partitions(n + 1):
-        left = ()
-        for b in sorted(P, key=lambda b: b[-1]):
-            left = cls.key_mul(left, cls.letter_key(len(b) - 1))
-        key = (left, cls.letter_key(len(P) - 1))
+        key = (key_of(cls, [len(b) - 1 for b in P]), cls.letter_key(len(P) - 1))
         out[key] = out.get(key, 0) + 1
-    return {k: v for k, v in out.items() if v}
+    return out
 
 
 def counit(p) -> int | Fraction:
@@ -215,7 +237,8 @@ _ANTIPODE: dict = {}
 
 
 def antipode_recursive(n: int, variant: str = "dfdb", side: str = "right"):
-    """S(X_n) by the reduced-coproduct recursion.
+    """S(X_n) by the reduced-coproduct recursion of bell_antipode; with
+    W_{n,0} = X_n, W_{n,n} = 1 and S(X_0) = 1 it reads
 
     side "right": S(X_n) = -X_n - sum_{k=1}^{n-1} W_{n,k} S(X_k)
     side "left":  S(X_n) = -X_n - sum_{k=1}^{n-1} S(W_{n,k}) X_k
@@ -224,20 +247,11 @@ def antipode_recursive(n: int, variant: str = "dfdb", side: str = "right"):
         raise ValueError("need n >= 0")
     if side not in ("left", "right"):
         raise ValueError(f"unknown side {side!r}")
-    cls = _cls(variant)
-    if n == 0:
-        return cls.one()
+    _cls(variant)
     key = (n, variant, side)
     if key not in _ANTIPODE:
-        gen = cls.letter(n)
-        acc = -gen
-        for k in range(1, n):
-            w = rank_poly(n, k, variant)
-            if side == "right":
-                acc = acc - w * antipode_recursive(k, variant, side)
-            else:
-                acc = acc - antipode_poly(w, variant, side) * cls.letter(k)
-        _ANTIPODE[key] = acc
+        _ANTIPODE[key] = bell_antipode(n, variant, side, rank_poly, 0, 0,
+                                       antipode_recursive, antipode_poly)
     return _ANTIPODE[key]
 
 

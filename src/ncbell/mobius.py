@@ -24,15 +24,17 @@ zeta is the all-ones character, mu = zeta o S is the Mobius character, and
 mobius_invert(n) writes d_n as a polynomial in the B-symbols whose
 substitution B_j -> bell(j) recovers d_n exactly.
 
-Only the d-alphabet data live here: the inverse letter, the generator
-coproduct coproduct_m with d1^{-1} group-like, the counit, the antipode
-recursions, the characters zeta, epsilon and mu, and the inversion
-bell_map / mobius_invert / invert_round_trip. Tensors, the multiplicative
-coproduct and anti-morphism antipode extensions, Character and the
-convolution pairing come from the bialgebra engine in ncbell.hopf; keys
-may contain the inverse letter, which the ring classes' key codec handles.
-algebra.ring looks the variant names up; a variant left out is the tag of
-the element's ring.
+Only the d-alphabet data live here. To the bialgebra engine in
+ncbell.hopf this is the Bell shape with table P = B (bell_partial) and
+lowest generator d1 (low = 1, inverse letter INV), which coproduct_m and
+antipode_m hand to bell_coproduct and bell_antipode. The rest is the
+inverse letter, group-like with S(d1^{-1}) = d1, the counit, the
+characters zeta, epsilon and mu, and the inversion bell_map /
+mobius_invert / invert_round_trip. Tensors, the coproduct and antipode
+extensions, Character and the convolution pairing come from the engine;
+keys may contain the inverse letter, which the key codec handles.
+algebra.ring looks the variant names up; a variant left out is the tag
+of the element's ring.
 """
 
 from __future__ import annotations
@@ -41,7 +43,14 @@ from fractions import Fraction
 
 from .algebra import INV, ring
 from .bell import bell, bell_partial
-from .hopf import Character, antipode_extend, coproduct_extend, pair
+from .hopf import (
+    Character,
+    antipode_extend,
+    bell_antipode,
+    bell_coproduct,
+    coproduct_extend,
+    pair,
+)
 
 
 def mobius_degree(p) -> int:
@@ -59,26 +68,12 @@ def mobius_degree(p) -> int:
     return degrees.pop()
 
 
-def _inv_power(n: int, variant: str):
-    """The element d1^{-n}."""
-    cls = ring(variant)
-    key = ()
-    for _ in range(n):
-        key = cls.key_mul(key, cls.letter_key(INV))
-    return cls.from_key(key)
-
-
 def coproduct_m(n: int, variant: str = "nc") -> dict:
     """Coproduct of the generator d_n: sum over k of B_{n,k} (x) d_k."""
     if n < 1:
         raise ValueError(f"generator index must be positive, got {n}")
-    cls = ring(variant)
-    out: dict = {}
-    for k in range(1, n + 1):
-        right = cls.letter_key(k)
-        for key, c in bell_partial(n, k, variant).terms.items():
-            out[(key, right)] = out.get((key, right), 0) + c
-    return out
+    ring(variant)
+    return bell_coproduct(n, variant, bell_partial, 1)
 
 
 def _coproduct_letter(i: int, variant: str) -> dict:
@@ -120,26 +115,12 @@ def antipode_m(n: int, variant: str = "nc", side: str = "right"):
         raise ValueError(f"generator index must be positive, got {n}")
     if side not in ("left", "right"):
         raise ValueError(f"unknown side {side!r}, expected 'left' or 'right'")
-    cls = ring(variant)
+    ring(variant)
     cache_key = (n, variant, side)
-    if cache_key in _ANTIPODE:
-        return _ANTIPODE[cache_key]
-    inv = _inv_power(1, variant)
-    if n == 1:
-        s = inv
-    elif side == "right":
-        acc = cls.letter(n) * inv
-        for k in range(2, n):
-            acc = acc + bell_partial(n, k, variant) * antipode_m(k, variant, side)
-        s = _inv_power(n, variant) * -acc
-    else:
-        acc = _inv_power(n, variant) * cls.letter(n)
-        for k in range(2, n):
-            sb = antipode_poly(bell_partial(n, k, variant), variant, side)
-            acc = acc + sb * cls.letter(k)
-        s = -acc * inv
-    _ANTIPODE[cache_key] = s
-    return s
+    if cache_key not in _ANTIPODE:
+        _ANTIPODE[cache_key] = bell_antipode(n, variant, side, bell_partial, 1, INV,
+                                             antipode_m, antipode_poly)
+    return _ANTIPODE[cache_key]
 
 
 def _antipode_letter(i: int, variant: str, side: str):

@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import comb
 from operator import itemgetter
 
-from .algebra import QPoly, qbinomial, ring
+from .algebra import QPoly, key_of, qbinomial, ring
 
 
 def canonical(blocks) -> tuple:
@@ -123,10 +123,7 @@ def monomial_of(P, variant: str = "nc"):
     Noncommutative: letters in increasing order of block maxima.
     """
     cls = ring(variant)
-    key = cls.unit_key
-    for s in block_sizes(P):
-        key = cls.key_mul(key, cls.letter_key(s))
-    return cls.from_key(key)
+    return cls.from_key(key_of(cls, block_sizes(P)))
 
 
 def weight(P) -> int:

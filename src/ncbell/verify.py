@@ -40,7 +40,7 @@ from .series import (
     flow_pullback_taylor,
     reversion,
 )
-from .algebra import CPoly, NCPoly, parse_text
+from .algebra import CPoly, NCPoly, key_of, parse_text
 from .series import FormalSeries, MultiPoly, VectorField
 
 # ---------------------------------------------------------------------------
@@ -129,12 +129,8 @@ def _x_tensor(entries, variant: str) -> dict:
     cls = hopf.ring(variant)
     out: dict = {}
     for coeff, left, right in entries:
-        lkey, rkey = (), ()
-        for i in left:
-            lkey = cls.key_mul(lkey, cls.letter_key(i))
-        for i in right:
-            rkey = cls.key_mul(rkey, cls.letter_key(i))
-        out[(lkey, rkey)] = out.get((lkey, rkey), 0) + coeff
+        key = (key_of(cls, left), key_of(cls, right))
+        out[key] = out.get(key, 0) + coeff
     return out
 
 

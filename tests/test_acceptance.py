@@ -17,15 +17,19 @@ boundary.
 
 import pytest
 
-from ncbell.verify import run_suites
+from ncbell.verify import SUITES, format_report, run_suites
 
 _RESULTS = {}
 
 
-def _criterion(number: int, suite: str) -> None:
+def _result(suite: str) -> tuple:
     if suite not in _RESULTS:
         _RESULTS[suite] = run_suites(suite)[0]
-    name, ok, detail = _RESULTS[suite]
+    return _RESULTS[suite]
+
+
+def _criterion(number: int, suite: str) -> None:
+    name, ok, detail = _result(suite)
     status = "PASS" if ok else "FAIL"
     print(f"criterion {number:2d} [{name}] {status}: {detail}")
     assert ok, f"criterion {number} [{name}] failed: {detail}"
@@ -85,3 +89,26 @@ def test_criterion_13_q_statistics():
 
 def test_criterion_14_analytic_layer():
     _criterion(14, "analytic")
+
+
+# `ncbell verify` at its default degrees, every detail as printed
+REPORT = """\
+bell-tables       PASS  B_0..B_5 (16 terms at n=5), B_{3,2}, Q_2, Q_3 all match
+term-count        PASS  term counts 2^(n-1) for n <= 12
+constructions     PASS  five noncommutative and four extra commutative routes agree, n <= 8
+partition-oracle  PASS  coefficients = partition counts = binomial products, n <= 9
+stirling          PASS  Stirling and Bell specializations match, n <= 9
+quasidet          PASS  P(3), P(4), Bell cases, and 100 numeric ratio checks match
+hopf-tables       PASS  all coproduct and antipode tables for n <= 4 match
+antipode-cross    FAIL  left != right at X_5 (dfdb); left != right at X_6 (dfdb); left != right at X_7 (dfdb)
+coproduct-oracle  PASS  partition oracle matches for n <= 6, both variants
+hopf-axioms       FAIL  dfdb: coassociativity fails on NCPoly('d5'); dfdb: coassociativity fails on NCPoly('d6'); dfdb: coassociativity fails on NCPoly('d7') (+29 more)
+characters        PASS  20 composition pairs (n <= 8) and 20 reversions (n <= 6) match
+mobius            FAIL  round trip fails at d_4 (nc); round trip fails at d_5 (nc); round trip fails at d_6 (nc)
+q-statistics      PASS  weights, q-products (totals <= 8), and q = 1 limits match
+analytic          PASS  50 compositions, 20 flow pullbacks, and the EGF identity match
+"""
+
+
+def test_default_report_text():
+    assert format_report([_result(suite) for suite in SUITES]) + "\n" == REPORT

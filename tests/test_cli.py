@@ -1,6 +1,7 @@
 """Console entry point: output goldens, formats, and exit codes."""
 
 import json
+from itertools import combinations
 
 import pytest
 
@@ -239,3 +240,40 @@ def test_text_only_outputs_accept_text(tmp_path, capsys):
                  ["bell", "-n", "4", "-k", "2", "--q"]):
         code, out, _ = run(capsys, *verb, "--format", "json")
         assert code == 0 and json.loads(out)["terms"]
+
+
+def _subsets(options):
+    """Every nonempty combination of the given option groups, flattened."""
+    return [sum(combo, []) for r in range(1, len(options) + 1)
+            for combo in combinations(options, r)]
+
+
+# (fixed argv, option groups the path has no use for); each combination of
+# those options is refused with exit 2 rather than silently ignored
+IGNORED_OPTIONS = (
+    (["bell", "--c", "-n", "4", "-k", "2"], [["--scaled"], ["--q"]]),
+    (["quasidet", "--bell-matrix", "-n", "3"],
+     [["--row", "2"], ["--col", "1"], ["--file", "{m}"]]),
+    (["quasidet", "--file", "{m}"], [["--c"], ["-n", "7"]]),
+    (["quasidet", "--file", "{m}"], [["--nc"], ["-n", "7"]]),
+)
+REFUSED_OPTIONS = list(dict.fromkeys(tuple(base + extra) for base, options in IGNORED_OPTIONS
+                                     for extra in _subsets(options)))
+
+
+@pytest.mark.parametrize("argv", REFUSED_OPTIONS, ids=" ".join)
+def test_ignored_option_is_refused(argv, tmp_path, capsys):
+    code = main([a.format(m=_matrix(tmp_path)) for a in argv])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("error: ")
+
+
+def test_options_each_path_uses_are_accepted(tmp_path, capsys):
+    m = _matrix(tmp_path)
+    assert run(capsys, "quasidet", "--file", m, "--row", "2")[:2] == (0, "-2")
+    code, out, _ = run(capsys, "quasidet", "--bell-matrix", "--c", "-n", "3")
+    assert code == 0 and out == "d1^3 + 3*d1*d2 + d3"
+    code, out, _ = run(capsys, "bell", "--nc", "-n", "3", "--scaled")
+    assert code == 0 and out == "1/6*d1^3 + 1/3*d2*d1 + 2/3*d1*d2 + d3"
+    assert run(capsys, "bell", "--nc", "-n", "4", "-k", "2", "--q")[0] == 0

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from ncbell import hopf
 from ncbell.algebra import CPoly, NCPoly, parse_text, render_text
 from ncbell.bell import bell, bell_partial
 from ncbell.hopf import tensor_mul
@@ -89,21 +90,33 @@ def test_antipode_inverts_d1():
     assert antipode_m(1, "c") == CPoly.from_mono(((1, -1),))
 
 
-def test_one_sided_convolution_identities():
+# per variant: the generator coproduct, the antipode of an element, the
+# counit and the lowest generator index of the Bell-shape bialgebra
+BIALGEBRAS = {
+    "fdb": (hopf.coproduct_gen, hopf.antipode_poly, hopf.counit, 0),
+    "dfdb": (hopf.coproduct_gen, hopf.antipode_poly, hopf.counit, 0),
+    "c": (coproduct_m, antipode_poly, counit_m, 1),
+    "nc": (coproduct_m, antipode_poly, counit_m, 1),
+}
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("variant", list(BIALGEBRAS))
+def test_one_sided_convolution_identities(variant, side):
     # each recursion solves its own one-sided equation at every degree,
-    # independently of coassociativity
-    for n in range(2, 7):
-        left_sum = NCPoly.zero()
-        right_sum = NCPoly.zero()
-        for (lk, rk), c in coproduct_m(n, "nc").items():
-            right_sum = right_sum + c * (
-                NCPoly.from_key(lk) * antipode_poly(NCPoly.from_key(rk), "nc", "right")
-            )
-            left_sum = left_sum + c * (
-                antipode_poly(NCPoly.from_key(lk), "nc", "left") * NCPoly.from_key(rk)
-            )
-        assert right_sum == NCPoly.zero()
-        assert left_sum == NCPoly.zero()
+    # independently of coassociativity: sum l S(r) = eps(x_n) 1 on the
+    # right, sum S(l) r = eps(x_n) 1 on the left
+    coproduct, antipode, counit, low = BIALGEBRAS[variant]
+    cls = hopf.ring(variant)
+    for n in range(low, 7):
+        total = cls.zero()
+        for (lk, rk), c in coproduct(n, variant).items():
+            left, right = cls.from_key(lk), cls.from_key(rk)
+            if side == "right":
+                total = total + c * (left * antipode(right, variant, side))
+            else:
+                total = total + c * (antipode(left, variant, side) * right)
+        assert total == counit(cls.from_key(cls.letter_key(n))), n
 
 
 def test_sides_agree_commutative():

@@ -12,7 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncbell import algebra, series
-from ncbell.algebra import INV, CPoly, NCPoly, QPoly, TermRing, mono_from_word, word_mul
+from ncbell.algebra import (
+    INV,
+    CPoly,
+    NCPoly,
+    QPoly,
+    TermRing,
+    key_of,
+    mono_from_word,
+    word_mul,
+)
 from ncbell.series import MultiPoly
 
 NVARS = 2
@@ -202,6 +211,22 @@ def test_d1_inverse_cancels_at_the_seams(ring, data):
     assert (p * d1) * (d1inv * q) == p * q
     assert (p * d1inv) * (d1 * q) == p * q
     assert p * d1 * d1inv == p == d1inv * (d1 * p)
+
+
+LONG_LETTERS = st.lists(st.sampled_from((INV, 1, 2, 3, 7)), max_size=8)
+KEYS = {"NCPoly": LONG_LETTERS.map(_reduced), "CPoly": LONG_LETTERS.map(mono_from_word)}
+
+
+@pytest.mark.parametrize("ring", ["NCPoly", "CPoly"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_key_of_inverts_key_letters(ring, data):
+    cls = NCPoly if ring == "NCPoly" else CPoly
+    key = data.draw(KEYS[ring])
+    letters = cls.key_letters(key)
+    assert key_of(cls, letters) == key
+    assert key_of(cls, [0, *letters, 0]) == key
+    assert key_of(cls, [0]) == cls.unit_key == key_of(cls, [])
 
 
 # ---------------------------------------------------------------------------
