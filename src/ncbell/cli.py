@@ -133,8 +133,8 @@ def cmd_quasidet(args) -> int:
         raise ValueError("quasidet --file prints text only")
     rows = _load_json(args)
     A = [[Fraction(e) for e in row] for row in rows]
-    p = args.row or 1
-    q = args.col or len(A)
+    p = 1 if args.row is None else args.row
+    q = len(A) if args.col is None else args.col
     print(quasidet.numeric_quasidet(A, p, q))
     return 0
 

@@ -24,6 +24,11 @@ the pairing pair behind both convolutions.
 Tensors are plain dicts mapping (left monomial key, right monomial key) to
 an exact coefficient, an int or a Fraction, never a float, as in the ring
 classes; triple tensors use 3-tuples of keys.
+
+The axiom battery hopf_axiom_check expands each distinct tensor leg once
+per call: one memo holds the coproduct of every leg and another its
+antipode, shared by both legs and by every element checked. Both memos are
+local to the call, so nothing the battery caches outlives it.
 """
 
 from __future__ import annotations
@@ -78,12 +83,20 @@ def bell_antipode(n: int, variant: str, side: str, table, low: int, inverse: int
 
 
 def tensor_mul(t1: dict, t2: dict, variant: str) -> dict:
-    """Product of two 2-tensors, leg by leg."""
+    """Product of two 2-tensors, leg by leg. Each distinct left leg of t1 is
+    multiplied once by each distinct left leg of t2, and likewise on the
+    right; the term loop then only looks the products up."""
     key_mul = ring(variant).key_mul
+    lefts = {l for l, _ in t2}
+    rights = {r for _, r in t2}
+    left_of = {l1: {l2: key_mul(l1, l2) for l2 in lefts} for l1 in {l for l, _ in t1}}
+    right_of = {r1: {r2: key_mul(r1, r2) for r2 in rights} for r1 in {r for _, r in t1}}
     out: dict = {}
     for (l1, r1), c1 in t1.items():
+        lrow = left_of[l1]
+        rrow = right_of[r1]
         for (l2, r2), c2 in t2.items():
-            key = (key_mul(l1, l2), key_mul(r1, r2))
+            key = (lrow[l2], rrow[r2])
             s = out.get(key, 0) + c1 * c2
             if s:
                 out[key] = s
@@ -280,11 +293,12 @@ def antipode_quasidet(n: int, variant: str = "dfdb"):
 # axioms
 
 
-def _tensor_expand(t: dict, leg: int, variant: str) -> dict:
+def _tensor_expand(t: dict, leg: int, variant: str, deltas: dict) -> dict:
     """Apply the coproduct to one leg of a 2-tensor, giving a 3-tensor.
-    Each distinct leg is expanded once per call."""
+    deltas maps a leg key to its coproduct; a leg missing from it is
+    expanded once and added, so a memo shared between calls expands each
+    distinct leg once in all of them."""
     out: dict = {}
-    deltas: dict = {}
     for (l, r), c in t.items():
         mono = l if leg == 0 else r
         if mono not in deltas:
@@ -299,10 +313,12 @@ def _tensor_expand(t: dict, leg: int, variant: str) -> dict:
     return out
 
 
-def _check_element(p, variant: str) -> str | None:
+def _check_element(p, delta: dict, variant: str, deltas: dict, antipodes: dict) -> str | None:
+    """The first axiom that fails on p, whose coproduct is delta, or None.
+    deltas and antipodes map leg keys to their coproducts and antipodes,
+    filled as legs are met and shared with the other elements."""
     cls = _cls(variant)
-    delta = coproduct(p, variant)
-    if _tensor_expand(delta, 0, variant) != _tensor_expand(delta, 1, variant):
+    if _tensor_expand(delta, 0, variant, deltas) != _tensor_expand(delta, 1, variant, deltas):
         return "coassociativity"
     left_counit = cls.zero()
     right_counit = cls.zero()
@@ -313,11 +329,13 @@ def _check_element(p, variant: str) -> str | None:
             right_counit = right_counit + cls.from_key(l) * c
     if left_counit != p or right_counit != p:
         return "counit"
+    for leg in {k for legs in delta for k in legs} - antipodes.keys():
+        antipodes[leg] = antipode_poly(cls.from_key(leg), variant)
     s_left = cls.zero()
     s_right = cls.zero()
     for (l, r), c in delta.items():
-        s_left = s_left + antipode_poly(cls.from_key(l), variant) * cls.from_key(r) * c
-        s_right = s_right + cls.from_key(l) * antipode_poly(cls.from_key(r), variant) * c
+        s_left = s_left + antipodes[l] * cls.from_key(r) * c
+        s_right = s_right + cls.from_key(l) * antipodes[r] * c
     expect = cls.one() * counit(p)
     if s_left != expect or s_right != expect:
         return "antipode"
@@ -328,7 +346,8 @@ def hopf_axiom_check(max_degree: int, variant: str = "dfdb", seed: int = 0, n_pr
     """Check coassociativity, the counit laws, both antipode identities, and
     the morphism property of the coproduct on all generators up to
     max_degree and on random products. Returns a list of failure strings,
-    empty when everything holds."""
+    empty when everything holds. Each distinct leg has its coproduct and
+    its antipode computed once per call."""
     import random
 
     rng = random.Random(seed)
@@ -351,16 +370,23 @@ def hopf_axiom_check(max_degree: int, variant: str = "dfdb", seed: int = 0, n_pr
         for i in factors:
             prod = prod * cls.letter(i)
         products.append(prod)
-    for p in elements + products:
-        bad = _check_element(p, variant)
+    pool = elements + products
+    coproducts = [coproduct(p, variant) for p in pool]
+    deltas: dict = {}
+    antipodes: dict = {}
+    for p, delta in zip(pool, coproducts):
+        bad = _check_element(p, delta, variant, deltas, antipodes)
         if bad is not None:
             failures.append(f"{bad} fails on {p!r}")
     # vacuous as it stands: coproduct() is itself built with tensor_mul, so
     # this holds by construction until an independent product oracle exists
     for _ in range(n_products):
-        u = rng.choice(elements + products)
-        v = rng.choice(elements + products)
-        if coproduct(u * v, variant) != tensor_mul(coproduct(u, variant), coproduct(v, variant), variant):
+        # indices drawn as rng.choice(pool) would draw, so each element's
+        # coproduct from above is reused with the same random pairs
+        i = rng.choice(range(len(pool)))
+        j = rng.choice(range(len(pool)))
+        u, v = pool[i], pool[j]
+        if coproduct(u * v, variant) != tensor_mul(coproducts[i], coproducts[j], variant):
             failures.append(f"coproduct not multiplicative on {u!r}, {v!r}")
     return failures
 

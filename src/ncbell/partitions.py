@@ -79,7 +79,7 @@ def enumerate_partitions(n: int, k: int | None = None) -> list:
 
 def block_sizes(P) -> tuple:
     """Sizes read off in increasing order of block maxima."""
-    return tuple(len(b) for b in sorted(P, key=lambda b: b[-1]))
+    return tuple(map(len, sorted(P, key=itemgetter(-1))))
 
 
 def count_max_ordered(n: int, sizes) -> int:

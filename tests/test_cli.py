@@ -277,3 +277,12 @@ def test_options_each_path_uses_are_accepted(tmp_path, capsys):
     code, out, _ = run(capsys, "bell", "--nc", "-n", "3", "--scaled")
     assert code == 0 and out == "1/6*d1^3 + 1/3*d2*d1 + 2/3*d1*d2 + d3"
     assert run(capsys, "bell", "--nc", "-n", "4", "-k", "2", "--q")[0] == 0
+
+
+@pytest.mark.parametrize("option", ["--row", "--col"])
+def test_quasidet_position_zero_is_refused(option, tmp_path, capsys):
+    # 0 is an explicit position, not a missing one, so it must not fall
+    # back to the default --row 1 / --col n
+    code, out, err = run(capsys, "quasidet", "--file", _matrix(tmp_path), option, "0")
+    assert (code, out) == (2, "")
+    assert err == "error: position out of range"

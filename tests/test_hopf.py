@@ -10,8 +10,12 @@ boundary explicitly.
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from ncbell import hopf
-from ncbell.algebra import parse_text
+from ncbell.algebra import INV, add_into, key_of, parse_text
 from ncbell.hopf import (
     Character,
     antipode_quasidet,
@@ -26,6 +30,7 @@ from ncbell.hopf import (
     generating_series_rank_check,
     hopf_axiom_check,
     rank_poly,
+    tensor_mul,
 )
 from ncbell.series import FormalSeries, compose, reversion
 
@@ -189,25 +194,91 @@ def test_character_on_products():
     assert phi(p) == 3 * 4 * -1 - 2
 
 
+def _counted(monkeypatch, name: str, key) -> list:
+    """Replace hopf.<name> by a wrapper that records key(first argument)."""
+    calls = []
+    original = getattr(hopf, name)
+
+    def counted(arg, *rest):
+        calls.append(key(arg))
+        return original(arg, *rest)
+
+    monkeypatch.setattr(hopf, name, counted)
+    return calls
+
+
 def test_tensor_expand_expands_each_leg_once(monkeypatch):
     for variant, text in (("dfdb", "X1*X2*X1 + X3"), ("fdb", "X1^2*X2 + X3")):
         delta = coproduct(parse_text(text, commutative=variant == "fdb", symbol="X"), variant)
+        wants = []
         for leg in (0, 1):
             want: dict = {}
             for (l, r), c in delta.items():
                 for (a, b), c2 in hopf.coproduct_mono(l if leg == 0 else r, variant).items():
                     key = (a, b, r) if leg == 0 else (l, a, b)
                     want[key] = want.get(key, 0) + c * c2
-            want = {k: v for k, v in want.items() if v}
-            calls = []
-            original = hopf.coproduct_mono
+            wants.append({k: v for k, v in want.items() if v})
+        calls = _counted(monkeypatch, "coproduct_mono", lambda key: key)
+        deltas: dict = {}
+        got = [hopf._tensor_expand(delta, leg, variant, deltas) for leg in (0, 1)]
+        monkeypatch.undo()
+        assert got == wants
+        # one memo serves both legs: a monomial met on either side is
+        # expanded once in all
+        assert sorted(calls) == sorted({key for legs in delta for key in legs})
+        assert deltas == {key: hopf.coproduct_mono(key, variant) for key in calls}
 
-            def counted(key, v, original=original):
-                calls.append(key)
-                return original(key, v)
 
-            monkeypatch.setattr(hopf, "coproduct_mono", counted)
-            assert hopf._tensor_expand(delta, leg, variant) == want
-            monkeypatch.undo()
-            legs = {l if leg == 0 else r for l, r in delta}
-            assert sorted(calls) == sorted(legs)
+@pytest.mark.parametrize("variant", ["dfdb", "fdb"])
+def test_axiom_check_computes_each_leg_once(variant, monkeypatch):
+    want = hopf_axiom_check(5, variant)
+    expanded = _counted(monkeypatch, "coproduct_mono", lambda key: key)
+    inverted = _counted(monkeypatch, "antipode_poly", lambda p: tuple(p.terms.items()))
+    assert hopf_axiom_check(5, variant) == want
+    monkeypatch.undo()
+    for calls in (expanded, inverted):
+        assert calls and len(calls) == len(set(calls))
+    assert {terms[0][0] for terms in inverted} <= set(expanded)
+    assert all(terms[0][1] == 1 for terms in inverted)
+
+
+def _tensor_mul_loop(t1: dict, t2: dict, variant: str) -> dict:
+    """tensor_mul as the plain double loop over term pairs."""
+    key_mul = hopf.ring(variant).key_mul
+    out: dict = {}
+    for (l1, r1), c1 in t1.items():
+        for (l2, r2), c2 in t2.items():
+            key = (key_mul(l1, l2), key_mul(r1, r2))
+            s = out.get(key, 0) + c1 * c2
+            if s:
+                out[key] = s
+            elif key in out:
+                del out[key]
+    return out
+
+
+_LETTERS = st.lists(st.sampled_from((INV, 1, 1, 2, 3)), max_size=3)
+_COEFFS = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=3))
+_TERMS = st.lists(st.tuples(_LETTERS, _LETTERS, _COEFFS), max_size=6)
+
+
+def _random_tensor(terms, variant: str) -> dict:
+    cls = hopf.ring(variant)
+    out: dict = {}
+    for left, right, c in terms:
+        add_into(out, {(key_of(cls, left), key_of(cls, right)): c})
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(_TERMS, _TERMS, st.sampled_from(("nc", "c")))
+# d1 * d1^{-1} d2 and 1 * d2 meet on both legs and cancel; so do the
+# Fraction d1 * d1^{-1} and the int 1 * 1
+@example([([1], [1], 1), ([], [], -1)], [([INV, 2], [INV, 2], 1), ([2], [2], 1)], "nc")
+@example([([1], [], Fraction(1, 2)), ([], [], 1)], [([INV], [], 2), ([], [], -1)], "c")
+def test_tensor_mul_matches_the_double_loop(terms1, terms2, variant):
+    t1, t2 = _random_tensor(terms1, variant), _random_tensor(terms2, variant)
+    want = _tensor_mul_loop(t1, t2, variant)
+    got = tensor_mul(t1, t2, variant)
+    assert got == want
+    assert {k: type(c) for k, c in got.items()} == {k: type(c) for k, c in want.items()}

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import ncbell
 from ncbell import hopf, mobius, partitions, verify
-from ncbell.algebra import NCPoly, QPoly, qbinomial
+from ncbell.algebra import CPoly, NCPoly, QPoly, qbinomial
 from ncbell.bell import bell, compositions
 from ncbell.partitions import (
     N_formula,
@@ -95,6 +95,9 @@ def test_enumerate_partitions_are_partitions():
 def test_block_sizes_orders_by_maxima():
     P = ((2, 5), (1, 3), (4,))
     assert block_sizes(P) == (2, 1, 2)
+    P = ((3, 6), (1, 2, 4), (5,), (7,))
+    assert block_sizes(P) == (3, 1, 2, 1)
+    assert block_sizes(list(P)) == block_sizes(canonical(P))
 
 
 def test_monomial_of():
@@ -219,3 +222,24 @@ def test_q_statistics_enumerates_each_ground_set_once(monkeypatch):
     ok, detail = verify.suite_q_statistics(None, 0)
     assert ok, detail
     assert len(calls) == len(set(calls)) <= 36
+
+
+def test_commutative_partition_sum_tallies_every_partition(monkeypatch):
+    visited = []
+    original = partitions.iter_partitions
+
+    def counted(*args):
+        for P in original(*args):
+            visited.append(P)
+            yield P
+
+    monkeypatch.setattr(partitions, "iter_partitions", counted)
+    for n in range(1, 9):
+        visited.clear()
+        got = verify._partition_sum(n)
+        assert len(visited) == bell_number(n)
+        want = CPoly.zero()
+        for P in original(n):
+            want = want + monomial_of(P, "c")
+        assert got == want
+        assert all(type(c) is int for c in got.terms.values())
