@@ -222,22 +222,42 @@ def _substitute_op():
     """A fresh substitute for NCPoly or CPoly, one per class as in _ring_ops."""
 
     def substitute(self, mapping: dict):
-        """Replace each letter i by mapping[i], of the same ring, multiplicatively.
+        """Replace each letter i by mapping[i] multiplicatively: a polynomial
+        of this ring, or a scalar (int or Fraction) taken as a constant.
 
         Every letter occurring in self must have an image; inverted letters
-        are rejected since a general image has no inverse here.
+        are rejected since a general image has no inverse here. An image of
+        any other type raises the TypeError of the ring product. Each image
+        is looked up once, and each term is expanded on plain term dicts.
         """
         cls = type(self)
+        key_mul, key_letters, unit = cls.key_mul, cls.key_letters, cls.unit_key
+        images: dict = {}  # letter -> the term dict of its image
         acc: dict = {}
         for key, c in self.terms.items():
-            factor = cls.one()
-            for letter in cls.key_letters(key):
-                if letter == INV:
-                    raise ValueError("substitute does not accept inverted letters")
-                if letter not in mapping:
-                    raise ValueError(f"no image for letter {letter}")
-                factor = factor * mapping[letter]
-            add_into(acc, (factor * c).terms)
+            factor = {unit: c}
+            for letter in key_letters(key):
+                image = images.get(letter)
+                if image is None:
+                    if letter == INV:
+                        raise ValueError("substitute does not accept inverted letters")
+                    if letter not in mapping:
+                        raise ValueError(f"no image for letter {letter}")
+                    image = mapping[letter]
+                    if type(image) is not cls:
+                        image = cls.one() * image
+                    image = images[letter] = image.terms
+                prod: dict = {}
+                for u, cu in factor.items():
+                    for v, cv in image.items():
+                        w = key_mul(u, v)
+                        s = prod.get(w, 0) + cu * cv
+                        if s:
+                            prod[w] = s
+                        elif w in prod:
+                            del prod[w]
+                factor = prod
+            add_into(acc, factor)
         return cls._new(acc)
 
     return substitute
@@ -264,6 +284,8 @@ def check_letter(letter: int) -> None:
 
 def word_mul(u: tuple, v: tuple) -> tuple:
     """Concatenate two reduced words, cancelling d1 d1^{-1} pairs at the seam."""
+    if not u or not v or u[-1] != -v[0] or abs(v[0]) != 1:
+        return u + v
     i = len(u)
     j = 0
     while i > 0 and j < len(v) and u[i - 1] == -v[j] and abs(u[i - 1]) == 1:
@@ -376,14 +398,27 @@ def mono_from_word(word: tuple) -> tuple:
 
 
 def mono_mul(m1: tuple, m2: tuple) -> tuple:
-    exps = dict(m1)
-    for i, e in m2:
-        s = exps.get(i, 0) + e
-        if s:
-            exps[i] = s
-        elif i in exps:
-            del exps[i]
-    return tuple(sorted(exps.items()))
+    """The product of two monomials: one merge of their sorted pairs."""
+    if not m1 or not m2:
+        return m1 or m2
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        a, b = m1[i], m2[j]
+        if a[0] < b[0]:
+            out.append(a)
+            i += 1
+        elif a[0] > b[0]:
+            out.append(b)
+            j += 1
+        else:
+            e = a[1] + b[1]
+            if e:
+                out.append((a[0], e))
+            i += 1
+            j += 1
+    return tuple(out) + m1[i:] + m2[j:]
 
 
 def _word_of_mono(m: tuple) -> tuple:

@@ -34,6 +34,8 @@ D3 = NCPoly.letter(3)
 def test_word_mul_concatenates():
     assert word_mul((1, 2), (3,)) == (1, 2, 3)
     assert word_mul((), (2,)) == (2,)
+    assert word_mul((INV,), ()) == (INV,)
+    assert word_mul((1,), (1, INV)) == (1, 1, INV)  # only a pair at the seam cancels
 
 
 def test_word_mul_cancels_seams():
@@ -41,11 +43,14 @@ def test_word_mul_cancels_seams():
     assert word_mul((INV,), (1,)) == ()
     assert word_mul((2, 1, 1), (INV, INV, 3)) == (2, 3)
     assert word_mul((2, 1), (INV, INV)) == (2, INV)
+    assert word_mul((1, 1, 1), (INV, INV, INV)) == ()
 
 
 def test_mono_mul_merges_exponents():
     assert mono_mul(((1, 2), (2, 1)), ((1, 3),)) == ((1, 5), (2, 1))
     assert mono_mul(((1, 2),), ((1, -2),)) == ()
+    assert mono_mul(((1, -2), (3, 1)), ((1, 2),)) == ((3, 1),)
+    assert mono_mul((), ((2, 1),)) == ((2, 1),)
 
 
 def test_check_mono_rejects_negative_higher_letters():
@@ -85,6 +90,12 @@ def test_substitute():
     p = D2 * D1 + 2 * D1 * D2
     image = p.substitute({1: D1, 2: D1 * D1})
     assert image == 3 * D1 * D1 * D1
+    # scalar, zero and multi-term images; d1^-1 meets d1 inside one term
+    assert p.substitute({1: 2, 2: Fraction(1, 2)}) == 3
+    assert p.substitute({1: 0, 2: D1}) == 0
+    inv = NCPoly.from_word((INV,))
+    assert p.substitute({1: D1, 2: D1 + inv}) == 3 * D1 * D1 + 3
+    assert (D1 * D2).substitute({1: D1 - D2, 2: D1 + D2}) == D1 * D1 - D2 * D2 + D1 * D2 - D2 * D1
 
 
 def test_derive_shifts_letters_by_leibniz():
@@ -170,6 +181,11 @@ def test_derive_cancellations():
     # D(d2 d1 - d1 d2) = d3 d1 + d2 d2 - d2 d2 - d1 d3
     p = D2 * D1 - D1 * D2
     assert p.derive() == D3 * D1 - D1 * D3
+    assert list(p.derive().terms) == list(_derive_nc_reference(p))
+    # d2 d2 d2 cancels after two terms and comes back with the third, so it
+    # moves to the end, as the reference loops have it
+    p = NCPoly({(1, 2, 2): 1, (2, 1, 2): -1, (2, 2, 1): 1})
+    assert p.derive().coefficient((2, 2, 2)) == 1
     assert list(p.derive().terms) == list(_derive_nc_reference(p))
     # commutative: D(d1 d3 - d2^2) = d2 d3 + d1 d4 - 2 d2 d3 = d1 d4 - d2 d3
     c = CPoly.from_mono(((1, 1), (3, 1))) - CPoly.from_mono(((2, 2),))

@@ -124,7 +124,8 @@ def test_int_inputs_give_int_outputs(p, q):
     images = {1: q + 1, 2: p * 2, 3: NCPoly.letter(1, 5)}
     cp = p.abelianize()
     results = [p + q, p * q, p.derive(), p.substitute(images), cp, cp * cp, cp.derive(),
-               cp.substitute({i: img.abelianize() for i, img in images.items()})]
+               cp.substitute({i: img.abelianize() for i, img in images.items()}),
+               p.substitute({1: 3, 2: q, 3: 0}), cp.substitute({1: -2, 2: 1, 3: 4})]
     for r in results:
         assert _ints(r), r
 

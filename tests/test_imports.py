@@ -1,10 +1,14 @@
 """Lazy loading: what `import ncbell` and each CLI verb load, and that the
-names served on first use behave like the eager bindings they replace."""
+names served on first use behave like the eager bindings they replace; and
+that every module memo is registered with the cache API."""
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -132,3 +136,47 @@ def test_rebinding_in_a_submodule_shows_through(monkeypatch):
     assert ncbell.coproduct_gen is patched
     monkeypatch.undo()
     assert ncbell.coproduct_gen is original
+
+
+# module-level tables of memo shape that ncbell._MEMOS leaves out on purpose:
+# cache_info and clear_caches handle the Bell cache themselves, and the
+# import tables of ncbell/__init__.py are not caches
+_UNREGISTERED = {("bell", "_BELL"), ("__init__", "_LAZY"), ("__init__", "_SUBMODULES"),
+                 ("__init__", "_MEMOS")}
+
+
+def _module_memos(source: str) -> list:
+    """Names of the shape _UPPER bound at module level to a dict or list
+    display, or to a dict() or list() call: the shape of a module memo."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        memo = isinstance(value, (ast.Dict, ast.List)) or (
+            isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and value.func.id in ("dict", "list"))
+        names += [t.id for t in targets
+                  if memo and isinstance(t, ast.Name) and re.fullmatch(r"_[A-Z][A-Z0-9_]*", t.id)]
+    return names
+
+
+def test_memo_scan_finds_memo_shapes_only():
+    source = ("_NEW: dict = {}\n_LIST = []\n_CALLED = dict()\n_FROZEN = frozenset()\n"
+              "lower = {}\nUPPER = {}\n_CONST = 3\ndef f():\n    _LOCAL = {}\n")
+    assert _module_memos(source) == ["_NEW", "_LIST", "_CALLED"]
+
+
+def test_every_module_memo_is_registered():
+    registered = set(ncbell._MEMOS.values())
+    found = set()
+    for path in sorted(Path(ncbell.__file__).parent.glob("*.py")):
+        found.update((path.stem, name) for name in _module_memos(path.read_text()))
+    assert found - _UNREGISTERED == registered, "register each module memo in ncbell._MEMOS"
+    # the exemptions still name real tables, so the list cannot go stale
+    for module, name in _UNREGISTERED:
+        owner = ncbell if module == "__init__" else import_module(f"ncbell.{module}")
+        assert hasattr(owner, name), (module, name)
