@@ -71,6 +71,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import groupby
+from math import lcm
 
 INV = -1  # the letter d1^{-1}
 
@@ -91,6 +92,15 @@ def exact_div(a, b) -> int | Fraction:
     if isinstance(a, int) and isinstance(b, int) and a % b == 0:
         return a // b
     return Fraction(a) / b
+
+
+def common_denominator(values) -> tuple:
+    """A sequence of exact scalars (ints or Fractions) as integer numerators
+    over one denominator: (nums, d) with values[i] == nums[i] / d, where d
+    is the lcm of their denominators (1 for an empty sequence). Exact
+    kernels work on nums in ints and build one Fraction per result."""
+    d = lcm(*[v.denominator for v in values])
+    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 def add_into(acc: dict, terms: dict) -> None:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .algebra import CPoly, NCPoly, ring
+from .algebra import CPoly, NCPoly, TermRing, _coeff, common_denominator, ring
 
 
 def _entry_class(M):
@@ -107,16 +107,28 @@ def bell_via_quasidet(n: int, variant: str = "nc"):
 
 
 def det(M):
-    """Exact determinant. Rational entries go through fraction-free Bareiss
-    elimination; polynomial entries through first-row cofactor expansion
-    with minors memoized by column set."""
+    """Exact determinant. Rational entries: each row is scaled to integers
+    by the lcm of its denominators, fraction-free Bareiss elimination runs
+    on the integer rows with exact integer division, and the result is one
+    Fraction, that determinant over the product of the row scales.
+    Polynomial entries go through first-row cofactor expansion with minors
+    memoized by column set. Scalar entries with a float among them are a
+    TypeError."""
     n = len(M)
     if any(len(row) != n for row in M):
         raise ValueError("matrix is not square")
     if n == 0:
         return Fraction(1)
     if all(isinstance(e, (int, Fraction)) for row in M for e in row):
-        return _det_bareiss([[Fraction(e) for e in row] for row in M])
+        rows, scale = [], 1
+        for row in M:
+            nums, d = common_denominator(row)
+            rows.append(nums)
+            scale *= d
+        return Fraction(_det_bareiss(rows), scale)
+    if not any(isinstance(e, TermRing) for row in M for e in row):
+        # scalars only, not all exact: _coeff refuses the first float
+        _coeff(next(e for row in M for e in row if not isinstance(e, (int, Fraction))))
     cls = _entry_class(M)
 
     memo: dict = {}
@@ -142,10 +154,12 @@ def det(M):
     return out
 
 
-def _det_bareiss(M) -> Fraction:
+def _det_bareiss(M) -> int:
+    """The determinant of a square integer matrix, which it overwrites.
+    Every Bareiss quotient is a minor of M, so // is exact."""
     n = len(M)
     sign = 1
-    prev = Fraction(1)
+    prev = 1
     for k in range(n - 1):
         if not M[k][k]:
             for r in range(k + 1, n):
@@ -154,12 +168,14 @@ def _det_bareiss(M) -> Fraction:
                     sign = -sign
                     break
             else:
-                return Fraction(0)
-        for i in range(k + 1, n):
+                return 0
+        pivot_row = M[k]
+        pivot = pivot_row[k]
+        for row in M[k + 1 :]:
+            a = row[k]
             for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) / prev
-            M[i][k] = Fraction(0)
-        prev = M[k][k]
+                row[j] = (row[j] * pivot - a * pivot_row[j]) // prev
+        prev = pivot
     return sign * M[n - 1][n - 1]
 
 

@@ -1,9 +1,17 @@
 """Truncated power series and polynomial vector-field flows, all exact.
 
-FormalSeries holds raw t^n coefficients c_0..c_{N-1} (Fraction, or CPoly
-for series with polynomial coefficients); the divided-power view f_n =
-n! c_n is computed on access. Coefficients at or beyond the truncation
-order are undefined, never assumed zero.
+FormalSeries holds raw t^n coefficients c_0..c_{N-1} (int or Fraction, or
+CPoly for series with polynomial coefficients; a float is refused); the
+divided-power view f_n = n! c_n is computed on access. Coefficients at or
+beyond the truncation order are undefined, never assumed zero.
+
+Rational coefficients multiply on integer numerators: each factor is put
+over the lcm of its denominators, the convolution runs in ints, and each
+product coefficient is one Fraction. Ring-valued coefficients use the
+plain loop. compose is Horner evaluation on that product, adding f_n to
+the constant term at each step; compose_via_bell evaluates each B_{n,k}
+at the integer numerators of g and divides by the k-th power of their
+denominator once.
 
 The flow half of the module works over MultiPoly, exact multivariate
 polynomials in x1..xm. A VectorField is a list of m components, optionally
@@ -25,8 +33,10 @@ import operator
 from fractions import Fraction
 from math import factorial
 
-from .algebra import TermRing, _coeff, _parse_coeff, _ring_ops, signed_sum
+from .algebra import TermRing, _coeff, _parse_coeff, _ring_ops, common_denominator, signed_sum
 from .bell import bell, bell_partial
+
+_EXACT = frozenset((int, bool, Fraction))  # coefficient types of the integer kernel
 
 
 class FormalSeries:
@@ -36,6 +46,10 @@ class FormalSeries:
 
     def __init__(self, coeffs, order=None):
         coeffs = list(coeffs)
+        if not _EXACT.issuperset(map(type, coeffs)):
+            for c in coeffs:
+                if not isinstance(c, TermRing):
+                    _coeff(c)  # a float or other inexact scalar: TypeError
         if order is None:
             order = len(coeffs)
         if order < 1:
@@ -87,12 +101,22 @@ class FormalSeries:
         if isinstance(other, (int, Fraction)):
             return FormalSeries([c * other for c in self.coeffs], self.order)
         order = min(self.order, other.order)
+        a, b = self.coeffs[:order], other.coeffs[:order]
+        if _EXACT.issuperset(map(type, a)) and _EXACT.issuperset(map(type, b)):
+            (na, da), (nb, db) = common_denominator(a), common_denominator(b)
+            acc = [0] * order
+            for i, x in enumerate(na):
+                if x:
+                    for j in range(order - i):
+                        acc[i + j] += x * nb[j]
+            d = da * db
+            return FormalSeries([Fraction(c, d) for c in acc], order)
         out = [Fraction(0)] * order
-        for i, a in enumerate(self.coeffs[:order]):
-            if a == 0:
+        for i, x in enumerate(a):
+            if x == 0:
                 continue
             for j in range(order - i):
-                out[i + j] = out[i + j] + a * other.coeffs[j]
+                out[i + j] = out[i + j] + x * b[j]
         return FormalSeries(out, order)
 
     def __rmul__(self, other) -> "FormalSeries":
@@ -122,7 +146,8 @@ def compose(f: FormalSeries, g: FormalSeries, order: int | None = None) -> Forma
     gt = FormalSeries(g.coeffs[:order], order)
     acc = FormalSeries([f.coeffs[order - 1]], order)
     for n in range(order - 2, -1, -1):
-        acc = acc * gt + FormalSeries([f.coeffs[n]], order)
+        acc = acc * gt  # a fresh series: its constant term is ours to change
+        acc.coeffs[0] = acc.coeffs[0] + f.coeffs[n]
     return acc
 
 
@@ -135,12 +160,14 @@ def compose_via_bell(f: FormalSeries, g: FormalSeries, order: int | None = None)
         raise ValueError("composition order exceeds a truncation order")
     if g.coeff(0) != 0:
         raise ValueError("inner series must vanish at the origin")
-    gvals = {i: g.divided(i) for i in range(1, order)}
+    # B_{n,k} is homogeneous of degree k: B_{n,k}(g) = B_{n,k}(g d) / d^k
+    gnums, d = common_denominator([g.divided(i) for i in range(1, order)])
+    gvals = dict(enumerate(gnums, 1))
     divided = [f.coeff(0)]
     for n in range(1, order):
         total = Fraction(0)
         for k in range(1, n + 1):
-            total += f.divided(k) * bell_partial(n, k, "c").evaluate(gvals)
+            total += f.divided(k) * Fraction(bell_partial(n, k, "c").evaluate(gvals), d**k)
         divided.append(total)
     return FormalSeries.from_divided(divided, order)
 

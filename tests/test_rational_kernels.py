@@ -1,0 +1,258 @@
+"""Differential tests of the integer-numerator rational kernels:
+FormalSeries.__mul__, compose, compose_via_bell and the rational path of
+quasidet.det. Each is compared with the plain Fraction loop it replaced,
+kept here as the reference, on int, bool, Fraction and mixed entries with
+runs of zeros, unequal truncation orders and denominators up to 10^6. The
+kernels must give the same values with the same coefficient types (every
+series product coefficient and every determinant is a Fraction), and a
+float is refused with the same TypeError as a ring coefficient."""
+
+from fractions import Fraction
+from math import factorial
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ncbell.algebra import CPoly, QPoly, common_denominator
+from ncbell.bell import bell_partial
+from ncbell.quasidet import det
+from ncbell.series import FormalSeries, compose, compose_via_bell
+
+FLOAT_ERROR = "coefficient must be Fraction or int, got float"
+
+
+# ---------------------------------------------------------------------------
+# the plain Fraction loops
+
+
+def _mul_reference(a: FormalSeries, b: FormalSeries) -> list:
+    order = min(a.order, b.order)
+    out = [Fraction(0)] * order
+    for i in range(order):
+        for j in range(order - i):
+            out[i + j] = out[i + j] + a.coeffs[i] * b.coeffs[j]
+    return out
+
+
+def _compose_reference(f: FormalSeries, g: FormalSeries, order: int) -> list:
+    """Horner evaluation adding f_n as a zero-padded series at each step."""
+    acc = [f.coeffs[order - 1]] + [Fraction(0)] * (order - 1)
+    for n in range(order - 2, -1, -1):
+        prod = [Fraction(0)] * order
+        for i in range(order):
+            for j in range(order - i):
+                prod[i + j] = prod[i + j] + acc[i] * g.coeffs[j]
+        padded = [f.coeffs[n]] + [Fraction(0)] * (order - 1)
+        acc = [x + y for x, y in zip(prod, padded)]
+    return acc
+
+
+def _compose_via_bell_reference(f: FormalSeries, g: FormalSeries, order: int) -> list:
+    """h_n = sum_k f_k B_{n,k}(g_1, g_2, ...) with B_{n,k} evaluated at the
+    Fraction values themselves."""
+    gvals = {i: g.divided(i) for i in range(1, order)}
+    divided = [f.coeff(0)]
+    for n in range(1, order):
+        total = Fraction(0)
+        for k in range(1, n + 1):
+            total += f.divided(k) * bell_partial(n, k, "c").evaluate(gvals)
+        divided.append(total)
+    return [h * Fraction(1, factorial(n)) for n, h in enumerate(divided)]
+
+
+def _det_reference(M) -> Fraction:
+    """Bareiss elimination on Fraction entries with Fraction division."""
+    M = [[Fraction(e) for e in row] for row in M]
+    n = len(M)
+    if n == 0:
+        return Fraction(1)
+    sign, prev = 1, Fraction(1)
+    for k in range(n - 1):
+        if not M[k][k]:
+            for r in range(k + 1, n):
+                if M[r][k]:
+                    M[k], M[r] = M[r], M[k]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) / prev
+            M[i][k] = Fraction(0)
+        prev = M[k][k]
+    return sign * M[n - 1][n - 1]
+
+
+def _typed(values) -> list:
+    return [(type(v), v) for v in values]
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+
+_INTS = st.integers(-10**6, 10**6)
+_FRACTIONS = st.fractions(min_value=-10**3, max_value=10**3, max_denominator=10**6)
+_SCALARS = st.one_of(st.just(0), st.just(Fraction(0)), st.booleans(), _INTS, _FRACTIONS)
+
+
+@st.composite
+def _coefficients(draw, size, zero_constant=False):
+    """A list of int, bool and Fraction scalars, or only ints, or only
+    Fractions, with one run of zeros set into it."""
+    scalars = draw(st.sampled_from([_SCALARS, _INTS, _FRACTIONS]))
+    values = draw(st.lists(scalars, min_size=size, max_size=size))
+    start = draw(st.integers(0, size))
+    stop = draw(st.integers(start, size))
+    zero = draw(st.sampled_from([0, Fraction(0)]))
+    values[start:stop] = [zero] * (stop - start)
+    if zero_constant and values:
+        values[0] = zero
+    return values
+
+
+@st.composite
+def _series(draw, order=None, zero_constant=False):
+    order = draw(st.integers(1, 10)) if order is None else order
+    return FormalSeries(draw(_coefficients(order, zero_constant)), order)
+
+
+@st.composite
+def _composable(draw):
+    order = draw(st.integers(1, 9))
+    return (draw(_series(order)), draw(_series(order, zero_constant=True)), order)
+
+
+@st.composite
+def _matrix(draw):
+    """A square matrix of size 0..5; with some luck a zero pivot, and
+    sometimes a row repeated, scaled, so that the matrix is singular."""
+    n = draw(st.integers(0, 5))
+    M = [draw(_coefficients(n)) for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i != j:
+            M[j] = [e * 3 for e in M[i]]
+    return M
+
+
+# ---------------------------------------------------------------------------
+# the kernels against the loops
+
+
+@settings(max_examples=300, deadline=None)
+@given(_series(), _series())
+def test_series_product_matches_the_fraction_loop(a, b):
+    got = a * b
+    assert got.order == min(a.order, b.order)
+    want = _mul_reference(a, b)
+    assert _typed(got.coeffs) == _typed(want)
+    assert all(type(c) is Fraction for c in got.coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_composable())
+def test_compose_matches_the_padded_horner_loop(case):
+    f, g, order = case
+    got = compose(f, g)
+    assert got.order == order
+    assert _typed(got.coeffs) == _typed(_compose_reference(f, g, order))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_composable())
+def test_compose_via_bell_matches_the_fraction_evaluation(case):
+    f, g, order = case
+    got = compose_via_bell(f, g)
+    assert got.order == order
+    assert _typed(got.coeffs) == _typed(_compose_via_bell_reference(f, g, order))
+
+
+@pytest.mark.parametrize("order", range(1, 10))
+def test_both_compositions_agree_at_every_order(order):
+    f = FormalSeries([Fraction(k + 1, 10**6 - k) for k in range(order)])
+    g = FormalSeries([0] + [Fraction((-1) ** k * 7, k + 1) for k in range(1, order)])
+    want = _compose_reference(f, g, order)
+    assert _typed(compose(f, g).coeffs) == _typed(want)
+    assert _typed(compose_via_bell(f, g).coeffs) == _typed(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrix())
+def test_det_matches_fraction_bareiss(M):
+    before = [row[:] for row in M]
+    got = det(M)
+    assert M == before
+    want = _det_reference(M)
+    assert type(got) is Fraction
+    assert got == want
+
+
+@pytest.mark.parametrize("M, value", [
+    ([], 1),
+    ([[5]], 5),
+    ([[Fraction(-3, 7)]], Fraction(-3, 7)),
+    ([[True]], 1),
+    ([[0, 1], [1, 0]], -1),
+    ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], -1),
+    ([[0, 2, 1], [0, 1, 3], [4, 1, 0]], 20),
+    ([[1, 2], [2, 4]], 0),
+    ([[0, 1], [0, 2]], 0),
+    ([[Fraction(1, 2), True], [False, Fraction(1, 3)]], Fraction(1, 6)),
+    ([[Fraction(1, 999983), 1], [1, Fraction(1, 999979)]], Fraction(1 - 999983 * 999979, 999983 * 999979)),
+])
+def test_det_edge_cases(M, value):
+    got = det(M)
+    assert type(got) is Fraction
+    assert got == value == _det_reference(M)
+
+
+def test_ring_valued_series_keep_the_plain_loop():
+    # a CPoly series times a rational one: no common denominator exists
+    d1, d2 = CPoly.letter(1), CPoly.letter(2)
+    u = FormalSeries([CPoly.zero(), d1, d2 * Fraction(1, 2)])
+    v = FormalSeries([Fraction(1, 3), 2, 0])
+    assert (u * v).coeffs == [0, d1 * Fraction(1, 3), d1 * 2 + d2 * Fraction(1, 6)]
+    assert (u * v).coeffs == _mul_reference(u, v)
+
+
+def test_common_denominator():
+    assert common_denominator([]) == ([], 1)
+    assert common_denominator([3, True, Fraction(1, 4), Fraction(-5, 6)]) == ([36, 12, 3, -10], 12)
+    nums, d = common_denominator([Fraction(1, 10**6), Fraction(1, 999999)])
+    assert d == 10**6 * 999999
+    assert all(type(x) is int for x in nums)
+
+
+# ---------------------------------------------------------------------------
+# floats are refused, not computed with
+
+
+@pytest.mark.parametrize("coeffs", [[0.5, 1], [0, 1, 2.0], [Fraction(1), float("nan")]])
+def test_series_refuse_floats(coeffs):
+    with pytest.raises(TypeError, match=FLOAT_ERROR):
+        FormalSeries(coeffs)
+    with pytest.raises(TypeError, match=FLOAT_ERROR):
+        FormalSeries(coeffs, 5)
+
+
+def test_from_divided_refuses_float_results():
+    with pytest.raises(TypeError, match=FLOAT_ERROR):
+        FormalSeries.from_divided([0, 1, 0.5])
+
+
+@pytest.mark.parametrize("M", [[[1.5, 2], [3, 4]], [[1, 2], [3, 4.0]], [[0.0]]])
+def test_det_refuses_floats(M):
+    with pytest.raises(TypeError, match=FLOAT_ERROR):
+        det(M)
+
+
+def test_det_errors_besides_floats():
+    with pytest.raises(ValueError, match="not square"):
+        det([[1, 2]])
+    with pytest.raises(TypeError, match="got str"):
+        det([["1", 2], [3, 4]])
+    with pytest.raises(ValueError, match="no polynomial entries"):
+        det([[QPoly(1), 2], [3, 4]])
