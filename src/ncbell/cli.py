@@ -144,6 +144,8 @@ def cmd_hopf(args) -> int:
 
     variant = "fdb" if args.fdb else "dfdb"
     if args.coproduct:
+        if (args.method, args.side) != (None, None):
+            raise ValueError("--coproduct takes no --method or --side")
         t = hopf.coproduct_gen(args.n, variant)
         if args.format == "json":
             print(json.dumps(hopf.tensor_to_json(t, variant)))
@@ -151,9 +153,11 @@ def cmd_hopf(args) -> int:
             print(hopf.render_tensor(t, variant, latex=(args.format == "latex")))
         return 0
     if args.method == "qdet":
+        if args.side is not None:
+            raise ValueError("--method qdet takes no --side")
         p = hopf.antipode_quasidet(args.n, variant)
     else:
-        p = hopf.antipode_recursive(args.n, variant, args.side)
+        p = hopf.antipode_recursive(args.n, variant, args.side or "right")
     _emit_poly(p, args.format, symbol="X")
     return 0
 
@@ -163,11 +167,13 @@ def cmd_mobius(args) -> int:
 
     variant = "nc" if args.nc else "c"
     if args.invert:
+        if args.side is not None:
+            raise ValueError("--invert takes no --side")
         p = mobius.mobius_invert(args.n, variant)
         algebra = "b-symbols" if args.nc else None
         _emit_poly(p, args.format, symbol="B", algebra=algebra)
         return 0
-    _emit_poly(mobius.antipode_m(args.n, variant, args.side), args.format)
+    _emit_poly(mobius.antipode_m(args.n, variant, args.side or "right"), args.format)
     return 0
 
 
@@ -293,10 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
     what = p.add_mutually_exclusive_group(required=True)
     what.add_argument("--coproduct", action="store_true")
     what.add_argument("--antipode", action="store_true")
-    p.add_argument("--method", choices=("rec", "qdet"), default="rec",
-                   help="antipode algorithm")
-    p.add_argument("--side", choices=("left", "right"), default="right",
-                   help="recursion side for --method rec")
+    p.add_argument("--method", choices=("rec", "qdet"), default=None,
+                   help="antipode algorithm (default rec)")
+    p.add_argument("--side", choices=("left", "right"), default=None,
+                   help="recursion side for --method rec (default right)")
     p.add_argument("-n", type=int, required=True)
     _add_format(p)
     p.set_defaults(func=cmd_hopf)
@@ -307,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     what.add_argument("--invert", action="store_true",
                       help="write d_n in the Bell symbols")
     what.add_argument("--antipode", action="store_true")
-    p.add_argument("--side", choices=("left", "right"), default="right")
+    p.add_argument("--side", choices=("left", "right"), default=None,
+                   help="recursion side for --antipode (default right)")
     p.add_argument("-n", type=int, required=True)
     _add_format(p)
     p.set_defaults(func=cmd_mobius)

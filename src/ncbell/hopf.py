@@ -34,9 +34,8 @@ local to the call, so nothing the battery caches outlives it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
-from .algebra import CPoly, _coeff, _word, add_into, join_signed, key_of, term
+from .algebra import _coeff, _word, add_into, join_signed, key_of, term
 from .bell import bell_partial
 from . import algebra, quasidet
 
@@ -208,6 +207,8 @@ def rank_poly(n: int, k: int, variant: str = "dfdb"):
 
 def coproduct_gen(n: int, variant: str = "dfdb") -> dict:
     """Coproduct of the generator X_n: sum_k W_{n,k} tensor X_k."""
+    if n < 0:
+        raise ValueError("need n >= 0")
     _cls(variant)
     return bell_coproduct(n, variant, rank_poly, 0)
 
@@ -418,39 +419,6 @@ def convolve(phi: Character, psi: Character, max_n: int | None = None) -> Charac
 def character_antipode(phi: Character, max_n: int, variant: str = "fdb") -> Character:
     """The character X_n -> phi(S(X_n))."""
     return Character({n: phi(antipode_recursive(n, variant)) for n in range(1, max_n + 1)})
-
-
-def lowercase(p: CPoly, max_index: int) -> CPoly:
-    """Reinterpret a polynomial in X_1..X_max_index in the divided letters
-    x_j = X_j / (j+1)!, keeping the same letter indices for the x's."""
-    mapping = {j: CPoly.letter(j, factorial(j + 1)) for j in range(1, max_index + 1)}
-    return p.substitute(mapping)
-
-
-def generating_series_rank_check(n: int, k: int) -> bool:
-    """Check the generating-series encoding of the rank polynomials.
-
-    The identity holds in the lowercase normalization x_j = X_j / (j+1)!:
-    with w_{n,k} = ((k+1)!/(n+1)!) W_{n,k}(X_j -> (j+1)! x_j), the claim is
-    w_{n,k} = [t^{n-k}] (1 + sum_{m>0} t^m x_m)^{k+1}. (The same statement
-    with raw X variables and the t^n coefficient fails already at
-    (n, k) = (3, 1); see the tests.)
-    """
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    scaled = lowercase(rank_poly(n, k, "fdb"), n) * Fraction(factorial(k + 1), factorial(n + 1))
-    order = n - k
-    base = [CPoly.one() if m == 0 else CPoly.letter(m) for m in range(order + 1)]
-    power = [CPoly.one()] + [CPoly.zero()] * order
-    for _ in range(k + 1):
-        nxt = [CPoly.zero()] * (order + 1)
-        for a in range(order + 1):
-            if not power[a]:
-                continue
-            for b in range(order + 1 - a):
-                nxt[a + b] = nxt[a + b] + power[a] * base[b]
-        power = nxt
-    return power[order] == scaled
 
 
 # ---------------------------------------------------------------------------

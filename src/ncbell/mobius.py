@@ -11,9 +11,10 @@ inverse letter of degree 0, which makes the bialgebra graded but leaves it
 non-connected: the whole degree-0 part is spanned by the powers of d1.
 
 Because degree 0 is bigger than the scalars, the counit cannot vanish on
-d1. It sends every pure (possibly negative) power of d1 to 1 and every
-word containing a higher letter to 0; under that reading the antipode
-recursions close, starting from S(d1) = d1^{-1}:
+d1. It is the character epsilon, 1 on d1 and its inverse and 0 on every
+higher letter, so it sends every pure (possibly negative) power of d1 to 1
+and every word containing a higher letter to 0; under that reading the
+antipode recursions close, starting from S(d1) = d1^{-1}:
 
     right: S(d_n) = d1^{-n} (-d_n d1^{-1} - sum_{k=2}^{n-1} B_{n,k} S(d_k))
     left:  S(d_n) = (-d1^{-n} d_n - sum_{k=2}^{n-1} S(B_{n,k}) d_k) d1^{-1}
@@ -22,16 +23,19 @@ with S extended to words as an anti-morphism. The antipode inverts the
 Bell system: bell_map renames each letter d_j to the formal symbol B_j,
 zeta is the all-ones character, mu = zeta o S is the Mobius character, and
 mobius_invert(n) writes d_n as a polynomial in the B-symbols whose
-substitution B_j -> bell(j) recovers d_n exactly.
+substitution B_j -> bell(j) recovers d_n exactly. mu is the convolution
+inverse of zeta: on every generator, convolve_m gives
+mu * zeta = zeta * mu = epsilon, the defining identity of Mobius
+inversion, which the mobius suite of ncbell.verify checks.
 
 Only the d-alphabet data live here. To the bialgebra engine in
 ncbell.hopf this is the Bell shape with table P = B (bell_partial) and
 lowest generator d1 (low = 1, inverse letter INV), which coproduct_m and
 antipode_m hand to bell_coproduct and bell_antipode. The rest is the
-inverse letter, group-like with S(d1^{-1}) = d1, the counit, the
-characters zeta, epsilon and mu, and the inversion bell_map /
-mobius_invert / invert_round_trip. Tensors, the coproduct and antipode
-extensions, Character and the convolution pairing come from the engine;
+inverse letter, group-like with S(d1^{-1}) = d1, the characters zeta,
+epsilon and mu with their convolution convolve_m, and the inversion
+bell_map / mobius_invert / invert_round_trip. Tensors, the antipode
+extension, Character and the convolution pairing come from the engine;
 keys may contain the inverse letter, which the key codec handles.
 algebra.ring looks the variant names up; a variant left out is the tag
 of the element's ring.
@@ -48,24 +52,8 @@ from .hopf import (
     antipode_extend,
     bell_antipode,
     bell_coproduct,
-    coproduct_extend,
     pair,
 )
-
-
-def mobius_degree(p) -> int:
-    """Common degree of a homogeneous element: each d_i counts i - 1, the
-    inverse letter 0.
-
-    Raises ValueError on zero or on mixed-degree input.
-    """
-    letters = type(p).key_letters
-    degrees = {sum(i - 1 for i in letters(k) if i != INV) for k in p.terms}
-    if not degrees:
-        raise ValueError("zero element has no degree")
-    if len(degrees) > 1:
-        raise ValueError(f"element is not homogeneous: degrees {sorted(degrees)}")
-    return degrees.pop()
 
 
 def coproduct_m(n: int, variant: str = "nc") -> dict:
@@ -74,31 +62,6 @@ def coproduct_m(n: int, variant: str = "nc") -> dict:
         raise ValueError(f"generator index must be positive, got {n}")
     ring(variant)
     return bell_coproduct(n, variant, bell_partial, 1)
-
-
-def _coproduct_letter(i: int, variant: str) -> dict:
-    if i == INV:
-        k = ring(variant).letter_key(INV)
-        return {(k, k): 1}
-    return coproduct_m(i, variant)
-
-
-def coproduct_poly(p, variant: str | None = None) -> dict:
-    """Coproduct of an arbitrary element, extended multiplicatively."""
-    if variant is None:
-        variant = p.tag
-    ring(variant)
-    return coproduct_extend(p.terms, variant, _coproduct_letter)
-
-
-def counit_m(p) -> int | Fraction:
-    """Counit: 1 on every pure power of d1 (inverse included), else 0."""
-    letters = type(p).key_letters
-    total = 0
-    for key, c in p.terms.items():
-        if all(abs(i) == 1 for i in letters(key)):
-            total += c
-    return total
 
 
 _ANTIPODE: dict = {}

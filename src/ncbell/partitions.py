@@ -17,15 +17,7 @@ from __future__ import annotations
 from math import comb
 from operator import itemgetter
 
-from .algebra import QPoly, key_of, qbinomial, ring
-
-
-def canonical(blocks) -> tuple:
-    bs = [tuple(sorted(b)) for b in blocks]
-    if any(not b for b in bs):
-        raise ValueError("empty block")
-    bs.sort(key=lambda b: b[-1])
-    return tuple(bs)
+from .algebra import QPoly, qbinomial
 
 
 def iter_partitions(n: int, k: int | None = None):
@@ -115,15 +107,6 @@ def N_formula(sizes) -> int:
         if i > 0:
             out *= comb(total - 1, p - 1)
     return out
-
-
-def monomial_of(P, variant: str = "nc"):
-    """The block-size monomial d_{|P_1|} ... d_{|P_k|} of a partition.
-
-    Noncommutative: letters in increasing order of block maxima.
-    """
-    cls = ring(variant)
-    return cls.from_key(key_of(cls, block_sizes(P)))
 
 
 def weight(P) -> int:
@@ -219,6 +202,3 @@ def stirling2(n: int, k: int) -> int:
 def bell_number(n: int) -> int:
     return sum(stirling2(n, k) for k in range(n + 1))
 
-
-def render_partition(P) -> str:
-    return " | ".join(" ".join(str(x) for x in b) for b in P)

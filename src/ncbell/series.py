@@ -90,16 +90,22 @@ class FormalSeries:
         )
 
     def __add__(self, other) -> "FormalSeries":
+        if not isinstance(other, FormalSeries):
+            return NotImplemented
         order = min(self.order, other.order)
         return FormalSeries([self.coeffs[n] + other.coeffs[n] for n in range(order)], order)
 
     def __sub__(self, other) -> "FormalSeries":
+        if not isinstance(other, FormalSeries):
+            return NotImplemented
         order = min(self.order, other.order)
         return FormalSeries([self.coeffs[n] - other.coeffs[n] for n in range(order)], order)
 
     def __mul__(self, other) -> "FormalSeries":
         if isinstance(other, (int, Fraction)):
             return FormalSeries([c * other for c in self.coeffs], self.order)
+        if not isinstance(other, FormalSeries):
+            return NotImplemented
         order = min(self.order, other.order)
         a, b = self.coeffs[:order], other.coeffs[:order]
         if _EXACT.issuperset(map(type, a)) and _EXACT.issuperset(map(type, b)):
@@ -407,26 +413,12 @@ class VectorField:
 
 
 def _lie(components, psi: MultiPoly) -> MultiPoly:
+    """F[psi] = sum_i F^i d(psi)/dx_i, the Lie derivative of psi along the
+    field with the given components."""
     out = MultiPoly.zero(psi.nvars)
     for i, comp in enumerate(components):
         out = out + comp * psi.partial(i)
     return out
-
-
-def lie_derivative(field: VectorField, target):
-    """F[psi] = sum_i F^i d(psi)/dx_i on a MultiPoly; on a VectorField the
-    same derivation is applied to each component."""
-    if isinstance(target, MultiPoly):
-        if target.nvars != field.nvars:
-            raise ValueError("dimension mismatch")
-        return _lie(field.components, target)
-    if isinstance(target, VectorField):
-        if target.nvars != field.nvars:
-            raise ValueError("dimension mismatch")
-        return VectorField(
-            target.nvars, [_lie(field.components, c) for c in target.components]
-        )
-    raise TypeError(f"cannot differentiate {type(target).__name__}")
 
 
 def _word_apply(word, field: VectorField, psi: MultiPoly) -> MultiPoly:

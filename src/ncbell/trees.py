@@ -21,15 +21,6 @@ from .algebra import NCPoly, _coeff, signed_sum
 LEAF: tuple = ()
 
 
-def bplus(forest) -> tuple:
-    """Add a common root above an ordered forest."""
-    return tuple(forest)
-
-
-def children(t: tuple) -> tuple:
-    return t
-
-
 def edges(t: tuple) -> int:
     return sum(1 + edges(c) for c in t)
 
@@ -46,26 +37,6 @@ def ladder(i: int) -> tuple:
 
 def serialize(t: tuple) -> str:
     return "a" + "".join(serialize(c) for c in t) + "b"
-
-
-def parse_tree(s: str) -> tuple:
-    def rec(i: int):
-        if i >= len(s) or s[i] != "a":
-            raise ValueError(f"expected 'a' at {i} in {s!r}")
-        i += 1
-        kids = []
-        while i < len(s) and s[i] == "a":
-            child, i = rec(i)
-            kids.append(child)
-        if i >= len(s) or s[i] != "b":
-            raise ValueError(f"expected 'b' at {i} in {s!r}")
-        return tuple(kids), i + 1
-
-    t, end = rec(0)
-    del rec  # rec refers to itself: break the reference cycle
-    if end != len(s):
-        raise ValueError(f"trailing input in {s!r}")
-    return t
 
 
 def normalize(t: tuple) -> tuple:

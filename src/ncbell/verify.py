@@ -5,15 +5,18 @@ argument overrides the suite's default range; the seed feeds every
 randomized property check, so a report is reproducible bit for bit. The
 suites double as the acceptance gate: run_suites("all") exercises the
 reference tables, the cross-construction identities, the randomized
-property checks, and the known closed forms, and format_report turns the
-results into the pass/fail table printed by the command line interface.
+property checks, the known closed forms, and the defining identity of
+Mobius inversion, mu * zeta = zeta * mu = epsilon on the d-alphabet
+generators, and format_report turns the results into the pass/fail table
+printed by the command line interface. A max_degree below 1 is refused.
 
-Two suites fail by design of the objects themselves, not of the code: the
-free-algebra coproducts (both the rank-polynomial one and the d-alphabet
-one) stop being coassociative once interleaved blocks of different sizes
-appear, which breaks the left/right antipode agreement and the Mobius
-round trip in the noncommutative variants. The boundaries are pinned
-exactly in tests/test_hopf.py and tests/test_mobius.py.
+Three suites fail by design of the objects themselves, not of the code:
+the free-algebra coproducts (both the rank-polynomial one and the
+d-alphabet one) stop being coassociative once interleaved blocks of
+different sizes appear, which breaks coassociativity in the axiom
+battery, the left/right antipode agreement and the Mobius round trip in
+the noncommutative variants. The boundaries are pinned exactly in
+tests/test_hopf.py and tests/test_mobius.py.
 """
 
 from __future__ import annotations
@@ -387,8 +390,9 @@ def suite_characters(max_degree=None, seed=0):
 
 
 def suite_mobius(max_degree=None, seed=0):
-    """Inversion formulas for d_2, d_3, the antipode values, and the
-    round trip back through the Bell polynomials."""
+    """Inversion formulas for d_2, d_3, the antipode values, the round trip
+    back through the Bell polynomials, and mu * zeta = zeta * mu = epsilon
+    on the generators."""
     top = max_degree or 6
     bad = []
     for (variant, n), text in MOBIUS_INVERT_TABLE.items():
@@ -401,6 +405,14 @@ def suite_mobius(max_degree=None, seed=0):
         for n in range(1, top + 1):
             if not mobius.invert_round_trip(n, variant):
                 bad.append(f"round trip fails at d_{n} ({variant})")
+    z = mobius.zeta(top)
+    eps = mobius.epsilon_char(top)
+    for variant in ("c", "nc"):
+        mu = mobius.mobius_char(top, variant)
+        for n in range(1, top + 1):
+            if not (mobius.convolve_m(mu, z, n, variant) == mobius.convolve_m(z, mu, n, variant)
+                    == eps.on_letter(n)):
+                bad.append(f"mu * zeta != epsilon at d_{n} ({variant})")
     if bad:
         head = "; ".join(bad[:4])
         more = f" (+{len(bad) - 4} more)" if len(bad) > 4 else ""
@@ -489,6 +501,8 @@ SUITES = {
 
 def run_suites(names="all", max_degree=None, seed=0) -> list:
     """Run the selected suites and return [(name, ok, detail)] in order."""
+    if max_degree is not None and max_degree < 1:
+        raise ValueError(f"max degree must be at least 1, got {max_degree}")
     if names == "all":
         selected = list(SUITES)
     elif isinstance(names, str):

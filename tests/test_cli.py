@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from ncbell import bell, bell_partial, mobius_invert
+from ncbell import bell, bell_partial, mobius_invert, verify
 from ncbell.algebra import from_json_dict
 from ncbell.cli import main
 from ncbell.hopf import antipode_recursive
@@ -183,6 +183,17 @@ def test_verify_single_suite(capsys):
     assert "stirling" in out and "PASS" in out
 
 
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_verify_max_degree_below_one_is_refused(degree, capsys):
+    # 0 is an explicit degree, not a missing one, so it must not fall back
+    # to the suite defaults; a negative degree must not pass vacuously
+    code, out, err = run(capsys, "verify", "--suite", "term-count", "--max-degree", degree)
+    assert (code, out) == (2, "")
+    assert err == f"error: max degree must be at least 1, got {degree}"
+    with pytest.raises(ValueError, match="at least 1"):
+        verify.run_suites("all", int(degree))
+
+
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "--suite", "nope")
     assert code == 2
@@ -256,6 +267,12 @@ IGNORED_OPTIONS = (
      [["--row", "2"], ["--col", "1"], ["--file", "{m}"]]),
     (["quasidet", "--file", "{m}"], [["--c"], ["-n", "7"]]),
     (["quasidet", "--file", "{m}"], [["--nc"], ["-n", "7"]]),
+    (["hopf", "--coproduct", "-n", "2"], [["--method", "qdet"], ["--side", "left"]]),
+    (["hopf", "--coproduct", "-n", "2"], [["--method", "rec"], ["--side", "right"]]),
+    (["hopf", "--antipode", "--method", "qdet", "-n", "3"], [["--side", "left"]]),
+    (["hopf", "--antipode", "--method", "qdet", "-n", "3"], [["--side", "right"]]),
+    (["mobius", "--invert", "-n", "3"], [["--side", "left"]]),
+    (["mobius", "--invert", "-n", "3"], [["--side", "right"]]),
 )
 REFUSED_OPTIONS = list(dict.fromkeys(tuple(base + extra) for base, options in IGNORED_OPTIONS
                                      for extra in _subsets(options)))
@@ -277,6 +294,17 @@ def test_options_each_path_uses_are_accepted(tmp_path, capsys):
     code, out, _ = run(capsys, "bell", "--nc", "-n", "3", "--scaled")
     assert code == 0 and out == "1/6*d1^3 + 1/3*d2*d1 + 2/3*d1*d2 + d3"
     assert run(capsys, "bell", "--nc", "-n", "4", "-k", "2", "--q")[0] == 0
+    right = run(capsys, "hopf", "--antipode", "-n", "4")
+    assert right[0] == 0
+    assert run(capsys, "hopf", "--antipode", "--method", "rec", "--side", "right",
+               "-n", "4") == right
+    assert run(capsys, "hopf", "--antipode", "--method", "qdet", "-n", "4") == right
+    code, out, _ = run(capsys, "hopf", "--antipode", "--side", "left", "-n", "3")
+    assert code == 0 and out == "-15*X1^3 + 4*X2*X1 + 6*X1*X2 - X3"
+    right = run(capsys, "mobius", "--nc", "--antipode", "-n", "3")
+    assert right[0] == 0
+    assert run(capsys, "mobius", "--nc", "--antipode", "--side", "right", "-n", "3") == right
+    assert run(capsys, "mobius", "--nc", "--antipode", "--side", "left", "-n", "3") == right
 
 
 @pytest.mark.parametrize("option", ["--row", "--col"])

@@ -178,7 +178,6 @@ CYCLE_FREE_CALLS = {
     "iter_partitions": lambda: next(partitions.iter_partitions(6, 3)),
     "det": lambda: quasidet.det(quasidet.bell_matrix(5, "c")),
     "bell_c_explicit": lambda: bell_c_explicit(6, 3),
-    "parse_tree": lambda: trees.parse_tree("aababb"),
     "leaf_graft": lambda: trees.leaf_graft((), ((), ((),))),
 }
 

@@ -2,9 +2,9 @@
 
 Both modules run on the same tensor product, coproduct and antipode
 extensions and Character; only the data on one letter differ. The tests
-pin the variant guards of each module's entry points (and of the Bell,
-Bell-matrix and partition-monomial entry points, which take the
-d-alphabet names "nc" and "c" too), and check the engine's structural
+pin the variant guards of each module's entry points (and of the Bell
+and Bell-matrix entry points, which take the d-alphabet names "nc" and
+"c" too), and check the engine's structural
 properties on random elements of all four bialgebras: fdb, dfdb, and the
 d-alphabet "c" and "nc".
 """
@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from ncbell import hopf, mobius
 from ncbell.algebra import INV, CPoly, NCPoly, QPoly, ring, to_json_dict
 from ncbell.bell import bell, bell_partial, bell_recursion
-from ncbell.partitions import monomial_of
 from ncbell.quasidet import bell_matrix
 
 
@@ -43,7 +42,6 @@ HOPF_ENTRY_POINTS = {
 
 MOBIUS_ENTRY_POINTS = {
     "coproduct_m": lambda v: mobius.coproduct_m(2, v),
-    "coproduct_poly": lambda v: mobius.coproduct_poly(_p(v), v),
     "antipode_m": lambda v: mobius.antipode_m(2, v),
     "antipode_poly": lambda v: mobius.antipode_poly(_p(v), v),
     "mobius_char": lambda v: mobius.mobius_char(3, v),
@@ -60,7 +58,6 @@ BELL_ENTRY_POINTS = {
     "bell_partial": lambda v: bell_partial(2, 1, v),
     "bell_partial_zero": lambda v: bell_partial(1, 2, v),
     "bell_matrix": lambda v: bell_matrix(2, v),
-    "monomial_of": lambda v: monomial_of(((1,), (2, 3)), v),
 }
 
 

@@ -9,13 +9,14 @@ boundary explicitly.
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncbell import hopf
-from ncbell.algebra import INV, add_into, key_of, parse_text
+from ncbell.algebra import INV, CPoly, add_into, key_of, parse_text
 from ncbell.hopf import (
     Character,
     antipode_quasidet,
@@ -27,7 +28,6 @@ from ncbell.hopf import (
     coproduct_gen,
     coproduct_oracle,
     counit,
-    generating_series_rank_check,
     hopf_axiom_check,
     rank_poly,
     tensor_mul,
@@ -55,6 +55,13 @@ def test_rank_poly_low():
     assert rank_poly(3, 1, "fdb") == _x("3*X1^2 + 4*X2", "fdb")
     assert rank_poly(3, 1, "dfdb") == _x("3*X1^2 + 4*X2", "dfdb")
     assert rank_poly(2, 2, "dfdb") == _x("1", "dfdb")
+
+
+@pytest.mark.parametrize("variant", ["fdb", "dfdb"])
+def test_coproduct_gen_refuses_negative_n(variant):
+    with pytest.raises(ValueError, match="need n >= 0"):
+        coproduct_gen(-1, variant)
+    assert coproduct_gen(0, variant) == {((), ()): 1}
 
 
 def test_coproduct_gen_three():
@@ -180,6 +187,32 @@ def test_character_antipode_is_reversion():
     rev = character_of_series(reversion(g, 8))
     for n in range(1, 6):
         assert anti.on_letter(n) == rev.on_letter(n)
+
+
+def generating_series_rank_check(n: int, k: int) -> bool:
+    """The generating-series encoding of the rank polynomials.
+
+    The identity holds in the lowercase normalization x_j = X_j / (j+1)!:
+    with w_{n,k} = ((k+1)!/(n+1)!) W_{n,k}(X_j -> (j+1)! x_j), the claim is
+    w_{n,k} = [t^{n-k}] (1 + sum_{m>0} t^m x_m)^{k+1}. (The same statement
+    with raw X variables and the t^n coefficient fails already at
+    (n, k) = (3, 1).)
+    """
+    lowercase = {j: CPoly.letter(j, factorial(j + 1)) for j in range(1, n + 1)}
+    scaled = (rank_poly(n, k, "fdb").substitute(lowercase)
+              * Fraction(factorial(k + 1), factorial(n + 1)))
+    order = n - k
+    base = [CPoly.one() if m == 0 else CPoly.letter(m) for m in range(order + 1)]
+    power = [CPoly.one()] + [CPoly.zero()] * order
+    for _ in range(k + 1):
+        nxt = [CPoly.zero()] * (order + 1)
+        for a in range(order + 1):
+            if not power[a]:
+                continue
+            for b in range(order + 1 - a):
+                nxt[a + b] = nxt[a + b] + power[a] * base[b]
+        power = nxt
+    return power[order] == scaled
 
 
 def test_generating_series_rank_identity():

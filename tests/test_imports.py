@@ -180,3 +180,48 @@ def test_every_module_memo_is_registered():
     for module, name in _UNREGISTERED:
         owner = ncbell if module == "__init__" else import_module(f"ncbell.{module}")
         assert hasattr(owner, name), (module, name)
+
+
+# public functions kept with no caller in src, each with the reason
+_UNCALLED = {
+    ("partitions", "count_max_ordered"): "brute-force reference for N_formula and the q-counts",
+    ("trees", "collapse"): "brute-force reference: planar trees collapsed equal the nonplanar recursion",
+}
+
+
+def _uncalled_public_functions(sources: dict) -> set:
+    """(module, name) of each public top-level def in sources, a map of
+    module name to source text, that no code there refers to by name or as
+    an attribute, apart from the def's own body."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    refs: dict = {}
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, (ast.Name, ast.Attribute)):
+                refs.setdefault(n.id if isinstance(n, ast.Name) else n.attr, []).append(id(n))
+    uncalled = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                own = set(map(id, ast.walk(node)))
+                if all(i in own for i in refs.get(node.name, ())):
+                    uncalled.add((module, node.name))
+    return uncalled
+
+
+def test_uncalled_scan_ignores_self_references():
+    sources = {"a": "def f():\n    return f()\ndef g():\n    return h\ndef h():\n    pass\n"
+                    "def _private():\n    pass\n",
+               "b": "import a\nx = a.g\ny = k\ndef k():\n    pass\n"}
+    assert _uncalled_public_functions(sources) == {("a", "f")}
+
+
+def test_every_public_function_has_a_caller():
+    sources = {path.stem: path.read_text()
+               for path in sorted(Path(ncbell.__file__).parent.glob("*.py"))}
+    dead = {(module, name) for module, name in _uncalled_public_functions(sources)
+            if name not in ncbell.__all__}
+    assert dead == set(_UNCALLED), "call each public function from src, or delete it"
+    # the exemptions still name real functions, so the list cannot go stale
+    for module, name in _UNCALLED:
+        assert callable(getattr(import_module(f"ncbell.{module}"), name)), (module, name)

@@ -13,22 +13,19 @@ from fractions import Fraction
 
 import pytest
 
-from ncbell import hopf
-from ncbell.algebra import CPoly, NCPoly, parse_text, render_text
+from ncbell import hopf, mobius, verify
+from ncbell.algebra import INV, CPoly, NCPoly, parse_text, render_text, ring
 from ncbell.bell import bell, bell_partial
-from ncbell.hopf import tensor_mul
+from ncbell.hopf import coproduct_extend, tensor_mul
 from ncbell.mobius import (
     antipode_m,
     antipode_poly,
     bell_map,
     convolve_m,
     coproduct_m,
-    coproduct_poly,
-    counit_m,
     epsilon_char,
     invert_round_trip,
     mobius_char,
-    mobius_degree,
     mobius_invert,
     zeta,
 )
@@ -42,12 +39,17 @@ def _c(s: str) -> CPoly:
     return parse_text(s, commutative=True)
 
 
-def test_degrees():
-    assert mobius_degree(_nc("d1^3")) == 0
-    assert mobius_degree(_nc("d3*d1")) == 2
-    assert mobius_degree(_nc("d1^-2*d2")) == 1
-    with pytest.raises(ValueError):
-        mobius_degree(_nc("d1 + d2"))
+def _coproduct_letter(i: int, variant: str) -> dict:
+    if i == INV:
+        k = ring(variant).letter_key(INV)
+        return {(k, k): 1}
+    return coproduct_m(i, variant)
+
+
+def coproduct_poly(p, variant: str | None = None) -> dict:
+    """The coproduct of an element, extended multiplicatively from the
+    generators, with the inverse letter group-like."""
+    return coproduct_extend(p.terms, variant or p.tag, _coproduct_letter)
 
 
 def test_coproduct_letter_three():
@@ -66,10 +68,13 @@ def test_coproduct_multiplicative():
 
 
 def test_counit():
-    assert counit_m(_nc("d1^3")) == 1
-    assert counit_m(_nc("d1^-2")) == 1
-    assert counit_m(_nc("d2")) == 0
-    assert counit_m(_nc("2*d1 + d2*d1")) == 2
+    # the counit is the character epsilon: 1 on every pure power of d1,
+    # the inverse included, 0 on every word with a higher letter
+    counit = epsilon_char(3)
+    for p in (_nc("d1^3"), _nc("d1^-2"), _c("d1^3*d1^-1")):
+        assert counit(p) == 1
+    assert counit(_nc("d2")) == counit(_c("d3*d1")) == 0
+    assert counit(_nc("2*d1 + d2*d1")) == counit(_c("2*d1 + d2*d1")) == 2
 
 
 def test_antipode_goldens_commutative():
@@ -95,8 +100,8 @@ def test_antipode_inverts_d1():
 BIALGEBRAS = {
     "fdb": (hopf.coproduct_gen, hopf.antipode_poly, hopf.counit, 0),
     "dfdb": (hopf.coproduct_gen, hopf.antipode_poly, hopf.counit, 0),
-    "c": (coproduct_m, antipode_poly, counit_m, 1),
-    "nc": (coproduct_m, antipode_poly, counit_m, 1),
+    "c": (coproduct_m, antipode_poly, epsilon_char(6), 1),
+    "nc": (coproduct_m, antipode_poly, epsilon_char(6), 1),
 }
 
 
@@ -198,3 +203,38 @@ def test_round_trip_free_boundary():
     # coassociativity fails at degree 4, taking the substitution identity
     # with it
     assert not invert_round_trip(4, "nc")
+
+
+def test_suite_checks_mu_zeta_on_both_sides(monkeypatch):
+    # (d_n, variant, whether zeta is the left factor) of every convolution
+    calls = []
+    original = mobius.convolve_m
+    ones = zeta(5).values
+
+    def counted(phi, psi, n, variant="nc"):
+        calls.append((n, variant, phi.values == ones))
+        return original(phi, psi, n, variant)
+
+    monkeypatch.setattr(mobius, "convolve_m", counted)
+    ok, detail = verify.suite_mobius(5)
+    assert sorted(calls) == [(n, v, left) for n in range(1, 6) for v in ("c", "nc")
+                             for left in (False, True)]
+    assert (ok, detail) == (False, "round trip fails at d_4 (nc); round trip fails at d_5 (nc)")
+
+
+def test_suite_names_a_wrong_epsilon(monkeypatch):
+    # negative control: an epsilon that is wrong at d_3 must be reported,
+    # in both variants, after the round trips
+    original = mobius.epsilon_char
+
+    def wrong(max_n):
+        eps = original(max_n)
+        eps.values[3] = 1
+        return eps
+
+    monkeypatch.setattr(mobius, "epsilon_char", wrong)
+    ok, detail = verify.suite_mobius()
+    assert not ok
+    assert detail.startswith("round trip fails at d_4 (nc)")
+    assert "mu * zeta != epsilon at d_3 (c)" in detail
+    assert detail.endswith("(+1 more)")

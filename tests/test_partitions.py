@@ -6,25 +6,39 @@ from fractions import Fraction
 
 import ncbell
 from ncbell import hopf, mobius, partitions, verify
-from ncbell.algebra import CPoly, NCPoly, QPoly, qbinomial
+from ncbell.algebra import CPoly, NCPoly, QPoly, key_of, qbinomial, ring
 from ncbell.bell import bell, compositions
 from ncbell.partitions import (
     N_formula,
     bell_number,
     block_sizes,
-    canonical,
     count_max_ordered,
     enumerate_partitions,
     iter_partitions,
-    monomial_of,
     qcount_max_ordered,
     qcount_product,
-    render_partition,
     stirling2,
     weight,
 )
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147]
+
+
+def canonical(blocks) -> tuple:
+    """The stored form of a partition: sorted blocks, by increasing maxima."""
+    bs = [tuple(sorted(b)) for b in blocks]
+    if any(not b for b in bs):
+        raise ValueError("empty block")
+    bs.sort(key=lambda b: b[-1])
+    return tuple(bs)
+
+
+def monomial_of(P, variant: str = "nc"):
+    """The block-size monomial d_{|P_1|} ... d_{|P_k|} of a partition, its
+    letters in increasing order of block maxima: the reference for
+    verify._partition_sum."""
+    cls = ring(variant)
+    return cls.from_key(key_of(cls, block_sizes(P)))
 
 
 def test_enumerate_counts():
@@ -159,10 +173,6 @@ def test_qcount_weight_generating_function():
         if block_sizes(P) == sizes:
             total = total + QPoly.q(weight(P))
     assert total == qcount_max_ordered(sizes)
-
-
-def test_render_partition():
-    assert render_partition(((1, 3), (2,))) == "1 3 | 2"
 
 
 def test_memoised_qcount_matches_brute_force():

@@ -5,8 +5,10 @@ kept here as the reference, on int, bool, Fraction and mixed entries with
 runs of zeros, unequal truncation orders and denominators up to 10^6. The
 kernels must give the same values with the same coefficient types (every
 series product coefficient and every determinant is a Fraction), and a
-float is refused with the same TypeError as a ring coefficient."""
+float is refused with the same TypeError as a ring coefficient, and series
+arithmetic with an operand that is not a series is a TypeError."""
 
+import operator
 from fractions import Fraction
 from math import factorial
 
@@ -236,6 +238,19 @@ def test_series_refuse_floats(coeffs):
         FormalSeries(coeffs)
     with pytest.raises(TypeError, match=FLOAT_ERROR):
         FormalSeries(coeffs, 5)
+
+
+@pytest.mark.parametrize("other", [0.5, 1, Fraction(1, 2), "x", None])
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_series_arithmetic_with_a_non_series_is_a_type_error(op, other):
+    # only int and Fraction scale a series; any other operand is refused by
+    # both sides of the operator, never looked into for .order
+    f = FormalSeries([1, 2])
+    if op is operator.mul and type(other) in (int, Fraction):
+        assert f * other == other * f == FormalSeries([other, 2 * other])
+        return
+    with pytest.raises(TypeError, match="unsupported operand|can't multiply"):
+        op(f, other)
 
 
 def test_from_divided_refuses_float_results():

@@ -5,15 +5,12 @@ from fractions import Fraction
 from ncbell.bell import bell
 from ncbell.partitions import bell_number
 from ncbell.trees import (
-    bplus,
-    children,
     collapse,
     edges,
     ladder,
     leaf_graft,
     left_butcher,
     normalize,
-    parse_tree,
     pushforward,
     serialize,
     tree_bell,
@@ -21,21 +18,24 @@ from ncbell.trees import (
 )
 
 
-def test_serialize_parse_round_trip():
-    for t in [ladder(0), ladder(3), bplus([ladder(1), ladder(0)]), word_to_tree((2, 1, 2))]:
-        assert parse_tree(serialize(t)) == t
+def test_serialize_is_injective():
+    assert serialize(ladder(0)) == "ab"
+    assert serialize((ladder(1), ladder(0))) == "aaabbabb"
+    planar = [t for n in range(7) for t in tree_bell(n, planar=True)]
+    assert len({serialize(t) for t in planar}) == len(set(planar)) == len(planar)
 
 
 def test_ladder():
     assert serialize(ladder(2)) == "aaabbb"
     assert edges(ladder(2)) == 2
-    assert children(ladder(2)) == (ladder(1),)
+    assert ladder(2) == (ladder(1),)
 
 
 def test_bplus_edges():
-    t = bplus([ladder(1), ladder(0)])
+    # B+ of a forest, a common root above it, is the tuple of its trees
+    t = (ladder(1), ladder(0))
     assert edges(t) == 3
-    assert len(children(t)) == 2
+    assert len(t) == 2
 
 
 def test_word_to_tree():
@@ -74,8 +74,8 @@ def test_nonplanar_coefficients_at_four():
 
 
 def test_normalize_sorts_children():
-    t = bplus([ladder(2), ladder(0)])
-    s = bplus([ladder(0), ladder(2)])
+    t = (ladder(2), ladder(0))
+    s = (ladder(0), ladder(2))
     assert normalize(t) == normalize(s)
 
 
@@ -83,7 +83,7 @@ def test_left_butcher_adds_first_branch():
     s = ladder(1)
     t = ladder(0)
     joined = left_butcher(s, t)
-    assert children(joined)[0] == s
+    assert joined[0] == s
     assert edges(joined) == edges(s) + edges(t) + 1
 
 
@@ -92,5 +92,5 @@ def test_leaf_graft_counts_leaves():
     # multiplicity one per leaf
     result = leaf_graft(ladder(0), ladder(2))
     assert sum(result.values()) == 1
-    result = leaf_graft(ladder(0), bplus([ladder(0), ladder(0)]))
+    result = leaf_graft(ladder(0), (ladder(0), ladder(0)))
     assert sum(result.values()) == 2
