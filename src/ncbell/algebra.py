@@ -685,13 +685,13 @@ def _script(mark: str, v: int, latex: bool) -> str:
     return f"{mark}{{{v}}}" if latex and not 0 <= v <= 9 else f"{mark}{v}"
 
 
-def _word(word: tuple, symbol: str, offset: int, latex: bool) -> str:
+def _word(word: tuple, symbol: str, latex: bool) -> str:
     """A word as powers of its letter runs: d1^2*d3 in text, d_1^2 d_3 in
     LaTeX; a run of d1^{-1} is a negative power of d1."""
     parts = []
     for letter, run in groupby(word):
         count = sum(1 for _ in run)
-        idx, exp = (1, -count) if letter == INV else (letter + offset, count)
+        idx, exp = (1, -count) if letter == INV else (letter, count)
         part = symbol + _script("_" if latex else "", idx, latex)
         parts.append(part if exp == 1 else part + _script("^", exp, latex))
     return (" " if latex else "*").join(parts)
@@ -725,13 +725,13 @@ def signed_sum(pairs, latex: bool = False) -> str:
     return join_signed([(c < 0, term(abs(c), body, latex)) for c, body in pairs])
 
 
-def render_text(p, symbol: str = "d", offset: int = 0) -> str:
-    return signed_sum((c, _word(w, symbol, offset, False)) for w, c in reversed(_sorted_terms(p)))
+def render_text(p, symbol: str = "d") -> str:
+    return signed_sum((c, _word(w, symbol, False)) for w, c in reversed(_sorted_terms(p)))
 
 
-def render_latex(p, symbol: str = "d", offset: int = 0) -> str:
+def render_latex(p, symbol: str = "d") -> str:
     return signed_sum(
-        ((c, _word(w, symbol, offset, True)) for w, c in reversed(_sorted_terms(p))), latex=True
+        ((c, _word(w, symbol, True)) for w, c in reversed(_sorted_terms(p))), latex=True
     )
 
 
@@ -778,7 +778,7 @@ def from_json_dict(d: dict):
     return _from_words(pieces, algebra == "c")
 
 
-def parse_text(s: str, symbol: str = "d", offset: int = 0, commutative: bool = False):
+def parse_text(s: str, symbol: str = "d", commutative: bool = False):
     """Inverse of render_text on its own output, e.g. 'd1^3 + d2*d1 - 1/2*d3'."""
     s = s.strip()
     if s == "0":
@@ -803,10 +803,9 @@ def parse_text(s: str, symbol: str = "d", offset: int = 0, commutative: bool = F
                 idx, exp = int(idxs), int(exps)
             else:
                 idx, exp = int(body), 1
-            idx -= offset
             if exp < 0:
                 if idx != 1:
-                    raise ValueError(f"negative power on {symbol}{idx + offset}")
+                    raise ValueError(f"negative power on {symbol}{idx}")
                 word.extend([INV] * (-exp))
             else:
                 word.extend([idx] * exp)

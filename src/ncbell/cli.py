@@ -210,7 +210,7 @@ def cmd_series(args) -> int:
         return 0
     if args.format != "text":
         raise ValueError("--flow-check prints text only")
-    order = args.order or 5
+    order = 5 if args.order is None else args.order
     if args.file:
         data = _load_json(args)
         field = VectorField.from_json_dict(data["field"])

@@ -416,9 +416,9 @@ def convolve(phi: Character, psi: Character, max_n: int | None = None) -> Charac
     return Character(values)
 
 
-def character_antipode(phi: Character, max_n: int, variant: str = "fdb") -> Character:
-    """The character X_n -> phi(S(X_n))."""
-    return Character({n: phi(antipode_recursive(n, variant)) for n in range(1, max_n + 1)})
+def character_antipode(phi: Character, max_n: int) -> Character:
+    """The character X_n -> phi(S(X_n)) in fdb."""
+    return Character({n: phi(antipode_recursive(n, "fdb")) for n in range(1, max_n + 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +448,7 @@ def render_tensor(t: dict, variant: str, latex: bool = False) -> str:
     and a unit leg prints as its coefficient (so "1 (x) X3", "-1/3 (x) X4")."""
     otimes = " \\otimes " if latex else " (x) "
     return join_signed([
-        (c < 0, term(abs(c), _word(lw, "X", 0, latex), latex) + otimes
-         + term(1, _word(rw, "X", 0, latex), latex))
+        (c < 0, term(abs(c), _word(lw, "X", latex), latex) + otimes
+         + term(1, _word(rw, "X", latex), latex))
         for lw, rw, c in _sorted_legs(t, variant)
     ])

@@ -1,17 +1,19 @@
 """Truncated power series and polynomial vector-field flows, all exact.
 
 FormalSeries holds raw t^n coefficients c_0..c_{N-1} (int or Fraction, or
-CPoly for series with polynomial coefficients; a float is refused); the
-divided-power view f_n = n! c_n is computed on access. Coefficients at or
-beyond the truncation order are undefined, never assumed zero.
+CPoly or MultiPoly for series with polynomial coefficients; a float is
+refused); the divided-power view f_n = n! c_n is computed on access.
+Coefficients at or beyond the truncation order are undefined, never
+assumed zero.
 
 Rational coefficients multiply on integer numerators: each factor is put
 over the lcm of its denominators, the convolution runs in ints, and each
 product coefficient is one Fraction. Ring-valued coefficients use the
-plain loop. compose is Horner evaluation on that product, adding f_n to
-the constant term at each step; compose_via_bell evaluates each B_{n,k}
-at the integer numerators of g and divides by the k-th power of their
-denominator once.
+plain loop, which skips zero factors on either side; it serves both
+egf_bell_check (CPoly) and the Picard oracle (MultiPoly). compose is
+Horner evaluation on FormalSeries.__mul__, adding f_n to the constant
+term at each step; compose_via_bell evaluates each B_{n,k} at the integer
+numerators of g and divides by the k-th power of their denominator once.
 
 The flow half of the module works over MultiPoly, exact multivariate
 polynomials in x1..xm. A VectorField is a list of m components, optionally
@@ -21,10 +23,11 @@ F_{j_1}[F_{j_2}[...F_{j_k}[psi]...]]: the leftmost letter acts outermost.
 The opposite orientation silently passes every symmetric low-order check,
 so it is worth stating twice: leftmost letter, outermost derivative.
 flow_pullback_taylor is the independent oracle, integrating the flow ODE
-by Picard iteration with a symbolic base point. Iterate k is exact through
-t^k, so iteration k runs at truncation k and the powers of y it needs are
-built once per iteration; the coefficients through the requested order are
-the same as with every iteration at full truncation.
+by Picard iteration with a symbolic base point, each iterate a
+FormalSeries over MultiPoly. Iterate k is exact through t^k, so iteration
+k runs at truncation k and the powers of y it needs are built once per
+iteration; the coefficients through the requested order are the same as
+with every iteration at full truncation.
 """
 
 from __future__ import annotations
@@ -119,10 +122,10 @@ class FormalSeries:
             return FormalSeries([Fraction(c, d) for c in acc], order)
         out = [Fraction(0)] * order
         for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j in range(order - i):
-                out[i + j] = out[i + j] + x * b[j]
+            if x:
+                for j in range(order - i):
+                    if b[j]:
+                        out[i + j] = out[i + j] + x * b[j]
         return FormalSeries(out, order)
 
     def __rmul__(self, other) -> "FormalSeries":
@@ -443,48 +446,31 @@ def bell_apply(field: VectorField, psi: MultiPoly, n: int) -> MultiPoly:
     return out
 
 
-# time series over MultiPoly coefficients, used only by the Picard oracle
-
-
-def _ts_mul(a, b, order):
-    m = a[0].nvars
-    out = [MultiPoly.zero(m) for _ in range(order + 1)]
-    for i, x in enumerate(a[: order + 1]):
-        if not x:
-            continue
-        for j in range(order + 1 - i):
-            if b[j]:
-                out[i + j] = out[i + j] + x * b[j]
-    return out
-
-
-def _ts_power(args, i: int, e: int, order: int, powers: dict):
-    """args[i]**e through t^order, memoised in powers by (i, e)."""
+def _power(y, i: int, e: int, powers: dict) -> FormalSeries:
+    """y[i]**e, memoised in powers by (i, e)."""
     p = powers.get((i, e))
     if p is None:
-        if e == 1:
-            p = args[i][: order + 1]
-        else:
-            p = _ts_mul(_ts_power(args, i, e - 1, order, powers), args[i], order)
+        p = y[i] if e == 1 else _power(y, i, e - 1, powers) * y[i]
         powers[(i, e)] = p
     return p
 
 
-def _ts_eval(poly: MultiPoly, args, order, powers: dict):
-    """poly(args) through t^order. powers caches args[i]**e; every call that
-    sees the same args and order may share one cache."""
+def _at_series(poly: MultiPoly, y, order: int, powers: dict) -> list:
+    """The first `order` MultiPoly coefficients of poly(y), for series y of
+    that truncation. powers caches y[i]**e; every call that sees the same y
+    may share one cache."""
     m = poly.nvars
-    out = [MultiPoly.zero(m) for _ in range(order + 1)]
+    out = [MultiPoly.zero(m)] * order
     for exps, c in poly.terms.items():
         term = None
         for i, e in enumerate(exps):
             if e:
-                p = _ts_power(args, i, e, order, powers)
-                term = p if term is None else _ts_mul(term, p, order)
+                p = _power(y, i, e, powers)
+                term = p if term is None else term * p
         if term is None:
             out[0] = out[0] + MultiPoly.const(m, c)
             continue
-        for a, x in enumerate(term):
+        for a, x in enumerate(term.coeffs):
             if x:
                 out[a] = out[a] + x * c
     return out
@@ -510,7 +496,7 @@ def flow_pullback_taylor(field: VectorField, psi: MultiPoly, order: int) -> list
     if not field.exact and order > field.time_order():
         raise ValueError(f"order {order} exceeds time truncation {field.time_order()}")
     m = field.nvars
-    y = [[MultiPoly.var(m, i)] for i in range(m)]
+    y = [FormalSeries([MultiPoly.var(m, i)]) for i in range(m)]
     for it in range(1, order + 1):
         # y holds the coefficients through t^(it-1); F_t(y) is needed that far
         rhs = [[MultiPoly.zero(m)] * it for _ in range(m)]
@@ -518,13 +504,13 @@ def flow_pullback_taylor(field: VectorField, psi: MultiPoly, order: int) -> list
         for j in range(1, min(it, field.time_order()) + 1):
             scale = Fraction(1, factorial(j - 1))
             for i, comp in enumerate(field.field(j)):
-                vals = _ts_eval(comp, y, it - 1, powers)
+                vals = _at_series(comp, y, it, powers)
                 for a in range(it - (j - 1)):
                     if vals[a]:
                         rhs[i][a + j - 1] = rhs[i][a + j - 1] + vals[a] * scale
         y = [
-            [yi[0]] + [rhs[i][a] * Fraction(1, a + 1) for a in range(it)]
+            FormalSeries([yi.coeffs[0]] + [rhs[i][a] * Fraction(1, a + 1) for a in range(it)])
             for i, yi in enumerate(y)
         ]
-    values = _ts_eval(psi, y, order, {})
+    values = _at_series(psi, y, order + 1, {})
     return [values[n] * factorial(n) for n in range(order + 1)]

@@ -243,8 +243,8 @@ def test_render_latex():
     assert render_latex(p) == (
         "d_3^2 d_{11}^{12} + d_{12} d_1^{10} - \\frac{1}{2} d_1^{-1} - \\frac{5}{3}"
     )
-    assert render_latex(p, "X", 1) == (
-        "X_4^2 X_{12}^{12} + X_{13} X_2^{10} - \\frac{1}{2} X_1^{-1} - \\frac{5}{3}"
+    assert render_latex(p, "X") == (
+        "X_3^2 X_{11}^{12} + X_{12} X_1^{10} - \\frac{1}{2} X_1^{-1} - \\frac{5}{3}"
     )
     assert render_text(p) == "d3^2*d11^12 + d12*d1^10 - 1/2*d1^-1 - 5/3"
     c = parse_text("-d1^-3*d10 + d1^10*d12", commutative=True)

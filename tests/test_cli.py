@@ -177,6 +177,12 @@ def test_series_flow_check(capsys):
     assert "ok" in out
 
 
+def test_series_flow_check_order_zero(capsys):
+    code, out, _ = run(capsys, "series", "--flow-check", "--order", "0")
+    assert code == 0
+    assert out == "flow pullback vs Bell words through order 0: ok"
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "stirling", "--max-degree", "5")
     assert code == 0

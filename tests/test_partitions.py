@@ -7,7 +7,7 @@ from fractions import Fraction
 import ncbell
 from ncbell import hopf, mobius, partitions, verify
 from ncbell.algebra import CPoly, NCPoly, QPoly, key_of, qbinomial, ring
-from ncbell.bell import bell, compositions
+from ncbell.bell import bell, compositions, qbell_coefficient
 from ncbell.partitions import (
     N_formula,
     bell_number,
@@ -163,6 +163,16 @@ def test_qcount_agrees_with_product():
         assert lhs == qcount_product(sizes)
         n = sum(sizes)
         assert lhs.evaluate(1) == count_max_ordered(n, sizes)
+
+
+def test_qbell_coefficient_is_the_weight_generating_function():
+    # the q-Bell coefficient of d_{p_1}...d_{p_k} counts the partitions with
+    # max-ordered block sizes p by q^weight, as an identity of polynomials in q
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            for parts in compositions(n, k):
+                want = qcount_max_ordered(parts)
+                assert qbell_coefficient(parts) == want == qcount_product(parts), parts
 
 
 def test_qcount_weight_generating_function():
