@@ -227,14 +227,20 @@ def coproduct(p, variant: str = "dfdb") -> dict:
 def coproduct_oracle(n: int, variant: str = "dfdb") -> dict:
     """Brute-force coproduct of X_n from set partitions of {1..n+1}: each
     partition contributes (product of X_{|block|-1}, blocks by increasing
-    maxima) tensor X_{#blocks-1}."""
+    maxima) tensor X_{#blocks-1}. The walk tallies each partition's
+    block-size word, and each distinct word then gives its key pair once,
+    weighted by its count."""
     from . import partitions
 
     cls = _cls(variant)
-    out: dict = {}
+    tally: dict = {}
     for P in partitions.iter_partitions(n + 1):
-        key = (key_of(cls, [len(b) - 1 for b in P]), cls.letter_key(len(P) - 1))
-        out[key] = out.get(key, 0) + 1
+        sizes = tuple(map(len, P))
+        tally[sizes] = tally.get(sizes, 0) + 1
+    out: dict = {}
+    for sizes, count in tally.items():
+        key = (key_of(cls, [s - 1 for s in sizes]), cls.letter_key(len(sizes) - 1))
+        out[key] = out.get(key, 0) + count
     return out
 
 

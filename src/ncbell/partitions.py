@@ -3,7 +3,15 @@ Bell numbers, and the q-weight statistic behind the q-analog coefficients.
 
 A partition is stored as a tuple of blocks, each block a sorted tuple of
 integers, with the blocks listed in increasing order of their maxima. That
-ordering is the one the block-size words d_{|P_1|} ... d_{|P_k|} read off.
+ordering is the one the block-size words d_{|P_1|} ... d_{|P_k|} read off,
+so tuple(map(len, P)) is the word of a partition that iter_partitions
+yields.
+
+iter_partitions walks the restricted-growth tree and carries each node's
+blocks already in max order: placing the next element, which is larger
+than every element placed so far, moves its block to the end. The q-weight
+is read in the original labels: removing blocks from the largest maximum
+down, one scan of the remaining ground set scores each removal.
 
 The brute-force q-count memoises per ground set: the partitions of {1..s}
 into k blocks are enumerated once, and their weights are tallied into one
@@ -23,55 +31,54 @@ from .algebra import QPoly, qbinomial
 def iter_partitions(n: int, k: int | None = None):
     """Yield the set partitions of {1..n}, optionally into exactly k blocks.
 
-    Generated by restricted growth strings: element i goes into block a_i
-    with a_1 = 0 and a_i <= max(a_1..a_{i-1}) + 1, the strings in
-    lexicographic order. A branch stops as soon as it has more than k
-    blocks or cannot reach k with the elements left. The walk keeps its
-    stack in lists rather than in a recursive closure, so an abandoned
-    generator leaves no reference cycle. Bad arguments raise on the first
-    next().
+    The walk goes down the restricted-growth tree: element i joins block
+    a_i with a_1 = 0 and a_i <= max(a_1..a_{i-1}) + 1, and the growth
+    strings come out in lexicographic order. Each node carries its
+    partition of {1..i} as block tuples already in max order, with the
+    growth label of each block. Placing i+1 in block b gives the child
+    directly: that block moves to the end, extended by i+1, since i+1 is
+    now the largest maximum; a new block (i+1,) is appended. So a leaf is
+    yielded as it stands, with no rebuild or sort. A branch stops as soon
+    as it has more than k blocks or cannot reach k with the elements left.
+    The pending nodes live on one list stack, so an abandoned generator
+    leaves no reference cycle. Bad arguments raise on the first next().
     """
     if n < 1:
         raise ValueError("ground set must be nonempty")
     if k is not None and (k < 1 or k > n):
         raise ValueError(f"block count {k} out of range for n={n}")
-    a = [0] * n
-    opened = [0] * (n + 1)  # opened[i]: blocks used by a[0..i-1]
-    untried = [0] * n  # untried[i]: the next block to try for a[i]
-    opened[1] = 1
-    i = 1
-    while i:
-        if i == n:
-            blocks = [[] for _ in range(opened[n])]
-            for pos in range(n):
-                blocks[a[pos]].append(pos + 1)
-            # filled in increasing order, so each block is already sorted
-            yield tuple(sorted(map(tuple, blocks), key=itemgetter(-1)))
-            i -= 1
+    # a node (blocks, labels, left) holds the partition of the first n - left
+    # elements; its children are pushed in reverse label order
+    stack = [((), (), n)]
+    push, pop = stack.append, stack.pop
+    while stack:
+        blocks, labels, left = pop()
+        i = n - left + 1  # the element placed next
+        m = len(blocks)
+        new_block = k is None or m < k
+        old_block = k is None or m + left - 1 >= k
+        by_label = [0] * m
+        for pos, b in enumerate(labels):
+            by_label[b] = pos
+        if left == 1:  # the children are leaves: yield them in label order
+            if old_block:
+                for p in by_label:
+                    yield blocks[:p] + blocks[p + 1:] + (blocks[p] + (i,),)
+            if new_block:
+                yield blocks + ((i,),)
             continue
-        b = untried[i]
-        if b > opened[i]:
-            i -= 1
-            continue
-        untried[i] = b + 1
-        c = max(opened[i], b + 1)
-        if k is not None and (c > k or c + n - i - 1 < k):
-            continue
-        a[i] = b
-        opened[i + 1] = c
-        i += 1
-        if i < n:
-            untried[i] = 0
+        if new_block:
+            push((blocks + ((i,),), labels + (m,), left - 1))
+        if old_block:
+            for b in range(m - 1, -1, -1):
+                p = by_label[b]
+                push((blocks[:p] + blocks[p + 1:] + (blocks[p] + (i,),),
+                      labels[:p] + labels[p + 1:] + (b,), left - 1))
 
 
 def enumerate_partitions(n: int, k: int | None = None) -> list:
     """The list of iter_partitions(n, k)."""
     return list(iter_partitions(n, k))
-
-
-def block_sizes(P) -> tuple:
-    """Sizes read off in increasing order of block maxima."""
-    return tuple(map(len, sorted(P, key=itemgetter(-1))))
 
 
 def count_max_ordered(n: int, sizes) -> int:
@@ -89,7 +96,7 @@ def count_max_ordered(n: int, sizes) -> int:
         raise ValueError(f"size sum {s} exceeds ground set {n}")
     if not sizes:
         return 1
-    hits = sum(1 for P in iter_partitions(s, len(sizes)) if block_sizes(P) == sizes)
+    hits = sum(1 for P in iter_partitions(s, len(sizes)) if tuple(map(len, P)) == sizes)
     return comb(n, s) * hits
 
 
@@ -110,33 +117,51 @@ def N_formula(sizes) -> int:
 
 
 def weight(P) -> int:
-    """The q-weight of a partition.
+    """The q-weight of a partition of {1..m}, its blocks in any order.
 
-    Iteratively remove the block containing the current maximum from the
-    current ground set {1..m}. Each maximal run of consecutive elements of
-    the removed block whose start j has no predecessor j-1 in the block
-    scores m - j, except that a run starting at 1 scores nothing. The
-    remaining elements are relabeled 1..m' preserving order, and the
-    process repeats until a single block is left. The weight is the total
-    score; the generating function over all partitions with fixed
+    Blocks are removed one at a time, the one with the largest maximum
+    first, until a single block is left. Each removal is one scan of the
+    current ground set (the elements of the blocks still there), in the
+    original labels: an element of the removed block scores the number of
+    ground elements above it when its predecessor in the ground set lies
+    in another block; the least ground element scores nothing. The weight
+    is the total score. Read in the labels 1..m' of the current ground
+    set, each maximal run of the removed block starting at j > 1 scores
+    m' - j. The generating function over all partitions with fixed
     max-ordered sizes is the q-binomial product of qcount_product.
+
+    Every block must be a nonempty, strictly increasing sequence, and the
+    blocks together must hold each of 1..m exactly once.
     """
-    blocks = sorted((tuple(b) for b in P), key=lambda b: b[-1])
+    blocks = [tuple(b) for b in P]
+    m = sum(map(len, blocks))
+    if not all(blocks):
+        raise ValueError("partition does not cover a {1..m} ground set")
+    blocks.sort(key=itemgetter(-1))
+    owner = [-1] * (m + 1)  # owner[x]: position of x's block in max order
+    for t, block in enumerate(blocks):
+        prev = 0
+        for x in block:
+            if not prev < x <= m or owner[x] >= 0:
+                raise ValueError("partition does not cover a {1..m} ground set")
+            owner[x] = t
+            prev = x
     total = 0
-    while len(blocks) > 1:
-        removed = blocks.pop()
-        m = len(removed) + sum(len(b) for b in blocks)
-        if removed[-1] != m:
-            raise ValueError("partition does not cover a {1..m} ground set")
-        members = set(removed)
-        for j in removed:
-            if j >= 2 and (j - 1) not in members:
-                total += m - j
-        remaining = sorted(x for b in blocks for x in b)
-        relabel = {x: i + 1 for i, x in enumerate(remaining)}
-        blocks = sorted(
-            (tuple(relabel[x] for x in b) for b in blocks), key=lambda b: b[-1]
-        )
+    ground = range(1, m + 1)
+    for t in range(len(blocks) - 1, 0, -1):
+        above = len(ground)
+        kept = []
+        prev_here = True  # the least ground element scores nothing
+        for x in ground:
+            above -= 1
+            if owner[x] == t:
+                if not prev_here:
+                    total += above
+                prev_here = True
+            else:
+                kept.append(x)
+                prev_here = False
+        ground = kept
     return total
 
 
@@ -161,7 +186,7 @@ def qcount_max_ordered(sizes) -> QPoly:
     if tally is None:
         tally = {}
         for P in enumerate_partitions(*key):
-            hist = tally.setdefault(block_sizes(P), {})
+            hist = tally.setdefault(tuple(map(len, P)), {})
             w = weight(P)
             hist[w] = hist.get(w, 0) + 1
         _QCOUNT[key] = tally

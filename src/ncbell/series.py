@@ -12,8 +12,9 @@ product coefficient is one Fraction. Ring-valued coefficients use the
 plain loop, which skips zero factors on either side; it serves both
 egf_bell_check (CPoly) and the Picard oracle (MultiPoly). compose is
 Horner evaluation on FormalSeries.__mul__, adding f_n to the constant
-term at each step; compose_via_bell evaluates each B_{n,k} at the integer
-numerators of g and divides by the k-th power of their denominator once.
+term at each step; compose_via_bell splits each B_n into its B_{n,k} in one
+pass, evaluates each at the integer numerators of g and divides by the k-th
+power of their denominator once.
 
 The flow half of the module works over MultiPoly, exact multivariate
 polynomials in x1..xm. A VectorField is a list of m components, optionally
@@ -36,8 +37,17 @@ import operator
 from fractions import Fraction
 from math import factorial
 
-from .algebra import TermRing, _coeff, _parse_coeff, _ring_ops, common_denominator, signed_sum
-from .bell import bell, bell_partial
+from .algebra import (
+    CPoly,
+    TermRing,
+    _coeff,
+    _parse_coeff,
+    _ring_ops,
+    common_denominator,
+    mono_length,
+    signed_sum,
+)
+from .bell import bell
 
 _EXACT = frozenset((int, bool, Fraction))  # coefficient types of the integer kernel
 
@@ -174,9 +184,13 @@ def compose_via_bell(f: FormalSeries, g: FormalSeries, order: int | None = None)
     gvals = dict(enumerate(gnums, 1))
     divided = [f.coeff(0)]
     for n in range(1, order):
+        strata: dict = {}  # k -> the monomials of B_{n,k}, one pass over B_n
+        for m, c in bell(n, "c").terms.items():
+            strata.setdefault(mono_length(m), {})[m] = c
         total = Fraction(0)
         for k in range(1, n + 1):
-            total += f.divided(k) * Fraction(bell_partial(n, k, "c").evaluate(gvals), d**k)
+            b_nk = CPoly._new(strata.get(k, {}))
+            total += f.divided(k) * Fraction(b_nk.evaluate(gvals), d**k)
         divided.append(total)
     return FormalSeries.from_divided(divided, order)
 

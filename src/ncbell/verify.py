@@ -222,7 +222,7 @@ def suite_partition_oracle(max_degree=None, seed=0):
     for n in range(1, top + 1):
         tally: dict = {}
         for P in partitions.iter_partitions(n):
-            sizes = partitions.block_sizes(P)
+            sizes = tuple(map(len, P))
             tally[sizes] = tally.get(sizes, 0) + 1
         by_word: dict = {}
         for k in range(1, n + 1):

@@ -112,3 +112,16 @@ analytic          PASS  50 compositions, 20 flow pullbacks, and the EGF identity
 
 def test_default_report_text():
     assert format_report([_result(suite) for suite in SUITES]) + "\n" == REPORT
+
+
+# the three set-partition suites at `ncbell verify --max-degree 9`
+DEEP_PARTITION_REPORT = """\
+partition-oracle  PASS  coefficients = partition counts = binomial products, n <= 9
+coproduct-oracle  PASS  partition oracle matches for n <= 9, both variants
+q-statistics      PASS  weights, q-products (totals <= 9), and q = 1 limits match
+"""
+
+
+def test_partition_suites_report_at_degree_9():
+    results = run_suites(["partition-oracle", "coproduct-oracle", "q-statistics"], 9)
+    assert format_report(results) + "\n" == DEEP_PARTITION_REPORT

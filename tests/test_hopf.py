@@ -99,6 +99,24 @@ def test_coproduct_matches_partition_oracle():
             assert coproduct_gen(n, variant) == coproduct_oracle(n, variant)
 
 
+def test_coproduct_oracle_keys_each_size_word_once(monkeypatch):
+    # the walk tallies block-size words; each distinct word is keyed once, and
+    # every composition of n + 1 is the word of some partition
+    want = {variant: coproduct_gen(6, variant) for variant in ("fdb", "dfdb")}
+    words = []
+    original = hopf.key_of
+
+    def counted(cls, word):
+        words.append(tuple(word))
+        return original(cls, word)
+
+    monkeypatch.setattr(hopf, "key_of", counted)
+    for variant, coproduct_6 in want.items():
+        words.clear()
+        assert coproduct_oracle(6, variant) == coproduct_6
+        assert len(words) == len(set(words)) == 2**6
+
+
 def test_antipode_tables():
     cases = {
         ("fdb", 1): "-X1",

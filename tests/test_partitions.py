@@ -3,6 +3,11 @@
 import gc
 import tracemalloc
 from fractions import Fraction
+from operator import itemgetter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ncbell
 from ncbell import hopf, mobius, partitions, verify
@@ -11,7 +16,6 @@ from ncbell.bell import bell, compositions, qbell_coefficient
 from ncbell.partitions import (
     N_formula,
     bell_number,
-    block_sizes,
     count_max_ordered,
     enumerate_partitions,
     iter_partitions,
@@ -33,12 +37,69 @@ def canonical(blocks) -> tuple:
     return tuple(bs)
 
 
+def block_sizes(P) -> tuple:
+    """Sizes read off in increasing order of block maxima, for blocks in any
+    order: the reference for tuple(map(len, P)) on a yielded partition."""
+    return tuple(map(len, sorted(P, key=itemgetter(-1))))
+
+
 def monomial_of(P, variant: str = "nc"):
     """The block-size monomial d_{|P_1|} ... d_{|P_k|} of a partition, its
     letters in increasing order of block maxima: the reference for
     verify._partition_sum."""
     cls = ring(variant)
     return cls.from_key(key_of(cls, block_sizes(P)))
+
+
+def reference_partitions(n: int, k: int | None = None):
+    """The restricted-growth walk that rebuilds every leaf: keep the growth
+    string a_1..a_n, and at each leaf fill the blocks from it and sort them
+    by their maxima. The reference for iter_partitions."""
+    a = [0] * n
+    opened = [0] * (n + 1)  # opened[i]: blocks used by a[0..i-1]
+    untried = [0] * n  # untried[i]: the next block to try for a[i]
+    opened[1] = 1
+    i = 1
+    while i:
+        if i == n:
+            blocks = [[] for _ in range(opened[n])]
+            for pos in range(n):
+                blocks[a[pos]].append(pos + 1)
+            yield tuple(sorted(map(tuple, blocks), key=itemgetter(-1)))
+            i -= 1
+            continue
+        b = untried[i]
+        if b > opened[i]:
+            i -= 1
+            continue
+        untried[i] = b + 1
+        c = max(opened[i], b + 1)
+        if k is not None and (c > k or c + n - i - 1 < k):
+            continue
+        a[i] = b
+        opened[i + 1] = c
+        i += 1
+        if i < n:
+            untried[i] = 0
+
+
+def reference_weight(P) -> int:
+    """The q-weight by relabelling: remove the block of the current maximum
+    m, score m - j for each run of it starting at j > 1, relabel the rest
+    1..m' and repeat. The reference for weight on well-formed input."""
+    blocks = sorted((tuple(b) for b in P), key=itemgetter(-1))
+    total = 0
+    while len(blocks) > 1:
+        removed = blocks.pop()
+        m = len(removed) + sum(len(b) for b in blocks)
+        members = set(removed)
+        for j in removed:
+            if j >= 2 and (j - 1) not in members:
+                total += m - j
+        remaining = sorted(x for b in blocks for x in b)
+        relabel = {x: i + 1 for i, x in enumerate(remaining)}
+        blocks = sorted((tuple(relabel[x] for x in b) for b in blocks), key=itemgetter(-1))
+    return total
 
 
 def test_enumerate_counts():
@@ -70,6 +131,19 @@ def test_iter_partitions_is_the_enumeration():
     for n in range(1, 9):
         for k in (None, *range(1, n + 1)):
             assert list(iter_partitions(n, k)) == enumerate_partitions(n, k)
+
+
+def test_iter_partitions_matches_the_rebuilding_walk():
+    for n in range(1, 11):
+        for k in (None, *range(1, n + 1)):
+            assert list(iter_partitions(n, k)) == list(reference_partitions(n, k)), (n, k)
+
+
+def test_iter_partitions_refuses_bad_arguments_on_first_next():
+    for n, k in ((0, None), (3, 0), (3, 4)):
+        walk = iter_partitions(n, k)
+        with pytest.raises(ValueError):
+            next(walk)
 
 
 def test_iter_partitions_leaves_no_cyclic_garbage():
@@ -155,6 +229,38 @@ def test_weight_example():
 def test_weight_vanishes_on_nested_blocks():
     assert weight(((1,), (2,), (3,))) == 0
     assert weight(((1, 2, 3),)) == 0
+
+
+def test_weight_matches_the_relabelling_weight():
+    for n in range(1, 10):
+        for P in iter_partitions(n):
+            assert weight(P) == reference_weight(P), P
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=12), st.randoms(use_true_random=False))
+def test_weight_ignores_block_order(labels, rnd):
+    # element x joins the block labelled labels[x - 1]; the blocks are shuffled
+    groups: dict = {}
+    for x, label in enumerate(labels, 1):
+        groups.setdefault(label, []).append(x)
+    blocks = [tuple(b) for b in groups.values()]
+    rnd.shuffle(blocks)
+    assert weight(blocks) == weight(canonical(blocks)) == reference_weight(blocks)
+
+
+@pytest.mark.parametrize("P", [
+    ((1, 1), (3,)),  # 1 repeated, 2 missing
+    ((1, 2), (2, 3)),  # 2 in two blocks
+    ((1,), (3,)),  # a gap at 2
+    ((2, 3),),  # a single block that misses 1
+    ((1, 3), (2, 4)[::-1]),  # an unsorted block
+    ((1, 2), (), (3,)),  # an empty block
+    ((0, 1), (2,)),  # an element below 1
+])
+def test_weight_refuses_a_malformed_partition(P):
+    with pytest.raises(ValueError, match="does not cover"):
+        weight(P)
 
 
 def test_qcount_agrees_with_product():

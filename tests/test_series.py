@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncbell import series, verify
+from ncbell.bell import bell
 from ncbell.series import (
     FormalSeries,
     MultiPoly,
@@ -22,6 +23,22 @@ from ncbell.series import (
 )
 
 EXP = FormalSeries.from_divided([Fraction(0)] + [Fraction(1)] * 8, 9)
+
+
+def test_compose_via_bell_reads_each_bell_monomial_once(monkeypatch):
+    # B_n is split into its B_{n,k} in one pass, not rescanned for every k
+    lengths = []
+    original = series.mono_length
+
+    def counted(m):
+        lengths.append(m)
+        return original(m)
+
+    monkeypatch.setattr(series, "mono_length", counted)
+    got = compose_via_bell(EXP, EXP)
+    assert len(lengths) == sum(len(bell(n, "c").terms) for n in range(1, 9))
+    # e^(e^t - 1) - 1: the Bell numbers
+    assert [got.divided(n) for n in range(9)] == [0, 1, 2, 5, 15, 52, 203, 877, 4140]
 
 
 def test_series_basics():
