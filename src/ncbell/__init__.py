@@ -99,6 +99,7 @@ _MEMOS = {
     "mobius.antipode": ("mobius", "_ANTIPODE"),
     "partitions.stirling": ("partitions", "_STIRLING"),
     "partitions.qcount": ("partitions", "_QCOUNT"),
+    "partitions.size_words": ("partitions", "_SIZE_WORDS"),
     "algebra.qfactorial": ("algebra", "_QFACTORIAL"),
 }
 

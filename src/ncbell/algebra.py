@@ -754,9 +754,12 @@ def to_json_dict(p, algebra: str | None = None) -> dict:
     }
 
 
-def _parse_coeff(text: str) -> int | Fraction:
-    """A coefficient read from its text, e.g. "3" or "-1/2": an int when it
-    is integral, since no division has happened."""
+def _parse_coeff(text: str | int) -> int | Fraction:
+    """A coefficient read from its text, e.g. "3" or "-1/2", or from a JSON
+    int: an int when it is integral, since no division has happened. Any
+    other value, a JSON float in particular, is a ValueError."""
+    if not isinstance(text, (str, int)):
+        raise ValueError(f"coefficient must be text or an int, got {type(text).__name__}")
     c = Fraction(text)
     return c.numerator if c.denominator == 1 else c
 

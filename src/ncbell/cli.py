@@ -14,10 +14,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .algebra import (
     NCPoly,
+    _parse_coeff,
     render_latex,
     render_qpoly,
     render_text,
@@ -132,7 +132,7 @@ def cmd_quasidet(args) -> int:
     if args.format != "text":
         raise ValueError("quasidet --file prints text only")
     rows = _load_json(args)
-    A = [[Fraction(e) for e in row] for row in rows]
+    A = [[_parse_coeff(e) for e in row] for row in rows]
     p = 1 if args.row is None else args.row
     q = len(A) if args.col is None else args.col
     print(quasidet.numeric_quasidet(A, p, q))

@@ -28,14 +28,17 @@ classes; triple tensors use 3-tuples of keys.
 The axiom battery hopf_axiom_check expands each distinct tensor leg once
 per call: one memo holds the coproduct of every leg and another its
 antipode, shared by both legs and by every element checked. Both memos are
-local to the call, so nothing the battery caches outlives it.
+local to the call, so nothing the battery caches outlives it. The counit
+and antipode sums of each element are term dicts filled in place, one per
+side, so no ring element is built per tensor term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
-from .algebra import _coeff, _word, add_into, join_signed, key_of, term
+from .algebra import _coeff, _word, add_into, common_denominator, join_signed, key_of, term
 from .bell import bell_partial
 from . import algebra, quasidet
 
@@ -150,28 +153,55 @@ class Character:
             raise ValueError(f"character not defined on letter {i}")
         return self.values[i]
 
-    def on_key(self, key, cls) -> int | Fraction:
-        """The value on the monomial key of the ring class cls."""
-        prod = 1
-        for i in cls.key_letters(key):
-            prod *= self.on_letter(i)
-        return prod
-
     def __call__(self, p) -> int | Fraction:
-        cls = type(p)
-        total = 0
-        for key, c in p.terms.items():
-            total += c * self.on_key(key, cls)
-        return total
+        return _evaluate((((key,), c) for key, c in p.terms.items()), (self,),
+                         type(p).key_letters)
+
+
+def _evaluate(items, chars: tuple, key_letters) -> int | Fraction:
+    """The sum of c * chars[0](legs[0]) * chars[1](legs[1]) * ... over the
+    (legs, c) pairs of items, legs a tuple of monomial keys. A character's
+    values are read as integer numerators over one denominator d, so a
+    leg of length m is worth its numerator product / d^m; terms are summed
+    per tuple of leg lengths, brought up to the longest legs with powers
+    of d, and divided once. An int when every value and coefficient is an
+    int (0 when there are no terms), else a Fraction."""
+    tables, dens = [], []
+    for ch in chars:
+        nums, d = common_denominator(list(ch.values.values()))
+        tables.append(dict(zip(ch.values, nums)))
+        dens.append(d)
+    exact_int = not any(isinstance(v, Fraction) for ch in chars for v in ch.values.values())
+    by_length: dict = {}
+    try:
+        for legs, c in items:
+            lengths = []
+            for key, table in zip(legs, tables):
+                letters = key_letters(key)
+                c *= prod(map(table.__getitem__, letters))
+                lengths.append(len(letters))
+            lengths = tuple(lengths)
+            by_length[lengths] = by_length.get(lengths, 0) + c
+    except KeyError as exc:
+        raise ValueError(f"character not defined on letter {exc.args[0]}") from None
+    if not by_length:
+        return 0
+    tops = [max(place) for place in zip(*by_length)]
+    total = 0
+    for lengths, s in by_length.items():
+        for d, top, m in zip(dens, tops, lengths):
+            s *= d ** (top - m)
+        total += s
+    den = prod(d ** top for d, top in zip(dens, tops))
+    if isinstance(total, Fraction):  # a Fraction coefficient
+        return total / den
+    return total if exact_int else Fraction(total, den)
 
 
 def pair(phi: Character, psi: Character, t: dict, variant: str) -> int | Fraction:
-    """(phi (x) psi)(t) = sum of c * phi(left) * psi(right) over a 2-tensor."""
-    cls = ring(variant)
-    total = 0
-    for (l, r), c in t.items():
-        total += c * phi.on_key(l, cls) * psi.on_key(r, cls)
-    return total
+    """(phi (x) psi)(t) = sum of c * phi(left) * psi(right) over a 2-tensor,
+    evaluated on integer numerators and divided once."""
+    return _evaluate(t.items(), (phi, psi), ring(variant).key_letters)
 
 
 # ---------------------------------------------------------------------------
@@ -227,18 +257,15 @@ def coproduct(p, variant: str = "dfdb") -> dict:
 def coproduct_oracle(n: int, variant: str = "dfdb") -> dict:
     """Brute-force coproduct of X_n from set partitions of {1..n+1}: each
     partition contributes (product of X_{|block|-1}, blocks by increasing
-    maxima) tensor X_{#blocks-1}. The walk tallies each partition's
-    block-size word, and each distinct word then gives its key pair once,
-    weighted by its count."""
+    maxima) tensor X_{#blocks-1}. partitions.size_words tallies the
+    block-size words of {1..n+1} in one walk, shared by both variants, and
+    each distinct word then gives its key pair once, weighted by its
+    count."""
     from . import partitions
 
     cls = _cls(variant)
-    tally: dict = {}
-    for P in partitions.iter_partitions(n + 1):
-        sizes = tuple(map(len, P))
-        tally[sizes] = tally.get(sizes, 0) + 1
     out: dict = {}
-    for sizes, count in tally.items():
+    for sizes, count in partitions.size_words(n + 1).items():
         key = (key_of(cls, [s - 1 for s in sizes]), cls.letter_key(len(sizes) - 1))
         out[key] = out.get(key, 0) + count
     return out
@@ -320,30 +347,40 @@ def _tensor_expand(t: dict, leg: int, variant: str, deltas: dict) -> dict:
     return out
 
 
+def _antipode_sums(delta: dict, antipodes: dict, key_mul) -> tuple:
+    """The term dicts of sum c * S(l) * r and sum c * l * S(r) over the terms
+    (l, r) -> c of delta, antipodes mapping each leg key to S of it. Every
+    term of an antipode is shifted by the other leg's monomial straight
+    into one dict per side."""
+    left: dict = {}
+    right: dict = {}
+    for (l, r), c in delta.items():
+        for key, a in antipodes[l].terms.items():
+            key = key_mul(key, r)
+            left[key] = left.get(key, 0) + a * c
+        for key, a in antipodes[r].terms.items():
+            key = key_mul(l, key)
+            right[key] = right.get(key, 0) + a * c
+    return ({k: v for k, v in left.items() if v}, {k: v for k, v in right.items() if v})
+
+
 def _check_element(p, delta: dict, variant: str, deltas: dict, antipodes: dict) -> str | None:
     """The first axiom that fails on p, whose coproduct is delta, or None.
     deltas and antipodes map leg keys to their coproducts and antipodes,
-    filled as legs are met and shared with the other elements."""
+    filled as legs are met and shared with the other elements. The counit
+    and antipode sums are built as term dicts, not by ring operations."""
     cls = _cls(variant)
     if _tensor_expand(delta, 0, variant, deltas) != _tensor_expand(delta, 1, variant, deltas):
         return "coassociativity"
-    left_counit = cls.zero()
-    right_counit = cls.zero()
-    for (l, r), c in delta.items():
-        if l == ():
-            left_counit = left_counit + cls.from_key(r) * c
-        if r == ():
-            right_counit = right_counit + cls.from_key(l) * c
-    if left_counit != p or right_counit != p:
+    # the terms with a unit leg have distinct other legs: no sums needed
+    left_counit = {r: c for (l, r), c in delta.items() if l == () and c}
+    right_counit = {l: c for (l, r), c in delta.items() if r == () and c}
+    if left_counit != p.terms or right_counit != p.terms:
         return "counit"
     for leg in {k for legs in delta for k in legs} - antipodes.keys():
         antipodes[leg] = antipode_poly(cls.from_key(leg), variant)
-    s_left = cls.zero()
-    s_right = cls.zero()
-    for (l, r), c in delta.items():
-        s_left = s_left + antipodes[l] * cls.from_key(r) * c
-        s_right = s_right + cls.from_key(l) * antipodes[r] * c
-    expect = cls.one() * counit(p)
+    s_left, s_right = _antipode_sums(delta, antipodes, cls.key_mul)
+    expect = (cls.one() * counit(p)).terms
     if s_left != expect or s_right != expect:
         return "antipode"
     return None

@@ -81,6 +81,24 @@ def enumerate_partitions(n: int, k: int | None = None) -> list:
     return list(iter_partitions(n, k))
 
 
+_SIZE_WORDS: dict = {}
+
+
+def size_words(n: int) -> dict:
+    """{max-ordered block-size word: number of partitions of {1..n} that
+    spell it}, from one walk per n: the first call for n tallies
+    tuple(map(len, P)) over iter_partitions(n) into _SIZE_WORDS, and every
+    call returns a fresh copy of that tally."""
+    tally = _SIZE_WORDS.get(n)
+    if tally is None:
+        tally = {}
+        for P in iter_partitions(n):
+            sizes = tuple(map(len, P))
+            tally[sizes] = tally.get(sizes, 0) + 1
+        _SIZE_WORDS[n] = tally
+    return dict(tally)
+
+
 def count_max_ordered(n: int, sizes) -> int:
     """Number of partitions with max-ordered block sizes exactly (p_1..p_k).
 

@@ -106,6 +106,15 @@ def bell_via_quasidet(n: int, variant: str = "nc"):
     return quasidet(bell_matrix(n, variant))
 
 
+def _refuse_inexact(M) -> None:
+    """Raise _coeff's TypeError at the first entry of M that is not an int
+    or a Fraction, a float in particular."""
+    for row in M:
+        for e in row:
+            if not isinstance(e, (int, Fraction)):
+                _coeff(e)
+
+
 def det(M):
     """Exact determinant. Rational entries: each row is scaled to integers
     by the lcm of its denominators, fraction-free Bareiss elimination runs
@@ -127,8 +136,7 @@ def det(M):
             scale *= d
         return Fraction(_det_bareiss(rows), scale)
     if not any(isinstance(e, TermRing) for row in M for e in row):
-        # scalars only, not all exact: _coeff refuses the first float
-        _coeff(next(e for row in M for e in row if not isinstance(e, (int, Fraction))))
+        _refuse_inexact(M)  # scalars only, not all exact
     cls = _entry_class(M)
 
     memo: dict = {}
@@ -179,45 +187,83 @@ def _det_bareiss(M) -> int:
     return sign * M[n - 1][n - 1]
 
 
+def _integer_rows(M) -> tuple:
+    """(N, scales) with M[i] == N[i] / scales[i]: each row of exact scalars
+    as integer numerators over the lcm of its denominators."""
+    pairs = [common_denominator(row) for row in M]
+    return [nums for nums, _ in pairs], [s for _, s in pairs]
+
+
+def _gauss_jordan(N) -> tuple:
+    """(B, d) with N^{-1} = B / d for a square matrix N of ints, a list of
+    lists: fraction-free Gauss-Jordan elimination on [N | I], with a row
+    swap when a pivot is 0. After the step on column k every entry is a
+    (k+1)-minor of the row-swapped [N | I], so each // is exact, and the
+    left half ends as d times the identity, d the determinant of the
+    row-swapped N. Kept apart from _det_bareiss: it is the inverse route
+    that the determinant ratio is checked against. Raises
+    ValueError("singular matrix")."""
+    n = len(N)
+    A = [row + [int(i == j) for j in range(n)] for i, row in enumerate(N)]
+    prev = 1
+    for k in range(n):
+        if not A[k][k]:
+            for r in range(k + 1, n):
+                if A[r][k]:
+                    A[k], A[r] = A[r], A[k]
+                    break
+            else:
+                raise ValueError("singular matrix")
+        pivot_row = A[k]
+        pivot = pivot_row[k]
+        for i, row in enumerate(A):
+            if i != k:
+                a = row[k]
+                A[i] = [(x * pivot - a * y) // prev for x, y in zip(row, pivot_row)]
+        prev = pivot
+    return [row[n:] for row in A], prev
+
+
 def mat_inverse(M):
-    """Exact inverse of a rational matrix by Gauss-Jordan elimination."""
-    n = len(M)
-    A = [[Fraction(M[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if A[r][col]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        A[col], A[piv] = A[piv], A[col]
-        inv = 1 / A[col][col]
-        A[col] = [x * inv for x in A[col]]
-        for r in range(n):
-            if r != col and A[r][col]:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-    return [row[n:] for row in A]
+    """Exact inverse of a square matrix of ints and Fractions, each entry a
+    Fraction. Row i is scaled to integers by the lcm s_i of its
+    denominators, so M^{-1} = N^{-1} diag(s) for the integer matrix N, and
+    _gauss_jordan gives N^{-1} = B / d: entry (i, j) is B_ij s_j / d. A
+    float entry is _coeff's TypeError."""
+    if any(len(row) != len(M) for row in M):
+        raise ValueError("matrix is not square")
+    _refuse_inexact(M)
+    N, scales = _integer_rows(M)
+    B, d = _gauss_jordan(N)
+    return [[Fraction(b * s, d) for b, s in zip(row, scales)] for row in B]
 
 
 def numeric_quasidet(A, p: int, q: int) -> Fraction:
     """|A|_{pq} = a_{pq} - r (A^{pq})^{-1} c over the rationals, where r is
     row p without column q and c is column q without row p. Indices are
-    1-based. Raises ValueError when the minor is singular (the
+    1-based. The minor is scaled row by row to an integer matrix N with
+    scales S, so (A^{pq})^{-1} = N^{-1} S, and _gauss_jordan gives
+    N^{-1} = B / d; with r and c over one denominator each, r B S c is a
+    sum of ints and the result is one Fraction. A float entry is _coeff's
+    TypeError. Raises ValueError when the minor is singular (the
     quasideterminant is undefined there)."""
     n = len(A)
     if any(len(row) != n for row in A):
         raise ValueError("matrix is not square")
     if not (1 <= p <= n and 1 <= q <= n):
         raise ValueError("position out of range")
+    _refuse_inexact(A)
     rows = [i for i in range(n) if i != p - 1]
     cols = [j for j in range(n) if j != q - 1]
-    minor = [[Fraction(A[i][j]) for j in cols] for i in rows]
+    N, scales = _integer_rows([[A[i][j] for j in cols] for i in rows])
     try:
-        inv = mat_inverse(minor)
+        B, d = _gauss_jordan(N)
     except ValueError:
         raise ValueError(f"minor A^{{{p}{q}}} is singular; quasideterminant undefined")
-    r = [Fraction(A[p - 1][j]) for j in cols]
-    c = [Fraction(A[i][q - 1]) for i in rows]
-    acc = Fraction(A[p - 1][q - 1])
-    for b in range(n - 1):
-        for a in range(n - 1):
-            acc -= r[b] * inv[b][a] * c[a]
-    return acc
+    r, dr = common_denominator([A[p - 1][j] for j in cols])
+    c, dc = common_denominator([A[i][q - 1] for i in rows])
+    sc = [s * x for s, x in zip(scales, c)]
+    total = sum(x * sum(b * y for b, y in zip(row, sc)) for x, row in zip(r, B))
+    a = A[p - 1][q - 1]
+    den = d * dr * dc
+    return Fraction(a.numerator * den - total * a.denominator, a.denominator * den)

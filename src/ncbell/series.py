@@ -11,8 +11,11 @@ over the lcm of its denominators, the convolution runs in ints, and each
 product coefficient is one Fraction. Ring-valued coefficients use the
 plain loop, which skips zero factors on either side; it serves both
 egf_bell_check (CPoly) and the Picard oracle (MultiPoly). compose is
-Horner evaluation on FormalSeries.__mul__, adding f_n to the constant
-term at each step; compose_via_bell splits each B_n into its B_{n,k} in one
+Horner evaluation: for rational coefficients it runs on the integer
+numerators of f and g with powers of g's denominator, one Fraction per
+result coefficient; ring-valued series multiply through
+FormalSeries.__mul__, adding f_n to the constant term at each step.
+compose_via_bell splits each B_n into its B_{n,k} in one
 pass, evaluates each at the integer numerators of g and divides by the k-th
 power of their denominator once.
 
@@ -50,6 +53,17 @@ from .algebra import (
 from .bell import bell
 
 _EXACT = frozenset((int, bool, Fraction))  # coefficient types of the integer kernel
+
+
+def _convolve(a, b, order: int) -> list:
+    """The first order coefficients of the product of two integer coefficient
+    lists, b at least order long."""
+    acc = [0] * order
+    for i, x in enumerate(a):
+        if x:
+            for j in range(order - i):
+                acc[i + j] += x * b[j]
+    return acc
 
 
 class FormalSeries:
@@ -123,13 +137,8 @@ class FormalSeries:
         a, b = self.coeffs[:order], other.coeffs[:order]
         if _EXACT.issuperset(map(type, a)) and _EXACT.issuperset(map(type, b)):
             (na, da), (nb, db) = common_denominator(a), common_denominator(b)
-            acc = [0] * order
-            for i, x in enumerate(na):
-                if x:
-                    for j in range(order - i):
-                        acc[i + j] += x * nb[j]
             d = da * db
-            return FormalSeries([Fraction(c, d) for c in acc], order)
+            return FormalSeries([Fraction(c, d) for c in _convolve(na, nb, order)], order)
         out = [Fraction(0)] * order
         for i, x in enumerate(a):
             if x:
@@ -148,25 +157,39 @@ class FormalSeries:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FormalSeries":
-        return cls([Fraction(c) for c in d["coeffs"]], d["order"])
+        return cls([_parse_coeff(c) for c in d["coeffs"]], d["order"])
 
     def __repr__(self) -> str:
         return f"FormalSeries({[str(c) for c in self.coeffs]})"
 
 
 def compose(f: FormalSeries, g: FormalSeries, order: int | None = None) -> FormalSeries:
-    """f(g(t)) through the given order, by Horner evaluation."""
+    """f(g(t)) through the given order, by Horner evaluation. For exact
+    coefficients, with F = f df and G = g dg on integer numerators, the
+    loop runs acc <- acc G + F_n dg^(N-1-n) in ints and divides by
+    df dg^(N-1) once."""
     if order is None:
         order = min(f.order, g.order)
     if order > f.order or order > g.order:
         raise ValueError("composition order exceeds a truncation order")
     if g.coeff(0) != 0:
         raise ValueError("inner series must vanish at the origin")
-    gt = FormalSeries(g.coeffs[:order], order)
-    acc = FormalSeries([f.coeffs[order - 1]], order)
+    fc, gc = f.coeffs[:order], g.coeffs[:order]
+    if order > 1 and _EXACT.issuperset(map(type, fc)) and _EXACT.issuperset(map(type, gc)):
+        (F, df), (G, dg) = common_denominator(fc), common_denominator(gc)
+        acc = [F[-1]]
+        scale = 1
+        for n in range(order - 2, -1, -1):
+            acc = _convolve(acc, G, order)
+            scale *= dg
+            acc[0] += F[n] * scale
+        den = df * scale
+        return FormalSeries([Fraction(c, den) for c in acc], order)
+    gt = FormalSeries(gc, order)
+    acc = FormalSeries([fc[-1]], order)
     for n in range(order - 2, -1, -1):
         acc = acc * gt  # a fresh series: its constant term is ours to change
-        acc.coeffs[0] = acc.coeffs[0] + f.coeffs[n]
+        acc.coeffs[0] = acc.coeffs[0] + fc[n]
     return acc
 
 

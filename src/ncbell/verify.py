@@ -168,12 +168,12 @@ def suite_term_count(max_degree=None, seed=0):
 
 def _partition_sum(n):
     """The sum of the commutative block-size monomials over the set
-    partitions of {1..n}: the partitions are tallied by their multiset of
+    partitions of {1..n}: the size-word tally is merged by multiset of
     block sizes, and each multiset gives one monomial times its count."""
     tally: dict = {}
-    for P in partitions.iter_partitions(n):
-        sizes = tuple(sorted(map(len, P)))
-        tally[sizes] = tally.get(sizes, 0) + 1
+    for word, count in partitions.size_words(n).items():
+        sizes = tuple(sorted(word))
+        tally[sizes] = tally.get(sizes, 0) + count
     return CPoly({key_of(CPoly, sizes): c for sizes, c in tally.items()})
 
 
@@ -220,10 +220,7 @@ def suite_partition_oracle(max_degree=None, seed=0):
     partitions and the closed binomial product."""
     top = max_degree or 9
     for n in range(1, top + 1):
-        tally: dict = {}
-        for P in partitions.iter_partitions(n):
-            sizes = tuple(map(len, P))
-            tally[sizes] = tally.get(sizes, 0) + 1
+        tally = partitions.size_words(n)
         by_word: dict = {}
         for k in range(1, n + 1):
             for word, c in bell_partial(n, k, "nc").terms.items():

@@ -171,6 +171,26 @@ def test_series_reversion(tmp_path, capsys):
     assert out == "t - 1/2*t^2 + 1/3*t^3 - 1/4*t^4 + 1/5*t^5"
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["quasidet"], "[[0.1, 1], [2, 3]]"),
+    (["series", "--reversion"], '{"g": {"order": 3, "coeffs": ["0", 0.1, "1"]}}'),
+    (["series", "--compose"], '{"f": {"order": 2, "coeffs": [1.5, "1"]},'
+                              ' "g": {"order": 2, "coeffs": ["0", "1"]}}'),
+])
+def test_json_float_is_refused(argv, text, tmp_path, capsys):
+    f = tmp_path / "in.json"
+    f.write_text(text)
+    code, out, err = run(capsys, *argv, "--file", str(f))
+    assert (code, out) == (2, "")
+    assert err == "error: coefficient must be text or an int, got float"
+
+
+def test_json_ints_are_read_as_coefficients(tmp_path, capsys):
+    f = tmp_path / "m.json"
+    f.write_text("[[1, 2], [3, 4]]")
+    assert run(capsys, "quasidet", "--file", str(f), "--row", "1", "--col", "1") == (0, "-1/2", "")
+
+
 def test_series_flow_check(capsys):
     code, out, _ = run(capsys, "series", "--flow-check", "--order", "4")
     assert code == 0

@@ -293,6 +293,102 @@ def test_axiom_check_computes_each_leg_once(variant, monkeypatch):
     assert all(terms[0][1] == 1 for terms in inverted)
 
 
+def _check_element_reference(p, delta: dict, variant: str, deltas: dict, antipodes: dict):
+    """hopf._check_element with the counit and antipode sums built by ring
+    operations, one ring element per tensor term."""
+    cls = hopf._cls(variant)
+    if (hopf._tensor_expand(delta, 0, variant, deltas)
+            != hopf._tensor_expand(delta, 1, variant, deltas)):
+        return "coassociativity"
+    left_counit, right_counit = cls.zero(), cls.zero()
+    for (l, r), c in delta.items():
+        if l == ():
+            left_counit = left_counit + cls.from_key(r) * c
+        if r == ():
+            right_counit = right_counit + cls.from_key(l) * c
+    if left_counit != p or right_counit != p:
+        return "counit"
+    s_left, s_right = _ring_antipode_sums(delta, antipodes, variant)
+    expect = cls.one() * counit(p)
+    if s_left != expect or s_right != expect:
+        return "antipode"
+    return None
+
+
+def _ring_antipode_sums(delta: dict, antipodes: dict, variant: str) -> tuple:
+    cls = hopf._cls(variant)
+    for leg in {k for legs in delta for k in legs} - antipodes.keys():
+        antipodes[leg] = hopf.antipode_poly(cls.from_key(leg), variant)
+    s_left, s_right = cls.zero(), cls.zero()
+    for (l, r), c in delta.items():
+        s_left = s_left + antipodes[l] * cls.from_key(r) * c
+        s_right = s_right + cls.from_key(l) * antipodes[r] * c
+    return s_left, s_right
+
+
+@pytest.mark.parametrize("variant", ["fdb", "dfdb"])
+def test_battery_sums_match_the_ring_sums(variant, monkeypatch):
+    # every element the battery builds at degree <= 7, as given and with one
+    # tensor term doubled or dropped, so that both verdicts can fail
+    cls = hopf._cls(variant)
+    original = hopf._check_element
+    seen = []
+
+    def compared(p, delta, variant, deltas, antipodes):
+        got = original(p, delta, variant, deltas, antipodes)
+        assert got == _check_element_reference(p, delta, variant, deltas, antipodes)
+        s_left, s_right = _ring_antipode_sums(delta, antipodes, variant)
+        assert hopf._antipode_sums(delta, antipodes, cls.key_mul) == (s_left.terms, s_right.terms)
+        first = next(iter(delta))
+        for bad in ({**delta, first: 2 * delta[first]},
+                    {k: c for k, c in delta.items() if k != first}):
+            assert (original(p, bad, variant, deltas, antipodes)
+                    == _check_element_reference(p, bad, variant, deltas, antipodes))
+            s_left, s_right = _ring_antipode_sums(bad, antipodes, variant)
+            assert hopf._antipode_sums(bad, antipodes, cls.key_mul) == (s_left.terms, s_right.terms)
+        seen.append(p)
+        return got
+
+    monkeypatch.setattr(hopf, "_check_element", compared)
+    for degree in range(1, 8):
+        hopf_axiom_check(degree, variant, n_products=50)
+    assert len(seen) == 7 * 50 + sum(range(1, 8))
+
+
+def test_battery_names_a_wrong_antipode(monkeypatch):
+    # positive control: S(X_3) off by X_3 must show as an antipode failure
+    original = hopf.antipode_poly
+    x3 = CPoly.letter(3)
+
+    def wrong(p, variant="dfdb", side="right"):
+        out = original(p, variant, side)
+        return out + x3 if p == x3 else out
+
+    assert hopf_axiom_check(5, "fdb") == []
+    monkeypatch.setattr(hopf, "antipode_poly", wrong)
+    failures = hopf_axiom_check(5, "fdb")
+    assert "antipode fails on CPoly('d3')" in failures
+    assert all(f.startswith("antipode fails on ") for f in failures)
+
+
+def test_battery_names_a_wrong_coproduct_leg(monkeypatch):
+    # positive control: a stray X_2 (x) X_2 in the coproduct of the leg X_2
+    # breaks (Delta (x) id) Delta = (id (x) Delta) Delta
+    original = hopf.coproduct_mono
+    x2 = CPoly.letter_key(2)
+
+    def wrong(key, variant):
+        out = original(key, variant)
+        if key == x2:
+            out = {**out, (x2, x2): out.get((x2, x2), 0) + 1}
+        return out
+
+    monkeypatch.setattr(hopf, "coproduct_mono", wrong)
+    failures = hopf_axiom_check(5, "fdb")
+    assert "coassociativity fails on CPoly('d2')" in failures
+    assert all(f.startswith("coassociativity fails on ") for f in failures)
+
+
 def _tensor_mul_loop(t1: dict, t2: dict, variant: str) -> dict:
     """tensor_mul as the plain double loop over term pairs."""
     key_mul = hopf.ring(variant).key_mul

@@ -21,6 +21,7 @@ from ncbell.partitions import (
     iter_partitions,
     qcount_max_ordered,
     qcount_product,
+    size_words,
     stirling2,
     weight,
 )
@@ -315,6 +316,32 @@ def test_qcount_result_is_a_fresh_copy():
     assert second.terms is not first.terms
 
 
+def test_size_words_tallies_one_walk_per_n(monkeypatch):
+    ncbell.clear_caches()
+    walks = []
+    original = partitions.iter_partitions
+
+    def counted(n, k=None):
+        walks.append(n)
+        return original(n, k)
+
+    monkeypatch.setattr(partitions, "iter_partitions", counted)
+    for n in range(1, 8):
+        tally: dict = {}
+        for P in original(n):
+            tally[tuple(map(len, P))] = tally.get(tuple(map(len, P)), 0) + 1
+        first = size_words(n)
+        assert first == tally
+        first.clear()  # the result is a fresh copy
+        assert size_words(n) == tally
+    assert walks == list(range(1, 8))
+    # the coproduct oracle reads the tally of {1..n+1} for both variants
+    walks.clear()
+    ok, _ = verify.suite_coproduct_oracle(max_degree=7)
+    assert ok and walks == [8]
+    ncbell.clear_caches()
+
+
 def test_clear_caches_empties_every_memo():
     bell(4, "nc")
     bell(4, "c")
@@ -323,11 +350,12 @@ def test_clear_caches_empties_every_memo():
     mobius.antipode_m(3, "nc")
     stirling2(5, 2)
     qcount_max_ordered((1, 2))
+    size_words(3)
     qbinomial(4, 2)
     before = ncbell.cache_info()
     assert set(before) == {"bell.nc", "bell.c", "hopf.rank", "hopf.antipode",
                            "mobius.antipode", "partitions.stirling", "partitions.qcount",
-                           "algebra.qfactorial"}
+                           "partitions.size_words", "algebra.qfactorial"}
     assert all(size > 0 for size in before.values()), before
     ncbell.clear_caches()
     assert all(size == 0 for size in ncbell.cache_info().values())

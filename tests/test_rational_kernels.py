@@ -1,12 +1,16 @@
 """Differential tests of the integer-numerator rational kernels:
-FormalSeries.__mul__, compose, compose_via_bell and the rational path of
-quasidet.det. Each is compared with the plain Fraction loop it replaced,
-kept here as the reference, on int, bool, Fraction and mixed entries with
-runs of zeros, unequal truncation orders and denominators up to 10^6. The
-kernels must give the same values with the same coefficient types (every
-series product coefficient and every determinant is a Fraction), and a
-float is refused with the same TypeError as a ring coefficient, and series
-arithmetic with an operand that is not a series is a TypeError."""
+FormalSeries.__mul__, compose, compose_via_bell, the rational path of
+quasidet.det, the fraction-free inverse behind mat_inverse and
+numeric_quasidet, and the character pairing behind hopf.pair and
+Character.__call__. Each is compared with the plain Fraction loop it
+replaced, kept here as the reference, on int, bool, Fraction and mixed
+entries with runs of zeros, unequal truncation orders and denominators up
+to 10^6. The kernels must give the same values with the same coefficient
+types (every series product coefficient, every determinant, inverse entry
+and numeric quasideterminant is a Fraction; a pairing of int inputs is an
+int), and a float is refused with the same TypeError as a ring
+coefficient, and series arithmetic with an operand that is not a series
+is a TypeError."""
 
 import operator
 from fractions import Fraction
@@ -16,9 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncbell.algebra import CPoly, QPoly, common_denominator
+from ncbell import hopf
+from ncbell.algebra import INV, CPoly, NCPoly, QPoly, common_denominator, key_of
 from ncbell.bell import bell_partial
-from ncbell.quasidet import det
+from ncbell.quasidet import det, mat_inverse, numeric_quasidet
 from ncbell.series import FormalSeries, compose, compose_via_bell
 
 FLOAT_ERROR = "coefficient must be Fraction or int, got float"
@@ -87,6 +92,60 @@ def _det_reference(M) -> Fraction:
     return sign * M[n - 1][n - 1]
 
 
+def _inverse_reference(M):
+    """Gauss-Jordan elimination on Fraction entries."""
+    n = len(M)
+    A = [[Fraction(M[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+         for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if A[r][col]), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        A[col], A[piv] = A[piv], A[col]
+        inv = 1 / A[col][col]
+        A[col] = [x * inv for x in A[col]]
+        for r in range(n):
+            if r != col and A[r][col]:
+                f = A[r][col]
+                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
+    return [row[n:] for row in A]
+
+
+def _quasidet_reference(A, p, q) -> Fraction:
+    """a_pq - r (A^{pq})^{-1} c with the Fraction inverse."""
+    n = len(A)
+    rows = [i for i in range(n) if i != p - 1]
+    cols = [j for j in range(n) if j != q - 1]
+    inv = _inverse_reference([[A[i][j] for j in cols] for i in rows])
+    acc = Fraction(A[p - 1][q - 1])
+    for b in range(n - 1):
+        for a in range(n - 1):
+            acc -= A[p - 1][cols[b]] * inv[b][a] * A[rows[a]][q - 1]
+    return acc
+
+
+def _on_key_reference(ch, key, cls):
+    prod = 1
+    for i in cls.key_letters(key):
+        prod *= ch.on_letter(i)
+    return prod
+
+
+def _pair_reference(phi, psi, t: dict, variant: str):
+    cls = hopf.ring(variant)
+    total = 0
+    for (l, r), c in t.items():
+        total += c * _on_key_reference(phi, l, cls) * _on_key_reference(psi, r, cls)
+    return total
+
+
+def _call_reference(ch, p):
+    total = 0
+    for key, c in p.terms.items():
+        total += c * _on_key_reference(ch, key, type(p))
+    return total
+
+
 def _typed(values) -> list:
     return [(type(v), v) for v in values]
 
@@ -138,6 +197,38 @@ def _matrix(draw):
         if i != j:
             M[j] = [e * 3 for e in M[i]]
     return M
+
+
+_LETTERS = (INV, 1, 2, 3, 4)
+
+
+@st.composite
+def _character(draw):
+    scalars = draw(st.sampled_from([_SCALARS, _INTS, _FRACTIONS]))
+    values = {i: draw(scalars) for i in _LETTERS}
+    return hopf.Character(values)
+
+
+@st.composite
+def _key(draw, cls):
+    return key_of(cls, draw(st.lists(st.sampled_from(_LETTERS), max_size=4)))
+
+
+@st.composite
+def _tensor(draw, variant):
+    cls = hopf.ring(variant)
+    scalars = draw(st.sampled_from([_INTS, _SCALARS]))
+    return draw(st.dictionaries(st.tuples(_key(cls), _key(cls)), scalars, max_size=12))
+
+
+@st.composite
+def _pairing_case(draw):
+    variant = draw(st.sampled_from(["fdb", "dfdb"]))
+    return draw(_character()), draw(_character()), draw(_tensor(variant)), variant
+
+
+def _fraction_free(*collections) -> bool:
+    return not any(isinstance(v, Fraction) for values in collections for v in values)
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +302,125 @@ def test_det_edge_cases(M, value):
     assert got == value == _det_reference(M)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_matrix())
+def test_mat_inverse_matches_fraction_gauss_jordan(M):
+    try:
+        want = _inverse_reference(M)
+    except ValueError:
+        with pytest.raises(ValueError, match="^singular matrix$"):
+            mat_inverse(M)
+        return
+    got = mat_inverse(M)
+    assert got == want
+    assert all(type(e) is Fraction for row in got for e in row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrix(), st.integers(1, 5), st.integers(1, 5))
+def test_numeric_quasidet_matches_the_fraction_inverse(M, p, q):
+    n = len(M)
+    if not n:
+        return
+    p, q = min(p, n), min(q, n)
+    try:
+        want = _quasidet_reference(M, p, q)
+    except ValueError:
+        with pytest.raises(ValueError) as exc:
+            numeric_quasidet(M, p, q)
+        assert str(exc.value) == f"minor A^{{{p}{q}}} is singular; quasideterminant undefined"
+        return
+    got = numeric_quasidet(M, p, q)
+    assert type(got) is Fraction
+    assert got == want
+
+
+@pytest.mark.parametrize("M, p, q, value", [
+    ([[7]], 1, 1, 7),
+    ([[Fraction(-2, 999983)]], 1, 1, Fraction(-2, 999983)),
+    ([[True]], 1, 1, 1),
+    ([[1, 2], [3, 4]], 1, 1, Fraction(-1, 2)),
+    ([[1, 2], [3, 4]], 2, 1, 3 - Fraction(4, 2)),
+    ([[5, 0, 1], [0, 0, 2], [0, 3, 0]], 1, 1, 5),  # zero pivot: the minor needs a row swap
+    ([[1, 1, 1], [1, 0, 1], [1, 1, 0]], 3, 3, -1),
+    ([[Fraction(1, 10**6), 1], [1, Fraction(1, 999999)]], 1, 1,
+     Fraction(1, 10**6) - 999999),
+])
+def test_numeric_quasidet_edge_cases(M, p, q, value):
+    got = numeric_quasidet(M, p, q)
+    assert type(got) is Fraction
+    assert got == value == _quasidet_reference(M, p, q)
+
+
+@pytest.mark.parametrize("M", [[], [[3]], [[0, 1], [1, 0]], [[0, 0, 2], [0, 5, 0], [7, 0, 0]],
+                               [[Fraction(1, 2), True], [False, Fraction(1, 3)]]])
+def test_mat_inverse_edge_cases(M):
+    got = mat_inverse(M)
+    assert got == _inverse_reference(M)
+    assert all(type(e) is Fraction for row in got for e in row)
+
+
+def test_singular_messages_are_unchanged():
+    with pytest.raises(ValueError, match="^singular matrix$"):
+        mat_inverse([[1, 2], [2, 4]])
+    with pytest.raises(ValueError, match="^singular matrix$"):
+        mat_inverse([[0]])
+    with pytest.raises(ValueError, match=r"^minor A\^\{11\} is singular; quasideterminant undefined$"):
+        numeric_quasidet([[1, 2, 1], [0, 0, 1], [0, 0, 2]], 1, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pairing_case())
+def test_pair_matches_the_term_loop(case):
+    phi, psi, t, variant = case
+    got = hopf.pair(phi, psi, t, variant)
+    assert got == _pair_reference(phi, psi, t, variant)
+    if not t or _fraction_free(phi.values.values(), psi.values.values(), t.values()):
+        assert type(got) is int
+    else:
+        assert type(got) is Fraction
+
+
+@settings(max_examples=300, deadline=None)
+@given(_character(), st.sampled_from([NCPoly, CPoly]), st.data())
+def test_character_call_matches_the_term_loop(ch, cls, data):
+    scalars = data.draw(st.sampled_from([_INTS, _SCALARS]))
+    p = cls(data.draw(st.dictionaries(_key(cls), scalars, max_size=10)))
+    got = ch(p)
+    assert got == _call_reference(ch, p)
+    if _fraction_free(ch.values.values(), p.terms.values()):
+        assert type(got) is int
+
+
+def test_pairing_types_and_errors():
+    ints = hopf.Character({1: 2, 2: -3, 3: True})
+    halves = hopf.Character({1: Fraction(1, 2), 2: 1, 3: Fraction(5, 10**6)})
+    t = hopf.coproduct_gen(3, "fdb")
+    assert hopf.pair(ints, ints, {}, "fdb") == 0 and type(hopf.pair(ints, ints, {}, "fdb")) is int
+    assert type(hopf.pair(ints, ints, t, "fdb")) is int
+    assert hopf.pair(ints, halves, t, "fdb") == _pair_reference(ints, halves, t, "fdb")
+    assert type(hopf.pair(halves, ints, t, "fdb")) is Fraction
+    assert type(ints(CPoly.zero())) is int and ints(CPoly.zero()) == 0
+    assert type(ints(hopf.antipode_recursive(3, "fdb"))) is int
+    # a Fraction coefficient over int values is a Fraction result
+    half_t = {key: c * Fraction(1, 2) for key, c in t.items()}
+    assert hopf.pair(ints, ints, half_t, "fdb") == _pair_reference(ints, ints, half_t, "fdb")
+    assert type(hopf.pair(ints, ints, half_t, "fdb")) is Fraction
+    with pytest.raises(ValueError, match="^character not defined on letter 4$"):
+        hopf.pair(ints, ints, hopf.coproduct_gen(4, "fdb"), "fdb")
+    with pytest.raises(ValueError, match="^character not defined on letter 4$"):
+        ints(NCPoly.letter(4))
+
+
+def test_compose_result_types():
+    f = FormalSeries([3, 1, 2])
+    g = FormalSeries([0, 1, 5])
+    assert compose(f, g, 1).coeffs == [3] and type(compose(f, g, 1).coeffs[0]) is int
+    for order in (2, 3):
+        assert all(type(c) is Fraction for c in compose(f, g, order).coeffs)
+    assert compose(f, g).coeffs == [3, 1, 7]
+
+
 def test_ring_valued_series_keep_the_plain_loop():
     # a CPoly series times a rational one: no common denominator exists
     d1, d2 = CPoly.letter(1), CPoly.letter(2)
@@ -262,6 +472,14 @@ def test_from_divided_refuses_float_results():
 def test_det_refuses_floats(M):
     with pytest.raises(TypeError, match=FLOAT_ERROR):
         det(M)
+
+
+@pytest.mark.parametrize("M", [[[0.5, 1], [2, 3]], [[1, 2], [3, 4.0]], [[0.0]]])
+def test_inverse_and_quasidet_refuse_floats(M):
+    with pytest.raises(TypeError, match=FLOAT_ERROR):
+        mat_inverse(M)
+    with pytest.raises(TypeError, match=FLOAT_ERROR):
+        numeric_quasidet(M, 1, 1)
 
 
 def test_det_errors_besides_floats():

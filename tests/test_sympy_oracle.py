@@ -1,6 +1,6 @@
 """sympy as an independent oracle for the commutative layer: the partial
 Bell polynomials B_{n,k}, series composition and reversion, and the
-rational determinant. sympy is a test dependency only; without it these
+rational determinant and inverse. sympy is a test dependency only; without it these
 tests are skipped."""
 
 import random
@@ -12,7 +12,7 @@ sympy = pytest.importorskip("sympy")
 from sympy.polys.ring_series import rs_series_reversion  # noqa: E402
 
 from ncbell.bell import bell_partial  # noqa: E402
-from ncbell.quasidet import det  # noqa: E402
+from ncbell.quasidet import det, mat_inverse  # noqa: E402
 from ncbell.series import FormalSeries, compose, reversion  # noqa: E402
 
 X = sympy.symbols("x1:12")
@@ -83,3 +83,18 @@ def test_det_matches_sympy(seed):
     want = sympy.Matrix([[sympy.Rational(e.numerator, e.denominator) for e in row]
                          for row in M]).det()
     assert det(M) == Fraction(str(want))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_mat_inverse_matches_sympy(seed):
+    rng = random.Random(300 + seed)
+    n = rng.randint(1, 6)
+    while True:
+        M = [[rng.choice([0, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 10**6))])
+              for _ in range(n)] for _ in range(n)]
+        S = sympy.Matrix([[sympy.Rational(e.numerator, e.denominator) for e in row] for row in M])
+        if S.det() != 0:
+            break
+    want = S.inv()
+    got = mat_inverse(M)
+    assert got == [[Fraction(str(want[i, j])) for j in range(n)] for i in range(n)]
