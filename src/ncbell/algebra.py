@@ -42,7 +42,12 @@ object, so a method inherited from TermRing, or one function shared by
 all rings, would be traced under one ring's name for all of them. The
 copies test for an operand of the same ring before anything else and
 call no helper per product, which keeps the tens of thousands of tiny
-products of the Bell kernel as cheap as a hand-written loop.
+products of the Bell kernel as cheap as a hand-written loop. In every
+ring u*v is injective in each factor (reduced words with d1^{-1},
+Laurent monomials, q-powers, exponent vectors), so a product with a
+one-term operand is one dict comprehension: no two terms meet and no
+zero arises. An integer polynomial times a Fraction p/q builds one
+Fraction(c*p, q) per term.
 
 The module also holds the q-integer helpers and the one term format that
 every text and LaTeX renderer in the package writes through. term(mag,
@@ -60,7 +65,9 @@ inside a key: letter_key(i) gives the key of one letter, key_mul
 multiplies two keys, key_letters lists the letters of a key, key_of(cls,
 letters) builds the key back from them, and from_key turns a key into a
 polynomial. The empty tuple, also letter_key(0), is the unit key of both
-rings. Each binds its own copy of one substitute, over key_letters.
+rings. Each binds its own copy of one substitute, over key_letters; it
+carries a term's product as one key and one coefficient while every image
+met has one term, as the d_j -> j! d_j of bell_scaled does.
 
 The package's one variant table VARIANTS maps "nc" and "dfdb" to NCPoly,
 "c" and "fdb" to CPoly; ring(variant, names) looks a name up, and a
@@ -74,6 +81,7 @@ from itertools import groupby
 from math import lcm
 
 INV = -1  # the letter d1^{-1}
+_INT = frozenset((int,))  # the coefficient type of an integer polynomial
 
 
 def _coeff(x) -> int | Fraction:
@@ -212,11 +220,26 @@ def _ring_ops():
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             c = _coeff(other)
-            return self._new({k: cc * c for k, cc in self.terms.items()} if c else {})
+            if not c:
+                return self._new({})
+            terms = self.terms
+            if type(c) is Fraction and _INT.issuperset(map(type, terms.values())):
+                num, den = c.numerator, c.denominator
+                return self._new({k: Fraction(cc * num, den) for k, cc in terms.items()})
+            return self._new({k: cc * c for k, cc in terms.items()})
         key_mul = self.key_mul
+        a, b = self.terms, other.terms
+        # u*v is injective in either factor, so a one-term operand gives
+        # distinct keys and no zero: one comprehension, in double-loop order
+        if len(b) == 1:
+            ((v, cv),) = b.items()
+            return self._new({key_mul(u, v): cu * cv for u, cu in a.items()})
+        if len(a) == 1:
+            ((u, cu),) = a.items()
+            return self._new({key_mul(u, v): cu * cv for v, cv in b.items()})
         acc: dict = {}
-        for u, cu in self.terms.items():
-            for v, cv in other.terms.items():
+        for u, cu in a.items():
+            for v, cv in b.items():
                 w = key_mul(u, v)
                 s = acc.get(w, 0) + cu * cv
                 if s:
@@ -238,14 +261,16 @@ def _substitute_op():
         Every letter occurring in self must have an image; inverted letters
         are rejected since a general image has no inverse here. An image of
         any other type raises the TypeError of the ring product. Each image
-        is looked up once, and each term is expanded on plain term dicts.
+        is looked up once. A term's product is carried as one key and one
+        coefficient while its images have one term each, and expanded on
+        plain term dicts from the first image with more or fewer terms.
         """
         cls = type(self)
         key_mul, key_letters, unit = cls.key_mul, cls.key_letters, cls.unit_key
-        images: dict = {}  # letter -> the term dict of its image
+        images: dict = {}  # letter -> (term dict, its one (key, coeff) pair or None)
         acc: dict = {}
         for key, c in self.terms.items():
-            factor = {unit: c}
+            head, factor = unit, None  # the product so far is c*head until factor holds it
             for letter in key_letters(key):
                 image = images.get(letter)
                 if image is None:
@@ -256,7 +281,16 @@ def _substitute_op():
                     image = mapping[letter]
                     if type(image) is not cls:
                         image = cls.one() * image
-                    image = images[letter] = image.terms
+                    terms = image.terms
+                    pair = next(iter(terms.items())) if len(terms) == 1 else None
+                    image = images[letter] = (terms, pair)
+                image, pair = image
+                if factor is None:
+                    if pair is not None:
+                        head = key_mul(head, pair[0])
+                        c = c * pair[1]
+                        continue
+                    factor = {head: c}
                 prod: dict = {}
                 for u, cu in factor.items():
                     for v, cv in image.items():
@@ -267,7 +301,14 @@ def _substitute_op():
                         elif w in prod:
                             del prod[w]
                 factor = prod
-            add_into(acc, factor)
+            if factor is not None:
+                add_into(acc, factor)
+                continue
+            s = acc.get(head, 0) + c
+            if s:
+                acc[head] = s
+            elif head in acc:
+                del acc[head]
         return cls._new(acc)
 
     return substitute
@@ -386,10 +427,6 @@ class NCPoly(TermRing):
             elif m in acc:
                 del acc[m]
         return CPoly._new(acc)
-
-    def restrict_length(self, k: int) -> "NCPoly":
-        """Keep only the words of length exactly k."""
-        return NCPoly._new({w: c for w, c in self.terms.items() if len(w) == k})
 
     def __repr__(self) -> str:
         return f"NCPoly({render_text(self)!r})"
@@ -526,9 +563,6 @@ class CPoly(TermRing):
                 elif nm in acc:
                     del acc[nm]
         return CPoly._new(acc)
-
-    def restrict_length(self, k: int) -> "CPoly":
-        return CPoly._new({m: c for m, c in self.terms.items() if mono_length(m) == k})
 
     def evaluate(self, values: dict) -> int | Fraction:
         """Plug a Fraction (or int) in for every letter."""

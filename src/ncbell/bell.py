@@ -7,6 +7,12 @@ independently of one another on purpose: their agreement is a test, not a
 definition.
 
 Variants are selected by the strings "nc" and "c", through algebra.ring.
+
+Two module memos serve the package: bell() keeps B_0..B_n of each variant
+(_BELL), and bell_partial keeps, for each (n, variant) it was asked
+about, the keys of B_n filed by length in B_n's own term order
+(_PARTIAL, "bell.partial" in ncbell.cache_info). The graded pieces
+B_{n,k} are read out of that index rather than by rescanning B_n.
 """
 
 from __future__ import annotations
@@ -14,9 +20,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .algebra import CPoly, NCPoly, QPoly, qfactorial, qint, ring
+from .algebra import CPoly, NCPoly, QPoly, mono_length, qfactorial, qint, ring
 
 _BELL: dict = {"nc": [NCPoly.one()], "c": [CPoly.one()]}
+_PARTIAL: dict = {}  # (n, variant) -> [the keys of B_{n,k} in B_n's order, for k = 0..n]
 
 
 def bell(n: int, variant: str = "nc"):
@@ -49,12 +56,25 @@ def bell_recursion(n: int, variant: str = "nc"):
 
 
 def bell_partial(n: int, k: int, variant: str = "nc"):
-    """The length-k part B_{n,k} of B_n; zero when k > n, unit at (0,0)."""
+    """The length-k part B_{n,k} of B_n; zero when k > n, unit at (0,0).
+
+    The first call for (n, variant) files the keys of B_n by length in one
+    pass, and the memo keeps those key lists; each call builds a new
+    polynomial from them, so writing into it leaves B_n and the memo alone.
+    """
     if n < 0 or k < 0:
         raise ValueError("need n, k >= 0")
+    cls = ring(variant)
     if k > n:
-        return ring(variant).zero()
-    return bell(n, variant).restrict_length(k)
+        return cls.zero()
+    terms = bell(n, variant).terms
+    index = _PARTIAL.get((n, variant))
+    if index is None:
+        length = len if cls is NCPoly else mono_length
+        index = _PARTIAL[n, variant] = [[] for _ in range(n + 1)]
+        for key in terms:
+            index[length(key)].append(key)
+    return cls._new({key: terms[key] for key in index[k]})
 
 
 def compositions(n: int, k: int):

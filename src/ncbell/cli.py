@@ -59,11 +59,25 @@ def _emit_qtable(table: dict, fmt: str) -> None:
         print(f"{render_text(NCPoly.from_word(parts))}: {render_qpoly(qc)}")
 
 
-def _load_json(args) -> dict:
+def _load_json(args, shape: type):
+    """The JSON document of --file, or of stdin without it; ValueError
+    unless it is an object (shape dict) or an array (shape list)."""
     if args.file:
         with open(args.file, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    return json.load(sys.stdin)
+            data = json.load(fh)
+    else:
+        data = json.load(sys.stdin)
+    if not isinstance(data, shape):
+        raise ValueError(f"the JSON input must be {'an object' if shape is dict else 'an array'}")
+    return data
+
+
+def _load_matrix(args) -> list:
+    """A matrix as a JSON array of rows, each row an array."""
+    rows = _load_json(args, list)
+    if not all(isinstance(row, list) for row in rows):
+        raise ValueError("a JSON matrix must be an array of row arrays")
+    return rows
 
 
 def cmd_bell(args) -> int:
@@ -131,8 +145,7 @@ def cmd_quasidet(args) -> int:
         raise ValueError("--file takes no --c, --nc or -n")
     if args.format != "text":
         raise ValueError("quasidet --file prints text only")
-    rows = _load_json(args)
-    A = [[_parse_coeff(e) for e in row] for row in rows]
+    A = [[_parse_coeff(e) for e in row] for row in _load_matrix(args)]
     p = 1 if args.row is None else args.row
     q = len(A) if args.col is None else args.col
     print(quasidet.numeric_quasidet(A, p, q))
@@ -198,13 +211,13 @@ def cmd_series(args) -> int:
     from .series import FormalSeries, MultiPoly, VectorField, compose, reversion
 
     if args.compose:
-        data = _load_json(args)
+        data = _load_json(args, dict)
         f = FormalSeries.from_json_dict(data["f"])
         g = FormalSeries.from_json_dict(data["g"])
         _emit_series(compose(f, g, args.order), args.format)
         return 0
     if args.reversion:
-        data = _load_json(args)
+        data = _load_json(args, dict)
         g = FormalSeries.from_json_dict(data.get("g", data))
         _emit_series(reversion(g, args.order), args.format)
         return 0
@@ -212,7 +225,7 @@ def cmd_series(args) -> int:
         raise ValueError("--flow-check prints text only")
     order = 5 if args.order is None else args.order
     if args.file:
-        data = _load_json(args)
+        data = _load_json(args, dict)
         field = VectorField.from_json_dict(data["field"])
         psi = MultiPoly.from_json_dict(data["psi"])
     else:

@@ -41,16 +41,14 @@ from fractions import Fraction
 from math import factorial
 
 from .algebra import (
-    CPoly,
     TermRing,
     _coeff,
     _parse_coeff,
     _ring_ops,
     common_denominator,
-    mono_length,
     signed_sum,
 )
-from .bell import bell
+from .bell import bell, bell_partial
 
 _EXACT = frozenset((int, bool, Fraction))  # coefficient types of the integer kernel
 
@@ -157,6 +155,11 @@ class FormalSeries:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FormalSeries":
+        """The series of {"order": int, "coeffs": [...]}; ValueError for a
+        value of another shape."""
+        if not (isinstance(d, dict) and type(d.get("order")) is int
+                and isinstance(d.get("coeffs"), list)):
+            raise ValueError('a series must be a JSON object {"order": int, "coeffs": [...]}')
         return cls([_parse_coeff(c) for c in d["coeffs"]], d["order"])
 
     def __repr__(self) -> str:
@@ -207,12 +210,9 @@ def compose_via_bell(f: FormalSeries, g: FormalSeries, order: int | None = None)
     gvals = dict(enumerate(gnums, 1))
     divided = [f.coeff(0)]
     for n in range(1, order):
-        strata: dict = {}  # k -> the monomials of B_{n,k}, one pass over B_n
-        for m, c in bell(n, "c").terms.items():
-            strata.setdefault(mono_length(m), {})[m] = c
         total = Fraction(0)
         for k in range(1, n + 1):
-            b_nk = CPoly._new(strata.get(k, {}))
+            b_nk = bell_partial(n, k, "c")
             total += f.divided(k) * Fraction(b_nk.evaluate(gvals), d**k)
         divided.append(total)
     return FormalSeries.from_divided(divided, order)

@@ -1,9 +1,13 @@
 """Bell polynomials: recursions, closed forms, scaling, and q-analogs."""
 
 from fractions import Fraction
+from importlib import import_module
 from math import comb
 
-from ncbell.algebra import NCPoly, QPoly, parse_text, render_text
+import pytest
+
+import ncbell
+from ncbell.algebra import CPoly, NCPoly, QPoly, mono_length, parse_text, render_text
 from ncbell.bell import (
     bell,
     bell_c_explicit,
@@ -65,6 +69,77 @@ def test_partial_grades_and_lengths():
     for word in p.terms:
         assert len(word) == 3
         assert sum(word) == 6
+
+
+bell_module = import_module("ncbell.bell")  # ncbell.bell is the function
+
+
+def _partial_reference(n, k, variant):
+    """B_{n,k} as the length filter of B_n: the scan bell_partial used to
+    make on every call."""
+    cls, length = (NCPoly, len) if variant == "nc" else (CPoly, mono_length)
+    return cls._new({key: c for key, c in bell(n, variant).terms.items() if length(key) == k})
+
+
+@pytest.mark.parametrize("variant", ["nc", "c"])
+def test_partial_matches_the_length_filter(variant):
+    ncbell.clear_caches()
+    for n in range(13):
+        for k in range(n + 2):
+            got, want = bell_partial(n, k, variant), _partial_reference(n, k, variant)
+            assert type(got) is type(want)
+            # the same terms, coefficient types and term order
+            assert [(key, c, type(c)) for key, c in got.terms.items()] == \
+                [(key, c, type(c)) for key, c in want.terms.items()], (n, k)
+
+
+def test_partial_hands_out_fresh_values():
+    ncbell.clear_caches()
+    whole = dict(bell(6).terms)
+    first, second = bell_partial(6, 3), bell_partial(6, 3)
+    assert first is not second and first.terms is not second.terms
+    first.terms[(9,)] = 1
+    del first.terms[(2, 2, 2)]
+    again = bell_partial(6, 3)
+    assert again == second and (9,) not in again.terms and (2, 2, 2) in again.terms
+    assert bell(6).terms == whole
+
+
+def test_partial_index_is_a_registered_memo():
+    ncbell.clear_caches()
+    assert ncbell.cache_info()["bell.partial"] == 0
+    bell_partial(5, 2)
+    bell_partial(5, 3)
+    bell_partial(4, 1, "c")
+    bell_partial(5, 7)  # k > n needs no index
+    assert ncbell.cache_info()["bell.partial"] == 2
+    ncbell.clear_caches()
+    assert ncbell.cache_info()["bell.partial"] == 0
+    assert bell_partial(5, 2) == _partial_reference(5, 2, "nc")
+
+
+@pytest.mark.parametrize("variant, name", [("nc", "len"), ("c", "mono_length")])
+def test_partial_reads_each_key_length_once(variant, name, monkeypatch):
+    # the first call for n files B_n by length in one pass; later calls for
+    # any k read no length at all
+    n = 9
+    ncbell.clear_caches()
+    bell(n, variant)
+    reads = []
+    original = len if name == "len" else mono_length
+
+    def counted(key):
+        if type(key) is tuple:  # bell() asks the length of its cache list too
+            reads.append(key)
+        return original(key)
+
+    monkeypatch.setattr(bell_module, name, counted, raising=False)
+    bell_partial(n, 4, variant)
+    assert sorted(reads) == sorted(bell(n, variant).terms)
+    reads.clear()
+    for k in range(n + 2):
+        bell_partial(n, k, variant)
+    assert reads == []
 
 
 def test_compositions():

@@ -185,6 +185,27 @@ def test_json_float_is_refused(argv, text, tmp_path, capsys):
     assert err == "error: coefficient must be text or an int, got float"
 
 
+@pytest.mark.parametrize("argv, text, message", [
+    (["quasidet"], "[1, 2]", "a JSON matrix must be an array of row arrays"),
+    (["quasidet"], '["12", "34"]', "a JSON matrix must be an array of row arrays"),
+    (["quasidet"], '{"a": 1}', "the JSON input must be an array"),
+    (["series", "--compose"], "[1, 2]", "the JSON input must be an object"),
+    (["series", "--compose"], '{"f": [1], "g": {"order": 2, "coeffs": ["0", "1"]}}',
+     'a series must be a JSON object {"order": int, "coeffs": [...]}'),
+    (["series", "--reversion"], '{"g": {"order": 3, "coeffs": null}}',
+     'a series must be a JSON object {"order": int, "coeffs": [...]}'),
+    (["series", "--reversion"], '{"g": {"order": "3", "coeffs": ["0", "1"]}}',
+     'a series must be a JSON object {"order": int, "coeffs": [...]}'),
+    (["series", "--flow-check"], "[1, 2]", "the JSON input must be an object"),
+])
+def test_malformed_json_is_one_error_line(argv, text, message, tmp_path, capsys):
+    # a JSON value of the wrong shape is refused by its loader, exit 2,
+    # never a traceback with exit 1
+    f = tmp_path / "in.json"
+    f.write_text(text)
+    assert run(capsys, *argv, "--file", str(f)) == (2, "", f"error: {message}")
+
+
 def test_json_ints_are_read_as_coefficients(tmp_path, capsys):
     f = tmp_path / "m.json"
     f.write_text("[[1, 2], [3, 4]]")

@@ -1,17 +1,30 @@
 """Differential tests of the hot kernels of ncbell.algebra: word_mul,
-mono_mul, NCPoly.derive, CPoly.derive and substitute. Each is compared
-with a naive reference written here, on random inputs chosen so that
-d1 d1^-1 seams meet and terms cancel: the kernels must give the same
-values with the same coefficient types (an int stays an int), and raise
-the same errors with the same messages."""
+mono_mul, NCPoly.derive, CPoly.derive, substitute, and the ring product
+with a one-term or a scalar operand. Each is compared with a naive
+reference written here, on random inputs chosen so that d1 d1^-1 seams
+meet and terms cancel: the kernels must give the same values with the
+same coefficient types (an int stays an int), and raise the same errors
+with the same messages. Where a reference is the loop a kernel replaced,
+the term order must match too."""
 
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncbell.algebra import INV, CPoly, NCPoly, check_mono, check_word, mono_mul, word_mul
+from ncbell.algebra import (
+    INV,
+    CPoly,
+    NCPoly,
+    QPoly,
+    check_mono,
+    check_word,
+    mono_mul,
+    word_mul,
+)
+from ncbell.series import MultiPoly
 
 D1, D2 = NCPoly.letter(1), NCPoly.letter(2)
 
@@ -64,8 +77,28 @@ def _derive_c_reference(p: CPoly) -> CPoly:
     return total
 
 
+def _mul_reference(p, q):
+    """The ring product as the plain double loop over both term dicts,
+    whatever the number of terms: the loop the one-term case replaced."""
+    acc: dict = {}
+    for u, cu in p.terms.items():
+        for v, cv in q.terms.items():
+            w = p.key_mul(u, v)
+            s = acc.get(w, 0) + cu * cv
+            if s:
+                acc[w] = s
+            elif w in acc:
+                del acc[w]
+    return p._new(acc)
+
+
+def _scale_reference(p, c):
+    """p times a nonzero scalar, one coefficient product per term."""
+    return p._new({k: cc * c for k, cc in p.terms.items()})
+
+
 def _substitute_reference(p, mapping):
-    """One ring product per letter of every term, then a ring sum."""
+    """One double-loop product per letter of every term, then a ring sum."""
     cls = type(p)
     total = cls.zero()
     for key, c in p.terms.items():
@@ -75,8 +108,13 @@ def _substitute_reference(p, mapping):
                 raise ValueError("substitute does not accept inverted letters")
             if letter not in mapping:
                 raise ValueError(f"no image for letter {letter}")
-            factor = factor * mapping[letter]
-        total = total + factor * c
+            image = mapping[letter]
+            if isinstance(image, (int, Fraction)):
+                image = cls({cls.unit_key: image})
+            elif type(image) is not cls:
+                factor * image  # the ring product's TypeError
+            factor = _mul_reference(factor, image)
+        total = total + _scale_reference(factor, c)
     return total
 
 
@@ -88,6 +126,15 @@ def _outcome(f, *args):
     except (ValueError, TypeError) as exc:
         return type(exc), str(exc)
     return {k: (c, type(c)) for k, c in out.terms.items()}
+
+
+def _ordered(f, *args):
+    """_outcome, with the terms as a list in dict order."""
+    try:
+        out = f(*args)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return [(k, c, type(c)) for k, c in out.terms.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -132,11 +179,14 @@ def _polys(words, coeffs):
 POLYS = st.one_of(_polys(PLAIN_WORDS, COEFFS), _polys(WORDS, COEFFS),
                   _polys(st.lists(st.sampled_from((1, 2)), max_size=3).map(tuple),
                          st.sampled_from((1, -1))))
+NONZERO = COEFFS.filter(bool)
+# one term, now and then with a d1^-1 at either end for seams
+ONE_TERM = st.builds(NCPoly.from_word, WORDS, NONZERO)
 # the image of one letter: a scalar (zero included), a polynomial of the ring
-# (zero, multi-term, with d1^-1 for seams), or a float or other-ring value the
-# ring product refuses
-IMAGES = st.one_of(COEFFS, _polys(WORDS, COEFFS), _polys(WORDS, COEFFS), st.just(NCPoly.zero()),
-                   st.sampled_from((0.5, CPoly.letter(2))))
+# (zero, one term, multi-term, with d1^-1 for seams), or a float or other-ring
+# value the ring product refuses
+IMAGES = st.one_of(COEFFS, ONE_TERM, _polys(WORDS, COEFFS), _polys(WORDS, COEFFS),
+                   st.just(NCPoly.zero()), st.sampled_from((0.5, CPoly.letter(2))))
 # mostly an image for every letter, now and then one missing
 MAPPINGS = st.one_of(st.fixed_dictionaries({i: IMAGES for i in (1, 2, 3)}),
                      st.dictionaries(st.integers(1, 3), IMAGES))
@@ -251,3 +301,96 @@ def test_substitute_reads_each_image_once(cls):
     mapping = _CountingMap({1: 2, 2: cls.letter(1) + cls.letter(3), 3: 1})
     assert p.substitute(mapping) == _substitute_reference(p, dict(mapping))
     assert mapping.reads == {1: 1, 2: 1}
+
+
+# mostly one-term images, so that a word meets one-term, multi-term, scalar
+# and zero images in one product
+MIXED_IMAGES = st.one_of(ONE_TERM, ONE_TERM, ONE_TERM, NONZERO, _polys(WORDS, COEFFS),
+                         st.just(NCPoly.zero()))
+MIXED_MAPPINGS = st.fixed_dictionaries({i: MIXED_IMAGES for i in (1, 2, 3)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(POLYS, MIXED_MAPPINGS)
+def test_substitute_keeps_the_reference_terms_and_order(p, mapping):
+    assert _ordered(p.substitute, mapping) == _ordered(_substitute_reference, p, mapping)
+    c = p.abelianize()
+    shadow = {i: _shadow(img) for i, img in mapping.items()}
+    assert _ordered(c.substitute, shadow) == _ordered(_substitute_reference, c, shadow)
+
+
+def test_substitute_with_one_term_images_meets_seams():
+    # d1 -> 2 d2 d1^-1 and d2 -> d1 d3: every image has one term, and the
+    # d1^-1 of one image cancels the d1 that starts the next
+    p = NCPoly({(1, 2): 3, (2, 1): Fraction(1, 2), (1, 1): -1})
+    mapping = {1: NCPoly.from_word((2, INV), 2), 2: NCPoly.from_word((1, 3))}
+    assert _ordered(p.substitute, mapping) == _ordered(_substitute_reference, p, mapping)
+    assert p.substitute(mapping) == NCPoly({(2, 3): 6, (1, 3, 2, INV): 1,
+                                            (2, INV, 2, INV): -4})
+
+
+# ---------------------------------------------------------------------------
+# the ring product with a one-term operand, and by a scalar
+
+
+def _ring_polys(cls, keys):
+    return st.dictionaries(keys, COEFFS, max_size=6).map(cls)
+
+
+NVARS = 2
+EXPONENTS = st.tuples(*[st.integers(0, 2)] * NVARS)
+# a value of each ring, and one of its one-term values; NCPoly and CPoly
+# carry d1^-1, so that u*v cancels at a seam
+RINGS = {
+    "NCPoly": (_polys(WORDS, COEFFS), ONE_TERM),
+    "CPoly": (_ring_polys(CPoly, MONOS), st.builds(CPoly.from_mono, MONOS, NONZERO)),
+    "QPoly": (_ring_polys(QPoly, st.integers(0, 4)),
+              st.builds(lambda e, c: QPoly({e: c}), st.integers(0, 4), NONZERO)),
+    "MultiPoly": (st.dictionaries(EXPONENTS, COEFFS, max_size=6).map(
+                      lambda t: MultiPoly(NVARS, t)),
+                  st.builds(lambda e, c: MultiPoly(NVARS, {e: c}), EXPONENTS, NONZERO)),
+}
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_one_term_product_matches_the_double_loop(ring, data):
+    polys, one_term = RINGS[ring]
+    p, t = data.draw(polys), data.draw(one_term)
+    for a, b in ((p, t), (t, p), (t, t)):
+        assert _ordered(lambda: a * b) == _ordered(_mul_reference, a, b)
+
+
+def test_one_term_product_cancels_at_the_seam():
+    p = NCPoly({(2, 1): 3, (1,): Fraction(1, 2), (): -1})
+    t = NCPoly.from_word((INV, 3), 2)
+    assert _ordered(lambda: p * t) == _ordered(_mul_reference, p, t)
+    assert list((p * t).terms.items()) == [((2, 3), 6), ((3,), 1), ((INV, 3), -2)]
+    assert [type(c) for c in (p * t).terms.values()] == [int, Fraction, int]
+    assert list((t * NCPoly.from_word((1, 2))).terms) == [(INV, 3, 1, 2)]
+    m = CPoly.from_mono(((1, -2), (3, 1)))
+    assert (CPoly.from_mono(((1, 2),), 5) * m).terms == {((3, 1),): 5}
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), c=st.one_of(COEFFS, st.integers(-3, 3).map(Fraction)))
+def test_scalar_product_matches_the_reference(ring, data, c):
+    p = data.draw(RINGS[ring][0])
+    want = _ordered(_scale_reference, p, c) if c else []
+    assert _ordered(lambda: p * c) == want
+    assert _ordered(lambda: c * p) == want
+
+
+def test_int_polynomial_times_fraction_gives_fractions():
+    p = NCPoly({(1,): 6, (2,): 4, (1, 2): -3})
+    got = p * Fraction(1, 6)
+    assert list(got.terms.items()) == [((1,), 1), ((2,), Fraction(2, 3)),
+                                       ((1, 2), Fraction(-1, 2))]
+    assert all(type(c) is Fraction for c in got.terms.values())
+    assert all(type(c) is Fraction for c in (p * Fraction(2)).terms.values())
+    assert all(type(c) is int for c in (p * 2).terms.values())
+    mixed = NCPoly({(1,): 2, (2,): Fraction(1, 3)}) * Fraction(3, 2)
+    assert mixed.terms == {(1,): 3, (2,): Fraction(1, 2)}
+    assert all(type(c) is Fraction for c in mixed.terms.values())

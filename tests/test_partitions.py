@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import ncbell
 from ncbell import hopf, mobius, partitions, verify
 from ncbell.algebra import CPoly, NCPoly, QPoly, key_of, qbinomial, ring
-from ncbell.bell import bell, compositions, qbell_coefficient
+from ncbell.bell import bell, bell_partial, compositions, qbell_coefficient
 from ncbell.partitions import (
     N_formula,
     bell_number,
@@ -352,10 +352,11 @@ def test_clear_caches_empties_every_memo():
     qcount_max_ordered((1, 2))
     size_words(3)
     qbinomial(4, 2)
+    bell_partial(4, 2)
     before = ncbell.cache_info()
     assert set(before) == {"bell.nc", "bell.c", "hopf.rank", "hopf.antipode",
                            "mobius.antipode", "partitions.stirling", "partitions.qcount",
-                           "partitions.size_words", "algebra.qfactorial"}
+                           "partitions.size_words", "algebra.qfactorial", "bell.partial"}
     assert all(size > 0 for size in before.values()), before
     ncbell.clear_caches()
     assert all(size == 0 for size in ncbell.cache_info().values())

@@ -2,12 +2,14 @@
 
 import random
 from fractions import Fraction
+from importlib import import_module
 from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ncbell
 from ncbell import series, verify
 from ncbell.bell import bell
 from ncbell.series import (
@@ -22,19 +24,22 @@ from ncbell.series import (
     reversion,
 )
 
+bell_module = import_module("ncbell.bell")  # ncbell.bell is the function
 EXP = FormalSeries.from_divided([Fraction(0)] + [Fraction(1)] * 8, 9)
 
 
 def test_compose_via_bell_reads_each_bell_monomial_once(monkeypatch):
-    # B_n is split into its B_{n,k} in one pass, not rescanned for every k
+    # B_n is split into its B_{n,k} by bell_partial's index in one pass, not
+    # rescanned for every k
     lengths = []
-    original = series.mono_length
+    original = bell_module.mono_length
 
     def counted(m):
         lengths.append(m)
         return original(m)
 
-    monkeypatch.setattr(series, "mono_length", counted)
+    ncbell.clear_caches()
+    monkeypatch.setattr(bell_module, "mono_length", counted)
     got = compose_via_bell(EXP, EXP)
     assert len(lengths) == sum(len(bell(n, "c").terms) for n in range(1, 9))
     # e^(e^t - 1) - 1: the Bell numbers
