@@ -198,9 +198,6 @@ class TermRing:
             return self * other
         return NotImplemented
 
-    def map_coeffs(self, f):
-        return self._new({k: fc for k, c in self.terms.items() if (fc := f(c))})
-
 
 def _ring_ops():
     """Fresh (__add__, __mul__) functions for one TermRing class; see the

@@ -449,12 +449,11 @@ def character_of_series(g: "FormalSeries") -> Character:
     return Character({i: g.divided(i + 1) for i in range(1, g.order - 1)})
 
 
-def convolve(phi: Character, psi: Character, max_n: int | None = None) -> Character:
+def convolve(phi: Character, psi: Character) -> Character:
     """Convolution (phi * psi)(X_n) = sum over the coproduct of X_n of
-    phi(left) psi(right), returned as a character on X_1..X_max_n. The
-    truncation defaults to the range both inputs are defined on."""
-    if max_n is None:
-        max_n = min(max(phi.values, default=0), max(psi.values, default=0))
+    phi(left) psi(right), returned as a character on X_1..X_max_n, the
+    range both inputs are defined on."""
+    max_n = min(max(phi.values, default=0), max(psi.values, default=0))
     values = {n: pair(phi, psi, coproduct_gen(n, "fdb"), "fdb") for n in range(1, max_n + 1)}
     return Character(values)
 

@@ -20,11 +20,11 @@ antipode recursions close, starting from S(d1) = d1^{-1}:
     left:  S(d_n) = (-d1^{-n} d_n - sum_{k=2}^{n-1} S(B_{n,k}) d_k) d1^{-1}
 
 with S extended to words as an anti-morphism. The antipode inverts the
-Bell system: bell_map renames each letter d_j to the formal symbol B_j,
-zeta is the all-ones character, mu = zeta o S is the Mobius character, and
-mobius_invert(n) writes d_n as a polynomial in the B-symbols whose
-substitution B_j -> bell(j) recovers d_n exactly. mu is the convolution
-inverse of zeta: on every generator, convolve_m gives
+Bell system: zeta is the all-ones character, mu = zeta o S is the Mobius
+character, and mobius_invert(n) writes d_n as a polynomial in the formal
+Bell symbols B_j, which share the letter encoding of the d-alphabet, so
+that the substitution B_j -> bell(j) recovers d_n exactly. mu is the
+convolution inverse of zeta: on every generator, convolve_m gives
 mu * zeta = zeta * mu = epsilon, the defining identity of Mobius
 inversion, which the mobius suite of ncbell.verify checks.
 
@@ -34,11 +34,10 @@ lowest generator d1 (low = 1, inverse letter INV), which coproduct_m and
 antipode_m hand to bell_coproduct and bell_antipode. The rest is the
 inverse letter, group-like with S(d1^{-1}) = d1, the characters zeta,
 epsilon and mu with their convolution convolve_m, and the inversion
-bell_map / mobius_invert / invert_round_trip. Tensors, the antipode
-extension, Character and the convolution pairing come from the engine;
-keys may contain the inverse letter, which the key codec handles.
-algebra.ring looks the variant names up; a variant left out is the tag
-of the element's ring.
+mobius_invert / invert_round_trip. Tensors, the antipode extension,
+Character and the convolution pairing come from the engine; keys may
+contain the inverse letter, which the key codec handles. algebra.ring
+looks the variant names up.
 """
 
 from __future__ import annotations
@@ -92,10 +91,8 @@ def _antipode_letter(i: int, variant: str, side: str):
     return antipode_m(i, variant, side)
 
 
-def antipode_poly(p, variant: str | None = None, side: str = "right"):
+def antipode_poly(p, variant: str, side: str = "right"):
     """Antipode of an arbitrary element, extended as an anti-morphism."""
-    if variant is None:
-        variant = p.tag
     ring(variant)
     return antipode_extend(p, variant, side, _antipode_letter)
 
@@ -128,20 +125,10 @@ def convolve_m(phi: Character, psi: Character, n: int, variant: str = "nc") -> i
     return pair(phi, psi, coproduct_m(n, variant), variant)
 
 
-def bell_map(p, variant: str | None = None):
-    """Rename each letter d_j to the formal Bell symbol B_j.
-
-    The symbols share the letter encoding of the d-alphabet, so the data
-    is unchanged; only the reading differs. Render with symbol "B" and
-    serialize with the "b-symbols" algebra tag.
-    """
-    if variant is None:
-        variant = p.tag
-    return ring(variant)(p.terms)
-
-
 def mobius_invert(n: int, variant: str = "nc"):
-    """d_n written in the Bell symbols: sum_k mu(d_k) bell_map(B_{n,k}).
+    """d_n written in the Bell symbols: sum_k mu(d_k) B_{n,k}, with each
+    letter d_j of B_{n,k} read as the symbol B_j. Render with symbol "B"
+    and serialize with the "b-symbols" algebra tag.
 
     Substituting B_j -> bell(j, variant) recovers the generator d_n.
     """
@@ -153,7 +140,7 @@ def mobius_invert(n: int, variant: str = "nc"):
     for k in range(1, n + 1):
         coeff = mu.on_letter(k)
         if coeff:
-            total = total + bell_map(bell_partial(n, k, variant), variant) * coeff
+            total = total + bell_partial(n, k, variant) * coeff
     return total
 
 

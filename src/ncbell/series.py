@@ -6,18 +6,14 @@ refused); the divided-power view f_n = n! c_n is computed on access.
 Coefficients at or beyond the truncation order are undefined, never
 assumed zero.
 
-Rational coefficients multiply on integer numerators: each factor is put
-over the lcm of its denominators, the convolution runs in ints, and each
-product coefficient is one Fraction. Ring-valued coefficients use the
-plain loop, which skips zero factors on either side; it serves both
-egf_bell_check (CPoly) and the Picard oracle (MultiPoly). compose is
-Horner evaluation: for rational coefficients it runs on the integer
-numerators of f and g with powers of g's denominator, one Fraction per
-result coefficient; ring-valued series multiply through
-FormalSeries.__mul__, adding f_n to the constant term at each step.
-compose_via_bell splits each B_n into its B_{n,k} in one
-pass, evaluates each at the integer numerators of g and divides by the k-th
-power of their denominator once.
+The series product is one plain loop that skips zero factors on either
+side; it serves egf_bell_check (CPoly) and the Picard oracle (MultiPoly),
+and on int or Fraction input it gives Fraction coefficients. compose takes
+int and Fraction coefficients only and is Horner evaluation on the
+integer numerators of f and g with powers of g's denominator, one
+Fraction per result coefficient. compose_via_bell splits each B_n into its
+B_{n,k} in one pass, evaluates each at the integer numerators of g and
+divides by the k-th power of their denominator once.
 
 The flow half of the module works over MultiPoly, exact multivariate
 polynomials in x1..xm. A VectorField is a list of m components, optionally
@@ -90,10 +86,6 @@ class FormalSeries:
         divided = list(divided)
         return cls([f * Fraction(1, factorial(n)) for n, f in enumerate(divided)], order)
 
-    @classmethod
-    def identity(cls, order: int) -> "FormalSeries":
-        return cls([Fraction(0), Fraction(1)], order)
-
     def coeff(self, n: int):
         if not 0 <= n < self.order:
             raise ValueError(f"coefficient {n} beyond truncation order {self.order}")
@@ -133,10 +125,6 @@ class FormalSeries:
             return NotImplemented
         order = min(self.order, other.order)
         a, b = self.coeffs[:order], other.coeffs[:order]
-        if _EXACT.issuperset(map(type, a)) and _EXACT.issuperset(map(type, b)):
-            (na, da), (nb, db) = common_denominator(a), common_denominator(b)
-            d = da * db
-            return FormalSeries([Fraction(c, d) for c in _convolve(na, nb, order)], order)
         out = [Fraction(0)] * order
         for i, x in enumerate(a):
             if x:
@@ -167,33 +155,31 @@ class FormalSeries:
 
 
 def compose(f: FormalSeries, g: FormalSeries, order: int | None = None) -> FormalSeries:
-    """f(g(t)) through the given order, by Horner evaluation. For exact
-    coefficients, with F = f df and G = g dg on integer numerators, the
-    loop runs acc <- acc G + F_n dg^(N-1-n) in ints and divides by
-    df dg^(N-1) once."""
+    """f(g(t)) through the given order, by Horner evaluation on int and
+    Fraction coefficients (any other is a TypeError). With F = f df and
+    G = g dg on integer numerators, the loop runs acc <- acc G +
+    F_n dg^(N-1-n) in ints and divides by df dg^(N-1) once; at order 1 the
+    result is f_0 as given."""
     if order is None:
         order = min(f.order, g.order)
     if order > f.order or order > g.order:
         raise ValueError("composition order exceeds a truncation order")
-    if g.coeff(0) != 0:
-        raise ValueError("inner series must vanish at the origin")
     fc, gc = f.coeffs[:order], g.coeffs[:order]
-    if order > 1 and _EXACT.issuperset(map(type, fc)) and _EXACT.issuperset(map(type, gc)):
-        (F, df), (G, dg) = common_denominator(fc), common_denominator(gc)
-        acc = [F[-1]]
-        scale = 1
-        for n in range(order - 2, -1, -1):
-            acc = _convolve(acc, G, order)
-            scale *= dg
-            acc[0] += F[n] * scale
-        den = df * scale
-        return FormalSeries([Fraction(c, den) for c in acc], order)
-    gt = FormalSeries(gc, order)
-    acc = FormalSeries([fc[-1]], order)
+    if not _EXACT.issuperset(map(type, fc + gc)):
+        raise TypeError("compose needs int or Fraction coefficients")
+    if gc[0] != 0:
+        raise ValueError("inner series must vanish at the origin")
+    if order == 1:
+        return FormalSeries(fc, 1)
+    (F, df), (G, dg) = common_denominator(fc), common_denominator(gc)
+    acc = [F[-1]]
+    scale = 1
     for n in range(order - 2, -1, -1):
-        acc = acc * gt  # a fresh series: its constant term is ours to change
-        acc.coeffs[0] = acc.coeffs[0] + fc[n]
-    return acc
+        acc = _convolve(acc, G, order)
+        scale *= dg
+        acc[0] += F[n] * scale
+    den = df * scale
+    return FormalSeries([Fraction(c, den) for c in acc], order)
 
 
 def compose_via_bell(f: FormalSeries, g: FormalSeries, order: int | None = None) -> FormalSeries:
@@ -372,6 +358,16 @@ class MultiPoly(TermRing):
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "MultiPoly":
+        """The polynomial of {"nvars": int, "terms": [{"coeff": ..., "exponents":
+        [int, ...]}, ...]}; ValueError for a value of another shape."""
+        if not (isinstance(d, dict) and type(d.get("nvars")) is int
+                and isinstance(d.get("terms"), list)
+                and all(isinstance(t, dict) and "coeff" in t
+                        and isinstance(t.get("exponents"), list)
+                        and all(type(e) is int for e in t["exponents"])
+                        for t in d["terms"])):
+            raise ValueError('a polynomial must be a JSON object {"nvars": int, "terms": '
+                             '[{"coeff": ..., "exponents": [int, ...]}, ...]}')
         return cls(
             d["nvars"],
             {tuple(t["exponents"]): _parse_coeff(t["coeff"]) for t in d["terms"]},
@@ -444,6 +440,14 @@ class VectorField:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "VectorField":
+        """The field of {"nvars": int, "time_coefficients": [[polynomial, ...],
+        ...]}, with an optional "exact"; ValueError for a value of another
+        shape."""
+        if not (isinstance(d, dict) and type(d.get("nvars")) is int
+                and isinstance(d.get("time_coefficients"), list) and d["time_coefficients"]
+                and all(isinstance(comps, list) for comps in d["time_coefficients"])):
+            raise ValueError('a vector field must be a JSON object {"nvars": int, '
+                             '"time_coefficients": [[polynomial, ...], ...]}')
         tcs = [
             [MultiPoly.from_json_dict(p) for p in comps] for comps in d["time_coefficients"]
         ]

@@ -125,3 +125,16 @@ q-statistics      PASS  weights, q-products (totals <= 9), and q = 1 limits matc
 def test_partition_suites_report_at_degree_9():
     results = run_suites(["partition-oracle", "coproduct-oracle", "q-statistics"], 9)
     assert format_report(results) + "\n" == DEEP_PARTITION_REPORT
+
+
+# the three suites that list their failures, at `ncbell verify --max-degree 9`
+DEEP_FAILURE_REPORT = """\
+antipode-cross  FAIL  left != right at X_5 (dfdb); left != right at X_6 (dfdb); left != right at X_7 (dfdb); left != right at X_8 (dfdb); left != right at X_9 (dfdb)
+hopf-axioms     FAIL  dfdb: coassociativity fails on NCPoly('d5'); dfdb: coassociativity fails on NCPoly('d6'); dfdb: coassociativity fails on NCPoly('d7') (+32 more)
+mobius          FAIL  round trip fails at d_4 (nc); round trip fails at d_5 (nc); round trip fails at d_6 (nc); round trip fails at d_7 (nc) (+2 more)
+"""
+
+
+def test_failure_lists_report_at_degree_9():
+    results = run_suites(["antipode-cross", "hopf-axioms", "mobius"], 9)
+    assert format_report(results) + "\n" == DEEP_FAILURE_REPORT

@@ -7,7 +7,7 @@ import pytest
 
 from ncbell import bell, bell_partial, mobius_invert, verify
 from ncbell.algebra import from_json_dict
-from ncbell.cli import main
+from ncbell.cli import _default_flow_instance, main
 from ncbell.hopf import antipode_recursive
 
 
@@ -185,6 +185,13 @@ def test_json_float_is_refused(argv, text, tmp_path, capsys):
     assert err == "error: coefficient must be text or an int, got float"
 
 
+_POLY = '{"nvars": 1, "terms": [{"coeff": "1", "exponents": [1]}]}'
+_FIELD_SHAPE = ('a vector field must be a JSON object {"nvars": int, '
+                '"time_coefficients": [[polynomial, ...], ...]}')
+_POLY_SHAPE = ('a polynomial must be a JSON object {"nvars": int, "terms": '
+               '[{"coeff": ..., "exponents": [int, ...]}, ...]}')
+
+
 @pytest.mark.parametrize("argv, text, message", [
     (["quasidet"], "[1, 2]", "a JSON matrix must be an array of row arrays"),
     (["quasidet"], '["12", "34"]', "a JSON matrix must be an array of row arrays"),
@@ -197,6 +204,17 @@ def test_json_float_is_refused(argv, text, tmp_path, capsys):
     (["series", "--reversion"], '{"g": {"order": "3", "coeffs": ["0", "1"]}}',
      'a series must be a JSON object {"order": int, "coeffs": [...]}'),
     (["series", "--flow-check"], "[1, 2]", "the JSON input must be an object"),
+    (["series", "--flow-check"], '{"field": 1, "psi": 2}', _FIELD_SHAPE),
+    (["series", "--flow-check"],
+     f'{{"field": {{"nvars": 1, "time_coefficients": {_POLY}}}, "psi": {_POLY}}}', _FIELD_SHAPE),
+    (["series", "--flow-check"],
+     f'{{"field": {{"nvars": 1, "time_coefficients": []}}, "psi": {_POLY}}}', _FIELD_SHAPE),
+    (["series", "--flow-check"],
+     f'{{"field": {{"nvars": 1, "time_coefficients": [[{_POLY}]]}}, '
+     '"psi": {"nvars": 1, "terms": [{"coeff": "1", "exponents": ["1"]}]}}', _POLY_SHAPE),
+    (["series", "--flow-check"],
+     f'{{"field": {{"nvars": 1, "time_coefficients": [[{_POLY}]]}}, '
+     '"psi": {"terms": []}}', _POLY_SHAPE),
 ])
 def test_malformed_json_is_one_error_line(argv, text, message, tmp_path, capsys):
     # a JSON value of the wrong shape is refused by its loader, exit 2,
@@ -216,6 +234,14 @@ def test_series_flow_check(capsys):
     code, out, _ = run(capsys, "series", "--flow-check", "--order", "4")
     assert code == 0
     assert "ok" in out
+
+
+def test_series_flow_check_reads_a_file(tmp_path, capsys):
+    field, psi = _default_flow_instance()
+    f = tmp_path / "flow.json"
+    f.write_text(json.dumps({"field": field.to_json_dict(), "psi": psi.to_json_dict()}))
+    assert run(capsys, "series", "--flow-check", "--order", "3", "--file", str(f)) == (
+        0, "flow pullback vs Bell words through order 3: ok", "")
 
 
 def test_series_flow_check_order_zero(capsys):

@@ -46,7 +46,6 @@ MOBIUS_ENTRY_POINTS = {
     "antipode_poly": lambda v: mobius.antipode_poly(_p(v), v),
     "mobius_char": lambda v: mobius.mobius_char(3, v),
     "convolve_m": lambda v: mobius.convolve_m(mobius.zeta(3), mobius.zeta(3), 2, v),
-    "bell_map": lambda v: mobius.bell_map(_p(v), v),
     "mobius_invert": lambda v: mobius.mobius_invert(2, v),
     "invert_round_trip": lambda v: mobius.invert_round_trip(2, v),
 }

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 from importlib import import_module
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -183,7 +184,7 @@ def test_every_module_memo_is_registered():
         assert hasattr(owner, name), (module, name)
 
 
-# public functions kept with no caller in src, each with the reason
+# public functions and methods kept with no caller in src, each with the reason
 _UNCALLED = {
     ("partitions", "count_max_ordered"): "brute-force reference for N_formula and the q-counts",
     ("trees", "collapse"): "brute-force reference: planar trees collapsed equal the nonplanar recursion",
@@ -192,10 +193,23 @@ _UNCALLED = {
 }
 
 
+def _public_defs(tree):
+    """(qualified name, def node) of each public top-level function and each
+    public method of a top-level class; dunder methods count as private."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
 def _uncalled_public_functions(sources: dict) -> set:
-    """(module, name) of each public top-level def in sources, a map of
-    module name to source text, that no code there refers to by name or as
-    an attribute, apart from the def's own body."""
+    """(module, qualified name) of each public top-level def and public
+    method in sources, a map of module name to source text, that no code
+    there refers to by name or as an attribute, apart from the def's own
+    body."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     refs: dict = {}
     for tree in trees.values():
@@ -204,19 +218,25 @@ def _uncalled_public_functions(sources: dict) -> set:
                 refs.setdefault(n.id if isinstance(n, ast.Name) else n.attr, []).append(id(n))
     uncalled = set()
     for module, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                own = set(map(id, ast.walk(node)))
-                if all(i in own for i in refs.get(node.name, ())):
-                    uncalled.add((module, node.name))
+        for name, node in _public_defs(tree):
+            own = set(map(id, ast.walk(node)))
+            if all(i in own for i in refs.get(node.name, ())):
+                uncalled.add((module, name))
     return uncalled
 
 
 def test_uncalled_scan_ignores_self_references():
     sources = {"a": "def f():\n    return f()\ndef g():\n    return h\ndef h():\n    pass\n"
                     "def _private():\n    pass\n",
-               "b": "import a\nx = a.g\ny = k\ndef k():\n    pass\n"}
+               "b": "import a\nx = a.g\ny = k\ndef k():\n    pass\n",
+               "c": "class C:\n    def used(self):\n        return self.idle\n"
+                    "    def idle(self):\n        return self.idle()\n"
+                    "    def __len__(self):\n        return 0\n"
+                    "    def _private(self):\n        pass\n"
+                    "C().used()\n"}
     assert _uncalled_public_functions(sources) == {("a", "f")}
+    sources["c"] = sources["c"].replace("return self.idle\n", "return 0\n")
+    assert _uncalled_public_functions(sources) == {("a", "f"), ("c", "C.idle")}
 
 
 def test_every_public_function_has_a_caller():
@@ -224,7 +244,7 @@ def test_every_public_function_has_a_caller():
                for path in sorted(Path(ncbell.__file__).parent.glob("*.py"))}
     dead = {(module, name) for module, name in _uncalled_public_functions(sources)
             if name not in ncbell.__all__}
-    assert dead == set(_UNCALLED), "call each public function from src, or delete it"
+    assert dead == set(_UNCALLED), "call each public function and method from src, or delete it"
     # the exemptions still name real functions, so the list cannot go stale
     for module, name in _UNCALLED:
-        assert callable(getattr(import_module(f"ncbell.{module}"), name)), (module, name)
+        assert callable(attrgetter(name)(import_module(f"ncbell.{module}"))), (module, name)

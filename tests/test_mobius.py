@@ -20,7 +20,6 @@ from ncbell.hopf import coproduct_extend, tensor_mul
 from ncbell.mobius import (
     antipode_m,
     antipode_poly,
-    bell_map,
     convolve_m,
     coproduct_m,
     epsilon_char,
@@ -185,11 +184,6 @@ def test_invert_goldens():
     assert render_text(mobius_invert(3, "nc"), symbol="B") == (
         "2*B1^3 - B2*B1 - 2*B1*B2 + B3"
     )
-
-
-def test_bell_map_renames_only():
-    p = _nc("d2*d1 + 2*d1*d2")
-    assert bell_map(p).terms == p.terms
 
 
 def test_round_trip_commutative():

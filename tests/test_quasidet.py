@@ -30,7 +30,7 @@ def _symbol_matrix(n: int):
         row = []
         for j in range(1, n + 1):
             if i == j + 1:
-                row.append(NCPoly.one().map_coeffs(lambda c: -c))
+                row.append(-NCPoly.one())
             elif i > j + 1:
                 row.append(NCPoly.zero())
             else:
@@ -53,7 +53,7 @@ def test_recursion_equals_chain_sum():
 def test_bell_matrix_shape():
     m = bell_matrix(4, "nc")
     assert len(m) == 4 and all(len(row) == 4 for row in m)
-    assert m[1][0] == NCPoly.one().map_coeffs(lambda c: -c)
+    assert m[1][0] == -NCPoly.one()
     assert m[2][0] == NCPoly.zero()
 
 

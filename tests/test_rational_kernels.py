@@ -1,8 +1,8 @@
-"""Differential tests of the integer-numerator rational kernels:
-FormalSeries.__mul__, compose, compose_via_bell, the rational path of
-quasidet.det, the fraction-free inverse behind mat_inverse and
-numeric_quasidet, and the character pairing behind hopf.pair and
-Character.__call__. Each is compared with the plain Fraction loop it
+"""Differential tests of the integer-numerator rational kernels: compose,
+compose_via_bell, the rational path of quasidet.det, the fraction-free
+inverse behind mat_inverse and numeric_quasidet, and the character pairing
+behind hopf.pair and Character.__call__; and of the series product on
+rational input. Each is compared with the plain Fraction loop it
 replaced, kept here as the reference, on int, bool, Fraction and mixed
 entries with runs of zeros, unequal truncation orders and denominators up
 to 10^6. The kernels must give the same values with the same coefficient
@@ -10,7 +10,7 @@ types (every series product coefficient, every determinant, inverse entry
 and numeric quasideterminant is a Fraction; a pairing of int inputs is an
 int), and a float is refused with the same TypeError as a ring
 coefficient, and series arithmetic with an operand that is not a series
-is a TypeError."""
+is a TypeError. compose refuses ring-valued series with a TypeError."""
 
 import operator
 from fractions import Fraction
@@ -419,6 +419,15 @@ def test_compose_result_types():
     for order in (2, 3):
         assert all(type(c) is Fraction for c in compose(f, g, order).coeffs)
     assert compose(f, g).coeffs == [3, 1, 7]
+
+
+def test_compose_refuses_ring_valued_series():
+    u = FormalSeries([CPoly.zero(), CPoly.letter(1), CPoly.letter(2)])
+    exact = FormalSeries([0, 1, 2])
+    for f, g in ((u, exact), (exact, u), (u, u)):
+        for order in (1, 3):
+            with pytest.raises(TypeError, match="compose needs int or Fraction coefficients"):
+                compose(f, g, order)
 
 
 def test_ring_valued_series_keep_the_plain_loop():

@@ -96,8 +96,8 @@ def test_reversion():
             + [Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in range(6)],
             8,
         )
-        assert compose(g, reversion(g)) == FormalSeries.identity(8)
-        assert compose(reversion(g), g) == FormalSeries.identity(8)
+        assert compose(g, reversion(g)) == FormalSeries([0, 1], 8)
+        assert compose(reversion(g), g) == FormalSeries([0, 1], 8)
 
 
 def test_reversion_needs_unit():
