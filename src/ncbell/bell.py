@@ -123,33 +123,35 @@ def bell_explicit(n: int, k: int) -> NCPoly:
     return out
 
 
+def _explicit_terms(n: int, i: int, blocks_left: int, weight_left: int,
+                    alpha: list, out: dict) -> None:
+    """Add to out the terms of bell_c_explicit(n, .) whose multiplicities of
+    d_1..d_{i-1} are alpha, with blocks_left letters and weight_left weight
+    still to place on d_i..d_n."""
+    if i > n:
+        if blocks_left == 0 and weight_left == 0:
+            coeff = Fraction(factorial(n))
+            mono = []
+            for idx, a in enumerate(alpha, start=1):
+                if a:
+                    coeff /= factorial(a) * factorial(idx) ** a
+                    mono.append((idx, a))
+            out[tuple(mono)] = out.get(tuple(mono), 0) + coeff
+        return
+    for a in range(min(blocks_left, weight_left // i) + 1):
+        alpha.append(a)
+        _explicit_terms(n, i + 1, blocks_left - a, weight_left - i * a, alpha, out)
+        alpha.pop()
+
+
 def bell_c_explicit(n: int, k: int) -> CPoly:
     """Commutative B_{n,k} as the multi-index sum over (alpha_1..alpha_n)
     with sum alpha_i = k and sum i alpha_i = n of
     n!/(alpha_1! ... alpha_n!) prod (d_i / i!)^{alpha_i}."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-
-    def rec(i: int, blocks_left: int, weight_left: int, alpha: list):
-        if i > n:
-            if blocks_left == 0 and weight_left == 0:
-                coeff = Fraction(factorial(n))
-                mono = []
-                for idx, a in enumerate(alpha, start=1):
-                    if a:
-                        coeff /= factorial(a) * factorial(idx) ** a
-                        mono.append((idx, a))
-                out_terms[tuple(mono)] = out_terms.get(tuple(mono), 0) + coeff
-            return
-        max_a = min(blocks_left, weight_left // i)
-        for a in range(max_a + 1):
-            alpha.append(a)
-            rec(i + 1, blocks_left - a, weight_left - i * a, alpha)
-            alpha.pop()
-
     out_terms: dict = {}
-    rec(1, k, n, [])
-    del rec  # rec refers to itself: break the cycle that holds out_terms
+    _explicit_terms(n, 1, k, n, [], out_terms)
     return CPoly(out_terms)
 
 

@@ -1,9 +1,12 @@
 """Command-line surface: generate, render, and cross-verify the algebra.
 
 Verbs: bell, partial, qbell, trees, quasidet, hopf, mobius, series, and
-verify. Polynomial output honors --format text|latex|json; the json form
-round-trips through from_json_dict to the identical polynomial; a format
-or option the chosen output cannot use is refused with exit code 2.
+verify. partial and qbell run cmd_bell, with parser defaults that make
+partial bell -k and qbell bell -k --q; qbell --grouped sums the q-Bell
+coefficients of words with the same letter multiset. Polynomial output
+honors --format text|latex|json; the json form round-trips through
+from_json_dict to the identical polynomial; a format or option the
+chosen output cannot use is refused with exit code 2.
 verify prints one pass/fail line per suite and exits nonzero when any
 suite fails, as do the self-checking series commands. Each verb imports
 the submodules it uses when it runs, so a call loads only those.
@@ -91,7 +94,8 @@ def cmd_bell(args) -> int:
             raise ValueError("--q and --scaled cannot be combined")
         if args.format == "latex":
             raise ValueError("--q prints text or json only")
-        _emit_qtable(qbell(args.n, args.k), args.format)
+        table = qbell_grouped(args.n, args.k) if args.grouped else qbell(args.n, args.k)
+        _emit_qtable(table, args.format)
         return 0
     if args.scaled:
         p = bell_scaled(args.n, args.k)
@@ -100,18 +104,6 @@ def cmd_bell(args) -> int:
     else:
         p = bell(args.n, variant)
     _emit_poly(p, args.format)
-    return 0
-
-
-def cmd_partial(args) -> int:
-    variant = "c" if args.c else "nc"
-    _emit_poly(bell_partial(args.n, args.k, variant), args.format)
-    return 0
-
-
-def cmd_qbell(args) -> int:
-    table = qbell_grouped(args.n, args.k) if args.grouped else qbell(args.n, args.k)
-    _emit_qtable(table, args.format)
     return 0
 
 
@@ -269,14 +261,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scaled", action="store_true", help="scaled polynomial Q")
     p.add_argument("--q", action="store_true", help="q-coefficients (needs -k)")
     _add_format(p)
-    p.set_defaults(func=cmd_bell)
+    p.set_defaults(func=cmd_bell, grouped=False)
 
     p = subs.add_parser("partial", help="partial Bell polynomial B_{n,k}")
     _add_variant_flags(p)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-k", type=int, required=True)
     _add_format(p)
-    p.set_defaults(func=cmd_partial)
+    p.set_defaults(func=cmd_bell, scaled=False, q=False)
 
     p = subs.add_parser("qbell", help="q-Bell coefficient table for (n, k)")
     p.add_argument("-n", type=int, required=True)
@@ -284,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grouped", action="store_true",
                    help="group words with the same letter multiset")
     _add_format(p, ("text", "json"))
-    p.set_defaults(func=cmd_qbell)
+    p.set_defaults(func=cmd_bell, c=False, scaled=False, q=True)
 
     p = subs.add_parser("trees", help="Bell polynomial as a sum of rooted trees")
     p.add_argument("-n", type=int, required=True)

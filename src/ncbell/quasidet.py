@@ -137,29 +137,26 @@ def det(M):
         return Fraction(_det_bareiss(rows), scale)
     if not any(isinstance(e, TermRing) for row in M for e in row):
         _refuse_inexact(M)  # scalars only, not all exact
-    cls = _entry_class(M)
+    return _minor(M, 0, tuple(range(n)), {}, _entry_class(M))
 
-    memo: dict = {}
 
-    def minor(row: int, cols: tuple):
-        if not cols:
-            return cls.one()
-        key = (row, cols)
-        if key in memo:
-            return memo[key]
-        acc = cls.zero()
-        for pos, j in enumerate(cols):
-            e = M[row][j]
-            if e:
-                sub = minor(row + 1, cols[:pos] + cols[pos + 1 :])
-                term = e * sub
-                acc = acc + (term if pos % 2 == 0 else -term)
-        memo[key] = acc
-        return acc
-
-    out = minor(0, tuple(range(n)))
-    del minor  # minor refers to itself: break the cycle that holds memo
-    return out
+def _minor(M, row: int, cols: tuple, memo: dict, cls):
+    """The determinant of rows row.. of M restricted to cols, by expansion
+    along its first row; memo holds the minors by (row, cols)."""
+    if not cols:
+        return cls.one()
+    key = (row, cols)
+    if key in memo:
+        return memo[key]
+    acc = cls.zero()
+    for pos, j in enumerate(cols):
+        e = M[row][j]
+        if e:
+            sub = _minor(M, row + 1, cols[:pos] + cols[pos + 1 :], memo, cls)
+            term = e * sub
+            acc = acc + (term if pos % 2 == 0 else -term)
+    memo[key] = acc
+    return acc
 
 
 def _det_bareiss(M) -> int:

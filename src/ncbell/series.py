@@ -11,13 +11,16 @@ side; it serves egf_bell_check (CPoly) and the Picard oracle (MultiPoly),
 and on int or Fraction input it gives Fraction coefficients. compose takes
 int and Fraction coefficients only and is Horner evaluation on the
 integer numerators of f and g with powers of g's denominator, one
-Fraction per result coefficient. compose_via_bell splits each B_n into its
-B_{n,k} in one pass, evaluates each at the integer numerators of g and
-divides by the k-th power of their denominator once.
+Fraction per result coefficient. compose_via_bell takes each B_{n,k} from
+bell_partial, which files B_n's terms by length once per n, evaluates it at
+the integer numerators of g and divides by the k-th power of their
+denominator once.
 
 The flow half of the module works over MultiPoly, exact multivariate
 polynomials in x1..xm. A VectorField is a list of m components, optionally
-time-dependent through the list F_1, F_2, ... with F_t = sum_j t^j/j! F_{j+1}.
+time-dependent through the list F_1, F_2, ... of component lists, with
+F_t = sum_j t^j/j! F_{j+1}. MultiPoly and VectorField read JSON
+(from_json_dict) but do not write it.
 bell_apply reads a word d_{j_1}...d_{j_k} as the operator composition
 F_{j_1}[F_{j_2}[...F_{j_k}[psi]...]]: the leftmost letter acts outermost.
 The opposite orientation silently passes every symmetric low-order check,
@@ -182,13 +185,11 @@ def compose(f: FormalSeries, g: FormalSeries, order: int | None = None) -> Forma
     return FormalSeries([Fraction(c, den) for c in acc], order)
 
 
-def compose_via_bell(f: FormalSeries, g: FormalSeries, order: int | None = None) -> FormalSeries:
-    """f(g(t)) with divided-power coefficients from the classical chain-rule
-    expansion h_n = sum_k f_k B_{n,k}(g_1, ..., g_{n-k+1})."""
-    if order is None:
-        order = min(f.order, g.order)
-    if order > f.order or order > g.order:
-        raise ValueError("composition order exceeds a truncation order")
+def compose_via_bell(f: FormalSeries, g: FormalSeries) -> FormalSeries:
+    """f(g(t)) through min(f.order, g.order), with divided-power coefficients
+    from the classical chain-rule expansion
+    h_n = sum_k f_k B_{n,k}(g_1, ..., g_{n-k+1})."""
+    order = min(f.order, g.order)
     if g.coeff(0) != 0:
         raise ValueError("inner series must vanish at the origin")
     # B_{n,k} is homogeneous of degree k: B_{n,k}(g) = B_{n,k}(g d) / d^k
@@ -337,25 +338,6 @@ class MultiPoly(TermRing):
             acc[ne] = acc.get(ne, 0) + c * e[i]
         return self._new({e: c for e, c in acc.items() if c})
 
-    def evaluate(self, point) -> int | Fraction:
-        point = [_coeff(v) for v in point]
-        if len(point) != self.nvars:
-            raise ValueError("dimension mismatch")
-        total = 0
-        for e, c in self.terms.items():
-            prod = c
-            for v, p in zip(point, e):
-                prod *= v**p
-            total += prod
-        return total
-
-    def to_json_dict(self) -> dict:
-        terms = sorted(self.terms.items())
-        return {
-            "nvars": self.nvars,
-            "terms": [{"coeff": str(c), "exponents": list(e)} for e, c in terms],
-        }
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "MultiPoly":
         """The polynomial of {"nvars": int, "terms": [{"coeff": ..., "exponents":
@@ -387,10 +369,9 @@ def render_multipoly(p: MultiPoly) -> str:
 class VectorField:
     """Polynomial vector field on m variables.
 
-    time_coefficients, when given, is the truncated list F_1, F_2, ... with
-    F_t = sum_j t^j/j! F_{j+1}; each entry may be a VectorField or a plain
-    component list. Without it the field is autonomous and exact in t, so
-    flows may be expanded to any order.
+    time_coefficients, when given, is the truncated list F_1, F_2, ... of
+    component lists, with F_t = sum_j t^j/j! F_{j+1}. Without it the field
+    is autonomous and exact in t, so flows may be expanded to any order.
     """
 
     __slots__ = ("nvars", "components", "time_coefficients", "exact")
@@ -408,8 +389,6 @@ class VectorField:
                 raise ValueError("components must agree with the first time coefficient")
 
     def _normalize(self, components):
-        if isinstance(components, VectorField):
-            components = components.components
         components = list(components)
         if len(components) != self.nvars:
             raise ValueError(f"need {self.nvars} components, got {len(components)}")
@@ -429,20 +408,12 @@ class VectorField:
             return self.time_coefficients[j - 1]
         return [MultiPoly.zero(self.nvars)] * self.nvars
 
-    def to_json_dict(self) -> dict:
-        return {
-            "nvars": self.nvars,
-            "time_coefficients": [
-                [p.to_json_dict() for p in comps] for comps in self.time_coefficients
-            ],
-            "exact": self.exact,
-        }
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "VectorField":
         """The field of {"nvars": int, "time_coefficients": [[polynomial, ...],
-        ...]}, with an optional "exact"; ValueError for a value of another
-        shape."""
+        ...]}, with an optional boolean "exact" (by default true for one time
+        coefficient, which an exact field must have); ValueError for a value
+        of another shape."""
         if not (isinstance(d, dict) and type(d.get("nvars")) is int
                 and isinstance(d.get("time_coefficients"), list) and d["time_coefficients"]
                 and all(isinstance(comps, list) for comps in d["time_coefficients"])):
@@ -451,7 +422,12 @@ class VectorField:
         tcs = [
             [MultiPoly.from_json_dict(p) for p in comps] for comps in d["time_coefficients"]
         ]
-        if d.get("exact", len(tcs) == 1):
+        exact = d.get("exact", len(tcs) == 1)
+        if type(exact) is not bool:
+            raise ValueError('a vector field\'s "exact" must be true or false')
+        if exact:
+            if len(tcs) != 1:
+                raise ValueError("an exact vector field has one time coefficient")
             return cls(d["nvars"], tcs[0])
         return cls(d["nvars"], tcs[0], tcs)
 

@@ -51,6 +51,18 @@ def left_butcher(s: tuple, t: tuple) -> tuple:
     return (s,) + t
 
 
+def _grafts(s: tuple, node: tuple):
+    """Each tree made from node by attaching s below one of its leaves, in
+    depth-first leaf order."""
+    for pos, child in enumerate(node):
+        head, tail = node[:pos], node[pos + 1 :]
+        if child == LEAF:
+            yield head + ((s,),) + tail
+        else:
+            for grown in _grafts(s, child):
+                yield head + (grown,) + tail
+
+
 def leaf_graft(s: tuple, t: tuple) -> dict:
     """Sum over the leaves of t of attaching s below that leaf.
 
@@ -58,19 +70,9 @@ def leaf_graft(s: tuple, t: tuple) -> dict:
     has none, so leaf_graft(s, ()) is zero.
     """
     out: dict = {}
-
-    def rec(node: tuple, rebuild):
-        for pos, child in enumerate(node):
-            if child == LEAF:
-                grown = node[:pos] + ((s,),) + node[pos + 1 :]
-                tree = rebuild(grown)
-                out[tree] = out.get(tree, 0) + 1
-            else:
-                rec(child, lambda sub, p=pos, nd=node: rebuild(nd[:p] + (sub,) + nd[p + 1 :]))
-
-    rec(t, lambda x: x)
-    del rec  # rec refers to itself: break the cycle that holds out
-    return {k: v for k, v in out.items() if v}
+    for tree in _grafts(s, t):
+        out[tree] = out.get(tree, 0) + 1
+    return out
 
 
 def poly_add(acc: dict, t: tuple, c) -> None:

@@ -7,7 +7,7 @@ import pytest
 
 from ncbell import bell, bell_partial, mobius_invert, verify
 from ncbell.algebra import from_json_dict
-from ncbell.cli import _default_flow_instance, main
+from ncbell.cli import main
 from ncbell.hopf import antipode_recursive
 
 
@@ -76,11 +76,31 @@ def test_qbell_lines(capsys):
 
 
 def test_bell_q_is_the_qbell_table(capsys):
-    for fmt in ("text", "json"):
-        _, via_bell, _ = run(capsys, "bell", "-n", "5", "-k", "2", "--q", "--format", fmt)
-        _, via_qbell, _ = run(capsys, "qbell", "-n", "5", "-k", "2", "--format", fmt)
-        assert via_bell == via_qbell
-    assert json.loads(via_bell)["algebra"] == "q-bell"
+    for n, k in ((5, 2), (1, 1), (6, 3), (3, 4)):
+        for fmt in ("text", "json"):
+            argv = ["-n", str(n), "-k", str(k), "--format", fmt]
+            assert run(capsys, "qbell", *argv) == run(capsys, "bell", *argv, "--q")
+    _, out, _ = run(capsys, "qbell", "-n", "5", "-k", "2", "--format", "json")
+    assert json.loads(out)["algebra"] == "q-bell"
+
+
+@pytest.mark.parametrize("fmt", ["text", "latex", "json"])
+@pytest.mark.parametrize("variant", ["--nc", "--c"])
+@pytest.mark.parametrize("n, k", [(1, 1), (6, 3), (7, 7), (3, 4)])
+def test_partial_prints_what_bell_k_prints(n, k, variant, fmt, capsys):
+    argv = [variant, "-n", str(n), "-k", str(k), "--format", fmt]
+    assert run(capsys, "partial", *argv) == run(capsys, "bell", *argv)
+
+
+def test_qbell_grouped_golden(capsys):
+    assert run(capsys, "qbell", "-n", "5", "-k", "3", "--grouped") == (0, (
+        "d1^2*d3: 3 + 2*q + 3*q^2 + q^3 + q^4\n"
+        "d1*d2^2: 3 + 4*q + 4*q^2 + 3*q^3 + q^4"), "")
+    assert run(capsys, "qbell", "-n", "5", "-k", "3", "--grouped", "--format", "json") == (0, (
+        '{"algebra": "q-bell", "terms": ['
+        '{"word": [1, 1, 3], "coeff": {"4": "1", "3": "1", "2": "3", "1": "2", "0": "3"}}, '
+        '{"word": [1, 2, 2], "coeff": {"4": "1", "3": "3", "2": "4", "1": "4", "0": "3"}}]}'),
+        "")
 
 
 def test_q_needs_k(capsys):
@@ -215,6 +235,12 @@ _POLY_SHAPE = ('a polynomial must be a JSON object {"nvars": int, "terms": '
     (["series", "--flow-check"],
      f'{{"field": {{"nvars": 1, "time_coefficients": [[{_POLY}]]}}, '
      '"psi": {"terms": []}}', _POLY_SHAPE),
+    (["series", "--flow-check"],
+     f'{{"field": {{"nvars": 1, "time_coefficients": [[{_POLY}], [{_POLY}]], "exact": true}}, '
+     f'"psi": {_POLY}}}', "an exact vector field has one time coefficient"),
+    (["series", "--flow-check"],
+     f'{{"field": {{"nvars": 1, "time_coefficients": [[{_POLY}]], "exact": "false"}}, '
+     f'"psi": {_POLY}}}', 'a vector field\'s "exact" must be true or false'),
 ])
 def test_malformed_json_is_one_error_line(argv, text, message, tmp_path, capsys):
     # a JSON value of the wrong shape is refused by its loader, exit 2,
@@ -237,9 +263,16 @@ def test_series_flow_check(capsys):
 
 
 def test_series_flow_check_reads_a_file(tmp_path, capsys):
-    field, psi = _default_flow_instance()
+    # the built-in example: F = (x1*x2, x2^2 + 1) and psi = x1 + x1*x2
+    field = {"nvars": 2, "time_coefficients": [[
+        {"nvars": 2, "terms": [{"coeff": "1", "exponents": [1, 1]}]},
+        {"nvars": 2, "terms": [{"coeff": "1", "exponents": [0, 0]},
+                               {"coeff": "1", "exponents": [0, 2]}]},
+    ]]}
+    psi = {"nvars": 2, "terms": [{"coeff": "1", "exponents": [1, 0]},
+                                 {"coeff": "1", "exponents": [1, 1]}]}
     f = tmp_path / "flow.json"
-    f.write_text(json.dumps({"field": field.to_json_dict(), "psi": psi.to_json_dict()}))
+    f.write_text(json.dumps({"field": field, "psi": psi}))
     assert run(capsys, "series", "--flow-check", "--order", "3", "--file", str(f)) == (
         0, "flow pullback vs Bell words through order 3: ok", "")
 

@@ -1,7 +1,7 @@
 """The coefficient invariant of the ring kernel: every coefficient is an
 exact int, or a Fraction once a real division has happened, never a float
-or a bool; and the closures of the recursive enumerators leave no
-reference cycles behind."""
+or a bool; and the recursive enumerators leave no reference cycles
+behind."""
 
 import gc
 from fractions import Fraction
@@ -66,9 +66,14 @@ def test_parsed_integers_are_ints():
 def test_multipoly_json_integers_are_ints():
     x, y = MultiPoly.var(2, 0), MultiPoly.var(2, 1)
     p = 3 * x * x - y + 2
-    back = MultiPoly.from_json_dict(p.to_json_dict())
+    back = MultiPoly.from_json_dict({"nvars": 2, "terms": [
+        {"coeff": "2", "exponents": [0, 0]}, {"coeff": "-1", "exponents": [0, 1]},
+        {"coeff": "3", "exponents": [2, 0]}]})
     assert back == p and _ints(back)
-    half = MultiPoly.from_json_dict((p * Fraction(1, 2)).to_json_dict())
+    half = MultiPoly.from_json_dict({"nvars": 2, "terms": [
+        {"coeff": "1", "exponents": [0, 0]}, {"coeff": "-1/2", "exponents": [0, 1]},
+        {"coeff": "3/2", "exponents": [2, 0]}]})
+    assert half == p * Fraction(1, 2)
     assert half.terms[(2, 0)] == Fraction(3, 2) and type(half.terms[(0, 1)]) is Fraction
     assert type(half.terms[(0, 0)]) is int
 
@@ -170,7 +175,7 @@ def test_int_and_fraction_coefficients_render_alike(terms, commutative):
 
 
 # ---------------------------------------------------------------------------
-# recursive closures leave no reference cycles
+# recursive enumerators leave no reference cycles
 
 
 CYCLE_FREE_CALLS = {
