@@ -97,6 +97,7 @@ _MEMOS = {
     "hopf.rank": ("hopf", "_RANK"),
     "hopf.antipode": ("hopf", "_ANTIPODE"),
     "mobius.antipode": ("mobius", "_ANTIPODE"),
+    "mobius.mu": ("mobius", "_MU"),
     "partitions.stirling": ("partitions", "_STIRLING"),
     "partitions.qcount": ("partitions", "_QCOUNT"),
     "partitions.size_words": ("partitions", "_SIZE_WORDS"),

@@ -698,16 +698,13 @@ def qbinomial(n: int, k: int) -> QPoly:
 # n = 3 table in its familiar shape: d1^3 + d2*d1 + 2*d1*d2 + d3.
 
 
-def _letter_value(letter: int) -> int:
-    return 0 if letter == INV else letter
-
-
 def _sorted_terms(p):
     if not isinstance(p, (NCPoly, CPoly)):
         raise TypeError(f"cannot render {type(p).__name__}")
     letters = p.key_letters
     items = [(letters(k), c) for k, c in p.terms.items()]
-    items.sort(key=lambda wc: (len(wc[0]), tuple(_letter_value(x) for x in wc[0])))
+    # INV = -1 is the only letter below 1, so the words compare as they are
+    items.sort(key=lambda wc: (len(wc[0]), wc[0]))
     return items
 
 

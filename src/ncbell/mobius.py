@@ -112,10 +112,22 @@ def epsilon_char(max_n: int) -> Character:
     return Character(values)
 
 
+_MU: dict = {}  # (k, variant) -> zeta(S(d_k)), the right antipode
+
+
 def mobius_char(max_n: int, variant: str = "nc") -> Character:
-    """The Mobius character mu = zeta o S, tabulated on d1..d_max_n."""
+    """The Mobius character mu = zeta o S, tabulated on d1..d_max_n.
+
+    Each value zeta(S(d_k)) is computed once per variant and kept in the
+    module memo _MU ("mobius.mu" in ncbell.cache_info); every call returns
+    a new Character built from it.
+    """
     z = zeta(max_n)
-    values = {i: z(antipode_m(i, variant)) for i in range(1, max_n + 1)}
+    values = {}
+    for k in range(1, max_n + 1):
+        if (k, variant) not in _MU:
+            _MU[k, variant] = z(antipode_m(k, variant))
+        values[k] = _MU[k, variant]
     values[INV] = 1
     return Character(values)
 

@@ -12,6 +12,7 @@ from ncbell.algebra import (
     CPoly,
     NCPoly,
     QPoly,
+    _sorted_terms,
     check_mono,
     from_json_dict,
     mono_mul,
@@ -249,6 +250,24 @@ def test_render_latex():
     assert render_text(p) == "d3^2*d11^12 + d12*d1^10 - 1/2*d1^-1 - 5/3"
     c = parse_text("-d1^-3*d10 + d1^10*d12", commutative=True)
     assert render_latex(c) == "d_1^{10} d_{12} - d_1^{-3} d_{10}"
+
+
+def _old_render_key(word_coeff):
+    """The canonical-order key as it was: d1^{-1} counted as letter 0."""
+    return (len(word_coeff[0]), tuple(0 if x == INV else x for x in word_coeff[0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.sampled_from((INV, INV, 1, 1, 2, 3, 10, 12)), max_size=6),
+                          st.integers(-3, 3)), max_size=10))
+def test_sorted_terms_keeps_the_old_order(terms):
+    p = NCPoly.zero()
+    for letters, c in terms:
+        p = p + NCPoly.from_word(_reduced(letters), c)
+    for q in (p, p.abelianize()):
+        letters = q.key_letters
+        items = [(letters(k), c) for k, c in q.terms.items()]
+        assert _sorted_terms(q) == sorted(items, key=_old_render_key)
 
 
 def test_render_alternate_symbol():

@@ -89,7 +89,7 @@ def test_cold_cache_info_imports_nothing():
     info, loaded = _cold("import json, ncbell\nprint(json.dumps(ncbell.cache_info()))")
     assert json.loads(info) == dict.fromkeys(
         ["bell.nc", "bell.c", "hopf.rank", "hopf.antipode", "mobius.antipode",
-         "partitions.stirling", "partitions.qcount", "partitions.size_words",
+         "mobius.mu", "partitions.stirling", "partitions.qcount", "partitions.size_words",
          "algebra.qfactorial", "bell.partial"], 0)
     assert set(json.loads(loaded)) == _modules("algebra", "bell")
 

@@ -10,9 +10,11 @@ holds through degree 3. The tests pin those boundaries.
 """
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
+import ncbell
 from ncbell import hopf, mobius, verify
 from ncbell.algebra import INV, CPoly, NCPoly, parse_text, render_text, ring
 from ncbell.bell import bell, bell_partial
@@ -162,6 +164,25 @@ def test_mobius_character_values():
     for i, v in expected.items():
         assert mu_nc.on_letter(i) == v
         assert mu_c.on_letter(i) == v
+
+
+@pytest.mark.parametrize("variant", ["nc", "c"])
+def test_mobius_character_memo(variant):
+    ncbell.clear_caches()
+    mu = mobius_char(7, variant)
+    for k in range(1, 8):
+        assert mu.on_letter(k) == zeta(7)(antipode_m(k, variant))
+    assert ncbell.cache_info()["mobius.mu"] == 7
+    # each call hands out its own Character, so writing into one leaves the
+    # memo and the next call alone
+    mu.values[3] = 99
+    again = mobius_char(7, variant)
+    assert again is not mu and again.on_letter(3) == 2
+    assert again.values == {**{k: (-1) ** (k - 1) * factorial(k - 1) for k in range(1, 8)},
+                            INV: 1}
+    ncbell.clear_caches()
+    assert ncbell.cache_info()["mobius.mu"] == 0
+    assert mobius_char(7, variant).values == again.values
 
 
 def test_convolution_inverts_zeta():

@@ -348,6 +348,7 @@ def test_clear_caches_empties_every_memo():
     hopf.rank_poly(3, 1, "dfdb")
     hopf.antipode_recursive(3, "dfdb")
     mobius.antipode_m(3, "nc")
+    mobius.mobius_char(3, "nc")
     stirling2(5, 2)
     qcount_max_ordered((1, 2))
     size_words(3)
@@ -355,8 +356,9 @@ def test_clear_caches_empties_every_memo():
     bell_partial(4, 2)
     before = ncbell.cache_info()
     assert set(before) == {"bell.nc", "bell.c", "hopf.rank", "hopf.antipode",
-                           "mobius.antipode", "partitions.stirling", "partitions.qcount",
-                           "partitions.size_words", "algebra.qfactorial", "bell.partial"}
+                           "mobius.antipode", "mobius.mu", "partitions.stirling",
+                           "partitions.qcount", "partitions.size_words",
+                           "algebra.qfactorial", "bell.partial"}
     assert all(size > 0 for size in before.values()), before
     ncbell.clear_caches()
     assert all(size == 0 for size in ncbell.cache_info().values())
