@@ -96,7 +96,6 @@ def __dir__() -> list:
 _MEMOS = {
     "hopf.rank": ("hopf", "_RANK"),
     "hopf.antipode": ("hopf", "_ANTIPODE"),
-    "mobius.antipode": ("mobius", "_ANTIPODE"),
     "mobius.mu": ("mobius", "_MU"),
     "partitions.stirling": ("partitions", "_STIRLING"),
     "partitions.qcount": ("partitions", "_QCOUNT"),

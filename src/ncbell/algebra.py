@@ -536,9 +536,6 @@ class CPoly(TermRing):
             return ()
         return ((1, -1),) if i == INV else ((i, 1),)
 
-    def coefficient(self, m) -> int | Fraction:
-        return self.terms.get(tuple(m), 0)
-
     def derive(self) -> "CPoly":
         """Commutative shadow of the derivation: d_i^e -> e d_i^{e-1} d_{i+1}."""
         acc: dict = {}

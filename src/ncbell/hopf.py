@@ -11,15 +11,17 @@ The engine. These bialgebras and the d-alphabet bialgebra of
 ncbell.mobius all have the Bell coproduct shape
 Delta(x_n) = sum_{k=low}^{n} P_{n,k} (x) x_k with a group-like, invertible
 lowest generator g = x_low and P_{n,n} = g^n. They differ only in their
-data: the table P(n, k, variant) and the index low, with the letter of
-g^{-1}. Here P = W (rank_poly) and g = X_0 = 1; ncbell.mobius has
-P = B (bell_partial) and g = d1. Everything else lives here once, written
+data, which the variant name picks (_shape): for "fdb" and "dfdb" the
+table P = W (rank_poly) and g = X_0 = 1; for the d-alphabet names "c"
+and "nc" P = B (bell_partial) and g = d1, with the inverse letter INV
+group-like and S(d1^{-1}) = d1. Everything else lives here once, written
 over the key codec of the ring class (NCPoly or CPoly, which ring() looks
 up by any of the four variant names with algebra.ring): the generator
-coproduct bell_coproduct, the antipode recursions bell_antipode,
-tensor_mul, the multiplicative coproduct extension coproduct_extend, the
-anti-morphism antipode extension antipode_extend, the Character class and
-the pairing pair behind both convolutions.
+coproduct bell_coproduct, the antipode recursions bell_antipode with the
+one antipode memo _ANTIPODE, tensor_mul, the multiplicative coproduct
+extension coproduct_extend, the anti-morphism antipode extension
+antipode_extend, the Character class and the pairing pair behind both
+convolutions.
 
 Tensors are plain dicts mapping (left monomial key, right monomial key) to
 an exact coefficient, an int or a Fraction, never a float, as in the ring
@@ -38,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import prod
 
-from .algebra import _coeff, _word, add_into, common_denominator, join_signed, key_of, term
+from .algebra import INV, _coeff, _word, add_into, common_denominator, join_signed, key_of, term
 from .bell import bell_partial
 from . import algebra, quasidet
 
@@ -53,35 +55,55 @@ def ring(variant: str):
     return algebra.ring(variant, algebra.VARIANTS)
 
 
-def bell_coproduct(n: int, variant: str, table, low: int) -> dict:
-    """The generator coproduct sum_{k=low}^{n} table(n, k, variant) (x) x_k."""
+def _shape(variant: str) -> tuple:
+    """The Bell data of a variant: (table P, lowest generator index low,
+    letter of g^{-1}). The table is looked up in the module globals on
+    every call, so a rebound rank_poly or bell_partial is the one used."""
+    return (rank_poly, 0, 0) if variant in ("fdb", "dfdb") else (bell_partial, 1, INV)
+
+
+def bell_coproduct(n: int, variant: str) -> dict:
+    """The generator coproduct sum_{k=low}^{n} P_{n,k} (x) x_k."""
+    table, low, _ = _shape(variant)
+    if n < low:
+        raise ValueError(f"need n >= {low}")
     letter_key = ring(variant).letter_key
     return {(key, letter_key(k)): c
             for k in range(low, n + 1) for key, c in table(n, k, variant).terms.items()}
 
 
-def bell_antipode(n: int, variant: str, side: str, table, low: int, inverse: int,
-                  antipode_gen, antipode_poly):
-    """S(x_n), n >= low, solved from the Bell coproduct with P = table: the
-    lowest generator g = x_low has P_{n,n} = g^n and S(g) = g^{-1}, the
-    letter inverse, and for n > low the one-sided antipode identities give
+_ANTIPODE: dict = {}
+
+
+def bell_antipode(n: int, variant: str, side: str):
+    """S(x_n), n >= low, memoised by (n, variant, side): the lowest
+    generator g = x_low has P_{n,n} = g^n and S(g) = g^{-1}, and for
+    n > low the one-sided antipode identities give
 
         right: S(x_n) = g^{-n} (-sum_{low <= k < n} P_{n,k} S(x_k))
         left:  S(x_n) = (-sum_{low < k <= n} S(P_{n,k}) x_k) g^{-1}
-
-    antipode_gen(k, variant, side) is S(x_k) and antipode_poly(p, variant,
-    side) S of an element, each module's own memoised functions."""
+    """
+    memo_key = (n, variant, side)
+    if memo_key in _ANTIPODE:
+        return _ANTIPODE[memo_key]
+    table, low, inverse = _shape(variant)
+    if n < low:
+        raise ValueError(f"need n >= {low}")
     cls = ring(variant)
-    if n == low:
-        return cls.from_key(cls.letter_key(inverse))
     acc: dict = {}
-    if side == "right":
+    if n == low:
+        s = cls.from_key(cls.letter_key(inverse))
+    elif side == "right":
         for k in range(low, n):
-            add_into(acc, (table(n, k, variant) * antipode_gen(k, variant, side)).terms)
-        return cls.from_key(key_of(cls, [inverse] * n)) * -cls._new(acc)
-    for k in range(low + 1, n + 1):
-        add_into(acc, (antipode_poly(table(n, k, variant), variant, side) * cls.letter(k)).terms)
-    return -cls._new(acc) * antipode_gen(low, variant, side)
+            add_into(acc, (table(n, k, variant) * bell_antipode(k, variant, side)).terms)
+        s = cls.from_key(key_of(cls, [inverse] * n)) * -cls._new(acc)
+    else:
+        for k in range(low + 1, n + 1):
+            add_into(acc, (antipode_extend(table(n, k, variant), variant, side)
+                           * cls.letter(k)).terms)
+        s = -cls._new(acc) * bell_antipode(low, variant, side)
+    _ANTIPODE[memo_key] = s
+    return s
 
 
 def tensor_mul(t1: dict, t2: dict, variant: str) -> dict:
@@ -107,15 +129,17 @@ def tensor_mul(t1: dict, t2: dict, variant: str) -> dict:
     return out
 
 
-def coproduct_extend(terms: dict, variant: str, letter_coproduct) -> dict:
+def coproduct_extend(terms: dict, variant: str) -> dict:
     """The coproduct of sum(c * key) over terms, extended multiplicatively
-    from letter_coproduct(i, variant), the coproduct of the letter i."""
-    key_letters = ring(variant).key_letters
+    from bell_coproduct on the generators, with g^{-1} group-like."""
+    _, _, inverse = _shape(variant)
+    cls = ring(variant)
+    group_like = {(cls.letter_key(inverse),) * 2: 1}
     total: dict = {}
     for key, c in terms.items():
         t = {((), ()): c}
-        for i in key_letters(key):
-            t = tensor_mul(t, letter_coproduct(i, variant), variant)
+        for i in cls.key_letters(key):
+            t = tensor_mul(t, group_like if i == inverse else bell_coproduct(i, variant), variant)
         if total:
             add_into(total, t)
         else:
@@ -123,16 +147,17 @@ def coproduct_extend(terms: dict, variant: str, letter_coproduct) -> dict:
     return total
 
 
-def antipode_extend(p, variant: str, side: str, letter_antipode):
+def antipode_extend(p, variant: str, side: str):
     """The antipode of p, extended as an anti-morphism (a morphism in the
-    commutative rings) from letter_antipode(i, variant, side), the antipode
-    of the letter i."""
+    commutative rings) from bell_antipode on the generators, with
+    S(g^{-1}) = g."""
+    _, low, inverse = _shape(variant)
     cls = ring(variant)
     acc: dict = {}
     for key, c in p.terms.items():
         factor = cls.one()
         for i in reversed(cls.key_letters(key)):
-            factor = factor * letter_antipode(i, variant, side)
+            factor = factor * (cls.letter(low) if i == inverse else bell_antipode(i, variant, side))
         add_into(acc, (factor * c).terms)
     return cls._new(acc)
 
@@ -236,22 +261,21 @@ def rank_poly(n: int, k: int, variant: str = "dfdb"):
 
 
 def coproduct_gen(n: int, variant: str = "dfdb") -> dict:
-    """Coproduct of the generator X_n: sum_k W_{n,k} tensor X_k."""
-    if n < 0:
-        raise ValueError("need n >= 0")
+    """Coproduct of the generator X_n: sum_k W_{n,k} tensor X_k. The
+    engine refuses n < 0."""
     _cls(variant)
-    return bell_coproduct(n, variant, rank_poly, 0)
+    return bell_coproduct(n, variant)
 
 
 def coproduct_mono(key, variant: str) -> dict:
     _cls(variant)
-    return coproduct_extend({key: 1}, variant, coproduct_gen)
+    return coproduct_extend({key: 1}, variant)
 
 
 def coproduct(p, variant: str = "dfdb") -> dict:
     """The coproduct of an arbitrary element, extended as algebra morphism."""
     _cls(variant)
-    return coproduct_extend(p.terms, variant, coproduct_gen)
+    return coproduct_extend(p.terms, variant)
 
 
 def coproduct_oracle(n: int, variant: str = "dfdb") -> dict:
@@ -280,33 +304,28 @@ def counit(p) -> int | Fraction:
 # antipode
 
 
-_ANTIPODE: dict = {}
-
-
 def antipode_recursive(n: int, variant: str = "dfdb", side: str = "right"):
     """S(X_n) by the reduced-coproduct recursion of bell_antipode; with
     W_{n,0} = X_n, W_{n,n} = 1 and S(X_0) = 1 it reads
 
     side "right": S(X_n) = -X_n - sum_{k=1}^{n-1} W_{n,k} S(X_k)
     side "left":  S(X_n) = -X_n - sum_{k=1}^{n-1} S(W_{n,k}) X_k
+
+    The engine refuses n < 0.
     """
-    if n < 0:
-        raise ValueError("need n >= 0")
     if side not in ("left", "right"):
         raise ValueError(f"unknown side {side!r}")
     _cls(variant)
-    key = (n, variant, side)
-    if key not in _ANTIPODE:
-        _ANTIPODE[key] = bell_antipode(n, variant, side, rank_poly, 0, 0,
-                                       antipode_recursive, antipode_poly)
-    return _ANTIPODE[key]
+    return bell_antipode(n, variant, side)
 
 
 def antipode_poly(p, variant: str = "dfdb", side: str = "right"):
     """Extend the antipode to arbitrary elements as an anti-morphism
     (which in the commutative variant is just a morphism)."""
+    if side not in ("left", "right"):
+        raise ValueError(f"unknown side {side!r}")
     _cls(variant)
-    return antipode_extend(p, variant, side, antipode_recursive)
+    return antipode_extend(p, variant, side)
 
 
 def antipode_quasidet(n: int, variant: str = "dfdb"):

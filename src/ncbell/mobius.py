@@ -28,16 +28,16 @@ convolution inverse of zeta: on every generator, convolve_m gives
 mu * zeta = zeta * mu = epsilon, the defining identity of Mobius
 inversion, which the mobius suite of ncbell.verify checks.
 
-Only the d-alphabet data live here. To the bialgebra engine in
-ncbell.hopf this is the Bell shape with table P = B (bell_partial) and
-lowest generator d1 (low = 1, inverse letter INV), which coproduct_m and
-antipode_m hand to bell_coproduct and bell_antipode. The rest is the
-inverse letter, group-like with S(d1^{-1}) = d1, the characters zeta,
-epsilon and mu with their convolution convolve_m, and the inversion
-mobius_invert / invert_round_trip. Tensors, the antipode extension,
-Character and the convolution pairing come from the engine; keys may
-contain the inverse letter, which the key codec handles. algebra.ring
-looks the variant names up.
+The bialgebra itself is the engine's in ncbell.hopf: the variant names
+"c" and "nc" pick the Bell shape with table P = B (bell_partial) and
+lowest generator d1, its inverse letter INV group-like with
+S(d1^{-1}) = d1, and coproduct_m, antipode_m and antipode_poly are its
+guarded entry points. What lives here is the characters zeta, epsilon
+and mu with their convolution convolve_m, and the inversion
+mobius_invert / invert_round_trip. Tensors, Character and the
+convolution pairing come from the engine; keys may contain the inverse
+letter, which the key codec handles. algebra.ring looks the variant
+names up.
 """
 
 from __future__ import annotations
@@ -46,13 +46,7 @@ from fractions import Fraction
 
 from .algebra import INV, ring
 from .bell import bell, bell_partial
-from .hopf import (
-    Character,
-    antipode_extend,
-    bell_antipode,
-    bell_coproduct,
-    pair,
-)
+from .hopf import Character, antipode_extend, bell_antipode, bell_coproduct, pair
 
 
 def coproduct_m(n: int, variant: str = "nc") -> dict:
@@ -60,10 +54,7 @@ def coproduct_m(n: int, variant: str = "nc") -> dict:
     if n < 1:
         raise ValueError(f"generator index must be positive, got {n}")
     ring(variant)
-    return bell_coproduct(n, variant, bell_partial, 1)
-
-
-_ANTIPODE: dict = {}
+    return bell_coproduct(n, variant)
 
 
 def antipode_m(n: int, variant: str = "nc", side: str = "right"):
@@ -71,30 +62,23 @@ def antipode_m(n: int, variant: str = "nc", side: str = "right"):
 
     The right form solves sum_k B_{n,k} S(d_k) = 0 for S(d_n); the left
     form solves sum_k S(B_{n,k}) d_k = 0 with S taken anti-multiplicative.
-    Both start from S(d1) = d1^{-1}. Results are cached.
+    Both start from S(d1) = d1^{-1}. Results are cached in the engine's
+    memo, hopf._ANTIPODE.
     """
     if n < 1:
         raise ValueError(f"generator index must be positive, got {n}")
     if side not in ("left", "right"):
         raise ValueError(f"unknown side {side!r}, expected 'left' or 'right'")
     ring(variant)
-    cache_key = (n, variant, side)
-    if cache_key not in _ANTIPODE:
-        _ANTIPODE[cache_key] = bell_antipode(n, variant, side, bell_partial, 1, INV,
-                                             antipode_m, antipode_poly)
-    return _ANTIPODE[cache_key]
-
-
-def _antipode_letter(i: int, variant: str, side: str):
-    if i == INV:
-        return ring(variant).letter(1)
-    return antipode_m(i, variant, side)
+    return bell_antipode(n, variant, side)
 
 
 def antipode_poly(p, variant: str, side: str = "right"):
     """Antipode of an arbitrary element, extended as an anti-morphism."""
+    if side not in ("left", "right"):
+        raise ValueError(f"unknown side {side!r}, expected 'left' or 'right'")
     ring(variant)
-    return antipode_extend(p, variant, side, _antipode_letter)
+    return antipode_extend(p, variant, side)
 
 
 def zeta(max_n: int) -> Character:

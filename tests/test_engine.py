@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ncbell
 from ncbell import hopf, mobius
 from ncbell.algebra import INV, CPoly, NCPoly, QPoly, ring, to_json_dict
 from ncbell.bell import bell, bell_partial, bell_recursion
@@ -99,6 +100,51 @@ def test_tag_names_the_ring(cls):
 def test_to_json_dict_refuses_a_ring_without_a_renderer():
     with pytest.raises(TypeError, match="cannot render QPoly"):
         to_json_dict(QPoly.one())
+
+
+def test_engine_reads_its_tables_at_call_time(monkeypatch):
+    # the Bell data are looked up by variant name on each call, so a table
+    # rebound in ncbell.hopf (as a tracer does) is the one the engine uses
+    calls = {"rank_poly": 0, "bell_partial": 0}
+
+    def counting(name):
+        original = getattr(hopf, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(hopf, name, counting(name))
+    ncbell.clear_caches()
+    mobius.antipode_m(3, "nc", "left")
+    assert calls["bell_partial"] > 0 and calls["rank_poly"] == 0
+    hopf.antipode_recursive(3, "dfdb", "left")
+    assert calls["rank_poly"] > 0
+    ncbell.clear_caches()
+
+
+def test_one_antipode_memo_serves_every_variant():
+    ncbell.clear_caches()
+    for variant in ("nc", "c"):
+        for side in ("left", "right"):
+            for n in (1, 2, 3):
+                assert mobius.antipode_m(n, variant, side) is hopf.bell_antipode(n, variant, side)
+    assert ncbell.cache_info()["hopf.antipode"] == 12
+    assert hopf.antipode_recursive(2, "dfdb") is hopf.bell_antipode(2, "dfdb", "right")
+    assert ncbell.cache_info()["hopf.antipode"] == 15  # X_0, X_1, X_2
+    assert "mobius.antipode" not in ncbell.cache_info()
+    ncbell.clear_caches()
+    assert ncbell.cache_info()["hopf.antipode"] == 0
+    assert not hopf._ANTIPODE
+
+
+def test_faa_di_bruno_alphabets_refuse_the_inverse_letter():
+    p = NCPoly.from_word((INV, 2))
+    for extend in (hopf.coproduct, hopf.antipode_poly):
+        with pytest.raises(ValueError, match="need n >= 0"):
+            extend(p, "dfdb")
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,8 @@ def test_rank_poly_low():
 def test_coproduct_gen_refuses_negative_n(variant):
     with pytest.raises(ValueError, match="need n >= 0"):
         coproduct_gen(-1, variant)
+    with pytest.raises(ValueError, match="need n >= 0"):
+        antipode_recursive(-1, variant)
     assert coproduct_gen(0, variant) == {((), ()): 1}
 
 

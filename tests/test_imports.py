@@ -88,7 +88,7 @@ def test_submodule_attribute_imports_it_on_first_use():
 def test_cold_cache_info_imports_nothing():
     info, loaded = _cold("import json, ncbell\nprint(json.dumps(ncbell.cache_info()))")
     assert json.loads(info) == dict.fromkeys(
-        ["bell.nc", "bell.c", "hopf.rank", "hopf.antipode", "mobius.antipode",
+        ["bell.nc", "bell.c", "hopf.rank", "hopf.antipode",
          "mobius.mu", "partitions.stirling", "partitions.qcount", "partitions.size_words",
          "algebra.qfactorial", "bell.partial"], 0)
     assert set(json.loads(loaded)) == _modules("algebra", "bell")
@@ -193,6 +193,24 @@ _UNCALLED = {
 }
 
 
+# public names that more than one def in src binds, each checked by hand for
+# a src caller of every definition, since the caller scan below matches by
+# bare name and counts them all as called when any one of them is
+_SHARED = {
+    "antipode_poly": "hopf's serves the axiom battery; mobius's has no src caller and stays "
+                     "as the d-alphabet element antipode that perfbench/tracer.py times",
+    "derive": "both rings: bell() steps through cls.derive",
+    "evaluate": "CPoly: the stirling suite and compose_via_bell; QPoly: the q-statistics suite",
+    "from_json_dict": "algebra's is in ncbell.__all__; the series classes': the series verb",
+    "letter": "both rings through cls.letter in bell, hopf and quasidet",
+    "letter_key": "both rings through key_of and the engine's ring(variant).letter_key",
+    "one": "both rings through cls.one; QPoly: qkappa and qcount_product",
+    "ring": "algebra's: every variant guard; hopf's: the engine on all four variant names",
+    "to_json_dict": "algebra's: the json format; FormalSeries': the series verb",
+    "zero": "both rings through cls.zero; QPoly: qbinomial; MultiPoly: the flow pullbacks",
+}
+
+
 def _public_defs(tree):
     """(qualified name, def node) of each public top-level function and each
     public method of a top-level class; dunder methods count as private."""
@@ -248,3 +266,12 @@ def test_every_public_function_has_a_caller():
     # the exemptions still name real functions, so the list cannot go stale
     for module, name in _UNCALLED:
         assert callable(attrgetter(name)(import_module(f"ncbell.{module}"))), (module, name)
+
+
+def test_shared_public_names_are_reviewed():
+    counts: dict = {}
+    for path in sorted(Path(ncbell.__file__).parent.glob("*.py")):
+        for name, _ in _public_defs(ast.parse(path.read_text())):
+            counts[name.split(".")[-1]] = counts.get(name.split(".")[-1], 0) + 1
+    shared = {name for name, n in counts.items() if n > 1}
+    assert shared == set(_SHARED), "check each definition of a newly shared name for a caller"

@@ -16,7 +16,7 @@ import pytest
 
 import ncbell
 from ncbell import hopf, mobius, verify
-from ncbell.algebra import INV, CPoly, NCPoly, parse_text, render_text, ring
+from ncbell.algebra import INV, CPoly, NCPoly, parse_text, render_text
 from ncbell.bell import bell, bell_partial
 from ncbell.hopf import coproduct_extend, tensor_mul
 from ncbell.mobius import (
@@ -40,19 +40,6 @@ def _c(s: str) -> CPoly:
     return parse_text(s, commutative=True)
 
 
-def _coproduct_letter(i: int, variant: str) -> dict:
-    if i == INV:
-        k = ring(variant).letter_key(INV)
-        return {(k, k): 1}
-    return coproduct_m(i, variant)
-
-
-def coproduct_poly(p, variant: str | None = None) -> dict:
-    """The coproduct of an element, extended multiplicatively from the
-    generators, with the inverse letter group-like."""
-    return coproduct_extend(p.terms, variant or p.tag, _coproduct_letter)
-
-
 def test_coproduct_letter_three():
     got = coproduct_m(3, "nc")
     expected = {}
@@ -65,7 +52,15 @@ def test_coproduct_letter_three():
 def test_coproduct_multiplicative():
     u = _nc("d2*d1")
     v = _nc("d3 - d1")
-    assert coproduct_poly(u * v) == tensor_mul(coproduct_poly(u), coproduct_poly(v), "nc")
+    assert coproduct_extend((u * v).terms, "nc") == tensor_mul(
+        coproduct_extend(u.terms, "nc"), coproduct_extend(v.terms, "nc"), "nc")
+
+
+def test_inverse_letter_is_group_like():
+    # Delta(d1^-1 d2) = (d1^-1 (x) d1^-1) Delta(d2)
+    inv = NCPoly.letter_key(INV)
+    assert coproduct_extend(_nc("d1^-1*d2").terms, "nc") == tensor_mul(
+        {(inv, inv): 1}, coproduct_m(2, "nc"), "nc")
 
 
 def test_counit():
@@ -140,7 +135,7 @@ def test_coassociativity_boundary():
     def expand(t, leg):
         out = {}
         for (lk, rk), c in t.items():
-            inner = coproduct_poly(NCPoly.from_key(lk if leg == 0 else rk), "nc")
+            inner = coproduct_extend({lk if leg == 0 else rk: 1}, "nc")
             for (a, b), c2 in inner.items():
                 key = (a, b, rk) if leg == 0 else (lk, a, b)
                 s = out.get(key, Fraction(0)) + c * c2

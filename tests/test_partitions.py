@@ -192,7 +192,7 @@ def test_block_sizes_orders_by_maxima():
 def test_monomial_of():
     assert monomial_of(((1, 3), (2,)), "nc") == NCPoly.from_word((1, 2))
     c = monomial_of(((1, 3), (2,)), "c")
-    assert c.coefficient(((1, 1), (2, 1))) == 1
+    assert c.terms == {((1, 1), (2, 1)): 1}
 
 
 def test_count_max_ordered_matches_enumeration():
@@ -356,9 +356,8 @@ def test_clear_caches_empties_every_memo():
     bell_partial(4, 2)
     before = ncbell.cache_info()
     assert set(before) == {"bell.nc", "bell.c", "hopf.rank", "hopf.antipode",
-                           "mobius.antipode", "mobius.mu", "partitions.stirling",
-                           "partitions.qcount", "partitions.size_words",
-                           "algebra.qfactorial", "bell.partial"}
+                           "mobius.mu", "partitions.stirling", "partitions.qcount",
+                           "partitions.size_words", "algebra.qfactorial", "bell.partial"}
     assert all(size > 0 for size in before.values()), before
     ncbell.clear_caches()
     assert all(size == 0 for size in ncbell.cache_info().values())
