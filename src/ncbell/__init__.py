@@ -101,6 +101,7 @@ _MEMOS = {
     "partitions.qcount": ("partitions", "_QCOUNT"),
     "partitions.size_words": ("partitions", "_SIZE_WORDS"),
     "algebra.qfactorial": ("algebra", "_QFACTORIAL"),
+    "algebra.qbinomial": ("algebra", "_QBINOMIAL"),
     "bell.partial": ("bell", "_PARTIAL"),
 }
 

@@ -680,10 +680,19 @@ def qfactorial(n: int) -> QPoly:
     return QPoly._new(dict(memo[max(n, 0)].terms))
 
 
+_QBINOMIAL: dict = {}  # (n, k) -> the term dict of [n k]_q
+
+
 def qbinomial(n: int, k: int) -> QPoly:
+    """[n k]_q = [n]_q! / ([k]_q! [n-k]_q!) (0 unless 0 <= k <= n). Each
+    quotient is memoised as a term dict; every call returns a new QPoly,
+    so changing it leaves the memo alone."""
     if k < 0 or k > n:
         return QPoly.zero()
-    return qfactorial(n).divexact(qfactorial(k) * qfactorial(n - k))
+    terms = _QBINOMIAL.get((n, k))
+    if terms is None:
+        terms = _QBINOMIAL[n, k] = qfactorial(n).divexact(qfactorial(k) * qfactorial(n - k)).terms
+    return QPoly._new(dict(terms))
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,14 @@ classes; triple tensors use 3-tuples of keys.
 
 The axiom battery hopf_axiom_check expands each distinct tensor leg once
 per call: one memo holds the coproduct of every leg and another its
-antipode, shared by both legs and by every element checked. Both memos are
-local to the call, so nothing the battery caches outlives it. The counit
-and antipode sums of each element are term dicts filled in place, one per
-side, so no ring element is built per tensor term.
+antipode, shared by both legs and by every element checked. Each distinct
+element of its pool is checked once, and each distinct pair of the
+multiplicativity check compared once; the random products repeat often,
+and a repeat replays the stored verdict, so a failure line appears once per
+occurrence. All these memos are local to the call, so nothing the battery
+caches outlives it. The counit and antipode sums of each element are term
+dicts filled in place, one per side, so no ring element is built per
+tensor term.
 """
 
 from __future__ import annotations
@@ -410,9 +414,15 @@ def hopf_axiom_check(max_degree: int, variant: str = "dfdb", seed: int = 0, n_pr
     the morphism property of the coproduct on all generators up to
     max_degree and on random products. Returns a list of failure strings,
     empty when everything holds. Each distinct leg has its coproduct and
-    its antipode computed once per call."""
+    its antipode computed once per call. Each distinct element of the pool
+    is checked once and each distinct product pair compared once; a repeat
+    replays the stored verdict, so a failure line appears once for every
+    occurrence, in pool order (random products often repeat, so lines
+    repeat too)."""
     import random
 
+    if max_degree < 1:
+        raise ValueError(f"max degree must be at least 1, got {max_degree}")
     rng = random.Random(seed)
     cls = _cls(variant)
     failures = []
@@ -427,29 +437,30 @@ def hopf_axiom_check(max_degree: int, variant: str = "dfdb", seed: int = 0, n_pr
                 break
             factors.append(i)
             deg += i
-        if not factors:
-            factors = [1]
         prod = cls.one()
         for i in factors:
             prod = prod * cls.letter(i)
         products.append(prod)
     pool = elements + products
-    coproducts = [coproduct(p, variant) for p in pool]
+    checked: dict = {}  # distinct element -> (its coproduct, its verdict)
     deltas: dict = {}
     antipodes: dict = {}
-    for p, delta in zip(pool, coproducts):
-        bad = _check_element(p, delta, variant, deltas, antipodes)
+    for p in pool:
+        if p not in checked:
+            delta = coproduct(p, variant)
+            checked[p] = (delta, _check_element(p, delta, variant, deltas, antipodes))
+        bad = checked[p][1]
         if bad is not None:
             failures.append(f"{bad} fails on {p!r}")
     # vacuous as it stands: coproduct() is itself built with tensor_mul, so
     # this holds by construction until an independent product oracle exists
+    multiplicative: dict = {}  # distinct (u, v) -> whether Delta(uv) = Delta(u)Delta(v)
     for _ in range(n_products):
-        # indices drawn as rng.choice(pool) would draw, so each element's
-        # coproduct from above is reused with the same random pairs
-        i = rng.choice(range(len(pool)))
-        j = rng.choice(range(len(pool)))
-        u, v = pool[i], pool[j]
-        if coproduct(u * v, variant) != tensor_mul(coproducts[i], coproducts[j], variant):
+        u, v = rng.choice(pool), rng.choice(pool)
+        if (u, v) not in multiplicative:
+            multiplicative[u, v] = (coproduct(u * v, variant)
+                                    == tensor_mul(checked[u][0], checked[v][0], variant))
+        if not multiplicative[u, v]:
             failures.append(f"coproduct not multiplicative on {u!r}, {v!r}")
     return failures
 

@@ -327,6 +327,20 @@ def test_qfactorial_is_a_fresh_product():
     assert qbinomial(6, 3).evaluate(1) == 20
 
 
+def test_qbinomial_is_a_fresh_copy_of_its_memo():
+    ncbell.clear_caches()
+    first = qbinomial(6, 3)
+    assert ncbell.cache_info()["algebra.qbinomial"] == 1
+    first.terms.clear()
+    first.terms[0] = 99
+    second = qbinomial(6, 3)
+    assert second == QPoly({0: 1, 1: 1, 2: 2, 3: 3, 4: 3, 5: 3, 6: 3, 7: 2, 8: 1, 9: 1})
+    assert second.terms is not qbinomial(6, 3).terms
+    assert qbinomial(6, 7) == qbinomial(6, -1) == QPoly.zero()
+    ncbell.clear_caches()
+    assert ncbell.cache_info()["algebra.qbinomial"] == 0
+
+
 def test_qpoly_divexact():
     num = qfactorial(4)
     den = qfactorial(2)

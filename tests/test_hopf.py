@@ -352,9 +352,126 @@ def test_battery_sums_match_the_ring_sums(variant, monkeypatch):
         return got
 
     monkeypatch.setattr(hopf, "_check_element", compared)
+    distinct = 0
     for degree in range(1, 8):
         hopf_axiom_check(degree, variant, n_products=50)
-    assert len(seen) == 7 * 50 + sum(range(1, 8))
+        distinct += len(set(_battery_draws(degree, variant, 0, 50)[0]))
+    assert len(seen) == distinct
+
+
+def _battery_draws(max_degree: int, variant: str, seed: int, n_products: int) -> tuple:
+    """The pool of hopf_axiom_check (generators, then random products) and
+    its random (u, v) pairs, drawn from the same seeded stream."""
+    rng = random.Random(seed)
+    cls = hopf._cls(variant)
+    products = []
+    for _ in range(n_products):
+        deg, word = 0, []
+        while True:
+            i = rng.randint(1, max(1, max_degree - deg))
+            if deg + i > max_degree or (word and rng.random() < 0.4):
+                break
+            word.append(i)
+            deg += i
+        products.append(cls.from_key(key_of(cls, word)))
+    pool = [cls.letter(i) for i in range(1, max_degree + 1)] + products
+    pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(n_products)]
+    return pool, pairs
+
+
+def _battery_per_occurrence(max_degree: int, variant: str, seed: int, n_products: int) -> list:
+    """hopf_axiom_check as a loop that checks every pool occurrence and
+    every drawn pair afresh."""
+    pool, pairs = _battery_draws(max_degree, variant, seed, n_products)
+    failures = []
+    deltas: dict = {}
+    antipodes: dict = {}
+    for p in pool:
+        bad = hopf._check_element(p, coproduct(p, variant), variant, deltas, antipodes)
+        if bad is not None:
+            failures.append(f"{bad} fails on {p!r}")
+    for u, v in pairs:
+        if coproduct(u * v, variant) != tensor_mul(coproduct(u, variant),
+                                                   coproduct(v, variant), variant):
+            failures.append(f"coproduct not multiplicative on {u!r}, {v!r}")
+    return failures
+
+
+def _count_battery_calls(monkeypatch) -> dict:
+    """Wrap hopf._check_element, coproduct and tensor_mul so that each
+    records the first two arguments of the calls the battery makes itself;
+    calls made inside another wrapped call (coproduct's own tensor_mul)
+    are not recorded."""
+    calls: dict = {}
+    depth = [0]
+
+    def wrap(name):
+        original = getattr(hopf, name)
+        seen = calls[name] = []
+
+        def wrapper(*args):
+            if not depth[0]:
+                seen.append(args[:2])
+            depth[0] += 1
+            try:
+                return original(*args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(hopf, name, wrapper)
+
+    for name in ("_check_element", "coproduct", "tensor_mul"):
+        wrap(name)
+    return calls
+
+
+def test_battery_checks_each_distinct_element_and_pair_once(monkeypatch):
+    occurrences = checks = 0
+    for variant in ("fdb", "dfdb"):
+        want = _battery_per_occurrence(7, variant, 0, 50)
+        pool, pairs = _battery_draws(7, variant, 0, 50)
+        calls = _count_battery_calls(monkeypatch)
+        got = hopf_axiom_check(7, variant, n_products=50)
+        monkeypatch.undo()
+        assert got == want
+        elements = list(dict.fromkeys(pool))
+        distinct_pairs = list(dict.fromkeys(pairs))
+        assert [p for p, _ in calls["_check_element"]] == elements
+        assert [p for p, _ in calls["coproduct"]] == elements + [u * v for u, v in distinct_pairs]
+        assert calls["tensor_mul"] == [(coproduct(u, variant), coproduct(v, variant))
+                                       for u, v in distinct_pairs]
+        occurrences += len(pool)
+        checks += len(elements)
+    # the verify suite's battery at its default degree and seed; dfdb keeps
+    # one failure line per failing occurrence, repeats included
+    assert (occurrences, checks) == (114, 41)
+    assert (len(got), len(set(got))) == (32, 11)
+
+
+@pytest.mark.parametrize("max_degree", [0, -1])
+def test_battery_refuses_a_degree_below_one(max_degree):
+    with pytest.raises(ValueError, match="max degree must be at least 1"):
+        hopf_axiom_check(max_degree, "fdb")
+
+
+# fdb monomials of degree <= 6, the unit included
+_FDB_WORDS = st.lists(st.integers(1, 6), max_size=6).map(
+    lambda word: [i for n, i in enumerate(word) if sum(word[:n + 1]) <= 6])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_FDB_WORDS)
+def test_antipode_sums_are_the_counit(word):
+    # m(S (x) id) Delta p = m(id (x) S) Delta p = eps(p) 1, built from ring
+    # products of antipode_poly and the legs, not through _antipode_sums
+    p = CPoly.from_key(key_of(CPoly, word))
+    left = right = CPoly.zero()
+    for (l, r), c in coproduct(p, "fdb").items():
+        left = left + hopf.antipode_poly(CPoly.from_key(l), "fdb") * CPoly.from_key(r) * c
+        right = right + CPoly.from_key(l) * hopf.antipode_poly(CPoly.from_key(r), "fdb") * c
+    expect = CPoly.one() * counit(p)
+    assert left == expect
+    assert right == expect
 
 
 def test_battery_names_a_wrong_antipode(monkeypatch):

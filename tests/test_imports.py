@@ -90,7 +90,7 @@ def test_cold_cache_info_imports_nothing():
     assert json.loads(info) == dict.fromkeys(
         ["bell.nc", "bell.c", "hopf.rank", "hopf.antipode",
          "mobius.mu", "partitions.stirling", "partitions.qcount", "partitions.size_words",
-         "algebra.qfactorial", "bell.partial"], 0)
+         "algebra.qfactorial", "algebra.qbinomial", "bell.partial"], 0)
     assert set(json.loads(loaded)) == _modules("algebra", "bell")
 
 

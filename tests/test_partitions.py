@@ -357,7 +357,8 @@ def test_clear_caches_empties_every_memo():
     before = ncbell.cache_info()
     assert set(before) == {"bell.nc", "bell.c", "hopf.rank", "hopf.antipode",
                            "mobius.mu", "partitions.stirling", "partitions.qcount",
-                           "partitions.size_words", "algebra.qfactorial", "bell.partial"}
+                           "partitions.size_words", "algebra.qfactorial", "algebra.qbinomial",
+                           "bell.partial"}
     assert all(size > 0 for size in before.values()), before
     ncbell.clear_caches()
     assert all(size == 0 for size in ncbell.cache_info().values())
