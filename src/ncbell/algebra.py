@@ -21,6 +21,11 @@ class. A ring class supplies only its keys, through four hooks:
   _new      builds a value from a dict that is already reduced (no zero
             coefficients, every key checked), without checking it again
 
+and its own __add__ and __mul__ from _ring_ops (see below). From these
+TermRing builds the rest once: zero() as _new({}), one() as
+_new({unit_key: 1}), and a repr through render_text, which QPoly and
+MultiPoly replace with their own renderers.
+
 The rings built on it are
 
   NCPoly  free associative algebra, key a reduced word
@@ -67,7 +72,8 @@ letters) builds the key back from them, and from_key turns a key into a
 polynomial. The empty tuple, also letter_key(0), is the unit key of both
 rings. Each binds its own copy of one substitute, over key_letters; it
 carries a term's product as one key and one coefficient while every image
-met has one term, as the d_j -> j! d_j of bell_scaled does.
+met has one term, as the d_j -> j! d_j of bell_scaled does, and from the
+first image with more or fewer terms multiplies through the ring product.
 
 The package's one variant table VARIANTS maps "nc" and "dfdb" to NCPoly,
 "c" and "fdb" to CPoly; ring(variant, names) looks a name up, and a
@@ -198,6 +204,17 @@ class TermRing:
             return self * other
         return NotImplemented
 
+    @classmethod
+    def zero(cls):
+        return cls._new({})
+
+    @classmethod
+    def one(cls):
+        return cls._new({cls.unit_key: 1})
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({render_text(self)!r})"
+
 
 def _ring_ops():
     """Fresh (__add__, __mul__) functions for one TermRing class; see the
@@ -259,12 +276,13 @@ def _substitute_op():
         are rejected since a general image has no inverse here. An image of
         any other type raises the TypeError of the ring product. Each image
         is looked up once. A term's product is carried as one key and one
-        coefficient while its images have one term each, and expanded on
-        plain term dicts from the first image with more or fewer terms.
+        coefficient while its images have one term each, and multiplied
+        through the ring product from the first image with more or fewer
+        terms.
         """
         cls = type(self)
         key_mul, key_letters, unit = cls.key_mul, cls.key_letters, cls.unit_key
-        images: dict = {}  # letter -> (term dict, its one (key, coeff) pair or None)
+        images: dict = {}  # letter -> (image, its one (key, coeff) pair or None)
         acc: dict = {}
         for key, c in self.terms.items():
             head, factor = unit, None  # the product so far is c*head until factor holds it
@@ -280,26 +298,17 @@ def _substitute_op():
                         image = cls.one() * image
                     terms = image.terms
                     pair = next(iter(terms.items())) if len(terms) == 1 else None
-                    image = images[letter] = (terms, pair)
+                    image = images[letter] = (image, pair)
                 image, pair = image
                 if factor is None:
                     if pair is not None:
                         head = key_mul(head, pair[0])
                         c = c * pair[1]
                         continue
-                    factor = {head: c}
-                prod: dict = {}
-                for u, cu in factor.items():
-                    for v, cv in image.items():
-                        w = key_mul(u, v)
-                        s = prod.get(w, 0) + cu * cv
-                        if s:
-                            prod[w] = s
-                        elif w in prod:
-                            del prod[w]
-                factor = prod
+                    factor = cls._new({head: c})
+                factor = factor * image
             if factor is not None:
-                add_into(acc, factor)
+                add_into(acc, factor.terms)
                 continue
             s = acc.get(head, 0) + c
             if s:
@@ -366,14 +375,6 @@ class NCPoly(TermRing):
         return word
 
     @classmethod
-    def zero(cls) -> "NCPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "NCPoly":
-        return cls({(): 1})
-
-    @classmethod
     def letter(cls, i: int, coeff=1) -> "NCPoly":
         check_letter(i)
         return cls({(i,): coeff})
@@ -424,9 +425,6 @@ class NCPoly(TermRing):
             elif m in acc:
                 del acc[m]
         return CPoly._new(acc)
-
-    def __repr__(self) -> str:
-        return f"NCPoly({render_text(self)!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -506,14 +504,6 @@ class CPoly(TermRing):
         return m
 
     @classmethod
-    def zero(cls) -> "CPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "CPoly":
-        return cls({(): 1})
-
-    @classmethod
     def letter(cls, i: int, coeff=1) -> "CPoly":
         if not isinstance(i, int) or i < 1:
             raise ValueError(f"bad letter index {i!r}")
@@ -571,9 +561,6 @@ class CPoly(TermRing):
             total += prod
         return total
 
-    def __repr__(self) -> str:
-        return f"CPoly({render_text(self)!r})"
-
 
 # ---------------------------------------------------------------------------
 # the variant table
@@ -610,14 +597,6 @@ class QPoly(TermRing):
         if not isinstance(p, int) or p < 0:
             raise ValueError(f"bad q power {p!r}")
         return p
-
-    @classmethod
-    def zero(cls) -> "QPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "QPoly":
-        return cls({0: 1})
 
     @classmethod
     def q(cls, power: int = 1) -> "QPoly":

@@ -21,7 +21,10 @@ coproduct bell_coproduct, the antipode recursions bell_antipode with the
 one antipode memo _ANTIPODE, tensor_mul, the multiplicative coproduct
 extension coproduct_extend, the anti-morphism antipode extension
 antipode_extend, the Character class and the pairing pair behind both
-convolutions.
+convolutions. The engine checks the antipode side itself: bell_antipode
+and antipode_extend refuse any side but "left" and "right", so the entry
+points of both modules pass it through unchecked and the memo never holds
+another.
 
 Tensors are plain dicts mapping (left monomial key, right monomial key) to
 an exact coefficient, an int or a Fraction, never a float, as in the ring
@@ -90,6 +93,8 @@ def bell_antipode(n: int, variant: str, side: str):
     memo_key = (n, variant, side)
     if memo_key in _ANTIPODE:
         return _ANTIPODE[memo_key]
+    if side not in ("left", "right"):
+        raise ValueError(f"unknown side {side!r}, expected 'left' or 'right'")
     table, low, inverse = _shape(variant)
     if n < low:
         raise ValueError(f"need n >= {low}")
@@ -154,7 +159,9 @@ def coproduct_extend(terms: dict, variant: str) -> dict:
 def antipode_extend(p, variant: str, side: str):
     """The antipode of p, extended as an anti-morphism (a morphism in the
     commutative rings) from bell_antipode on the generators, with
-    S(g^{-1}) = g."""
+    S(g^{-1}) = g. The side is checked even when p has no letters."""
+    if side not in ("left", "right"):
+        raise ValueError(f"unknown side {side!r}, expected 'left' or 'right'")
     _, low, inverse = _shape(variant)
     cls = ring(variant)
     acc: dict = {}
@@ -315,19 +322,16 @@ def antipode_recursive(n: int, variant: str = "dfdb", side: str = "right"):
     side "right": S(X_n) = -X_n - sum_{k=1}^{n-1} W_{n,k} S(X_k)
     side "left":  S(X_n) = -X_n - sum_{k=1}^{n-1} S(W_{n,k}) X_k
 
-    The engine refuses n < 0.
+    The engine refuses n < 0 and a side other than "left" or "right".
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"unknown side {side!r}")
     _cls(variant)
     return bell_antipode(n, variant, side)
 
 
 def antipode_poly(p, variant: str = "dfdb", side: str = "right"):
     """Extend the antipode to arbitrary elements as an anti-morphism
-    (which in the commutative variant is just a morphism)."""
-    if side not in ("left", "right"):
-        raise ValueError(f"unknown side {side!r}")
+    (which in the commutative variant is just a morphism). The engine
+    refuses a side other than "left" or "right"."""
     _cls(variant)
     return antipode_extend(p, variant, side)
 
@@ -336,7 +340,9 @@ def antipode_quasidet(n: int, variant: str = "dfdb"):
     """S(X_n) as the top-right quasideterminant (free variant) or the
     determinant (commutative variant) of the n x n Hessenberg matrix with
     entries -W_{n-i+1, n-j}; the subdiagonal is then -W_{k,k} = -1 and the
-    recursion's value is the antipode itself, no extra sign."""
+    recursion's value is the antipode itself, no extra sign. The matrix is
+    built whole, not by quasidet.hessenberg, so that check_hessenberg tests
+    W_{k,k} = 1 and W_{m,k} = 0 for k > m."""
     if n < 1:
         raise ValueError("need n >= 1")
     M = [

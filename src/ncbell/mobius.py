@@ -63,20 +63,18 @@ def antipode_m(n: int, variant: str = "nc", side: str = "right"):
     The right form solves sum_k B_{n,k} S(d_k) = 0 for S(d_n); the left
     form solves sum_k S(B_{n,k}) d_k = 0 with S taken anti-multiplicative.
     Both start from S(d1) = d1^{-1}. Results are cached in the engine's
-    memo, hopf._ANTIPODE.
+    memo, hopf._ANTIPODE. The engine refuses a side other than "left" or
+    "right".
     """
     if n < 1:
         raise ValueError(f"generator index must be positive, got {n}")
-    if side not in ("left", "right"):
-        raise ValueError(f"unknown side {side!r}, expected 'left' or 'right'")
     ring(variant)
     return bell_antipode(n, variant, side)
 
 
 def antipode_poly(p, variant: str, side: str = "right"):
-    """Antipode of an arbitrary element, extended as an anti-morphism."""
-    if side not in ("left", "right"):
-        raise ValueError(f"unknown side {side!r}, expected 'left' or 'right'")
+    """Antipode of an arbitrary element, extended as an anti-morphism. The
+    engine refuses a side other than "left" or "right"."""
     ring(variant)
     return antipode_extend(p, variant, side)
 

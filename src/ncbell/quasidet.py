@@ -2,8 +2,9 @@
 numeric quasideterminants over Q, and determinants for the commutative side.
 
 A matrix is a plain row-major list of lists. Hessenberg here means -1 just
-below the diagonal and zeros further down; such a quasideterminant taken at
-the top-right corner is a polynomial in the entries, computed by the P(n)
+below the diagonal and zeros further down, the layout that hessenberg
+builds around given entries; such a quasideterminant taken at the
+top-right corner is a polynomial in the entries, computed by the P(n)
 recursion with the empty-product seed P(0) = 1.
 """
 
@@ -73,24 +74,21 @@ def hessenberg_quasidet_sum(M):
     return out
 
 
+def hessenberg(n: int, cls, entry):
+    """The n x n Hessenberg matrix over the ring class cls: entry(i, j) at
+    1-based (i, j) on and above the diagonal, -1 on the subdiagonal and 0
+    below it."""
+    return [[entry(i, j) if i <= j else -cls.one() if i == j + 1 else cls.zero()
+             for j in range(1, n + 1)] for i in range(1, n + 1)]
+
+
 def bell_matrix(n: int, variant: str = "nc"):
     """The n x n Hessenberg matrix with (i,j) entry binom(j-1, i-1) d_{j-i+1}
-    on and above the diagonal, -1 on the subdiagonal."""
+    on and above the diagonal."""
     if n < 1:
         raise ValueError("need n >= 1")
     cls = ring(variant)
-    M = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            if i <= j:
-                row.append(cls.letter(j - i + 1, comb(j - 1, i - 1)))
-            elif i == j + 1:
-                row.append(-cls.one())
-            else:
-                row.append(cls.zero())
-        M.append(row)
-    return M
+    return hessenberg(n, cls, lambda i, j: cls.letter(j - i + 1, comb(j - 1, i - 1)))
 
 
 def quasidet(M):

@@ -165,6 +165,8 @@ def compose(f: FormalSeries, g: FormalSeries, order: int | None = None) -> Forma
     result is f_0 as given."""
     if order is None:
         order = min(f.order, g.order)
+    if order < 1:
+        raise ValueError("order must be at least 1")
     if order > f.order or order > g.order:
         raise ValueError("composition order exceeds a truncation order")
     fc, gc = f.coeffs[:order], g.coeffs[:order]

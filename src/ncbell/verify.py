@@ -264,18 +264,7 @@ def suite_stirling(max_degree=None, seed=0):
 
 def _symbol_matrix(n: int):
     """Hessenberg matrix in pairwise distinct letters a_kj (letter 10k+j)."""
-    M = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            if i <= j:
-                row.append(NCPoly.letter(10 * i + j))
-            elif i == j + 1:
-                row.append(-NCPoly.one())
-            else:
-                row.append(NCPoly.zero())
-        M.append(row)
-    return M
+    return quasidet.hessenberg(n, NCPoly, lambda i, j: NCPoly.letter(10 * i + j))
 
 
 def suite_quasidet(max_degree=None, seed=0):

@@ -183,6 +183,14 @@ def test_series_compose(tmp_path, capsys):
     assert out == "t - 1/2*t^2 - 5/6*t^3 + 1/24*t^4"
 
 
+def test_series_compose_refuses_order_zero(tmp_path, capsys):
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps({"f": {"order": 2, "coeffs": ["0", "1"]},
+                             "g": {"order": 2, "coeffs": ["0", "1"]}}))
+    assert run(capsys, "series", "--compose", "--order", "0", "--file", str(f)) == (
+        2, "", "error: order must be at least 1")
+
+
 def test_series_reversion(tmp_path, capsys):
     f = tmp_path / "s.json"
     f.write_text(json.dumps({"g": {"order": 6, "coeffs": ["0", "1", "1/2", "1/6", "1/24", "1/120"]}}))

@@ -4,9 +4,9 @@ Both modules run on the same tensor product, coproduct and antipode
 extensions and Character; only the data on one letter differ. The tests
 pin the variant guards of each module's entry points (and of the Bell
 and Bell-matrix entry points, which take the d-alphabet names "nc" and
-"c" too), and check the engine's structural
-properties on random elements of all four bialgebras: fdb, dfdb, and the
-d-alphabet "c" and "nc".
+"c" too) and the antipode side that the engine checks for all of them,
+and check the engine's structural properties on random elements of all
+four bialgebras: fdb, dfdb, and the d-alphabet "c" and "nc".
 """
 
 from fractions import Fraction
@@ -145,6 +145,53 @@ def test_faa_di_bruno_alphabets_refuse_the_inverse_letter():
     for extend in (hopf.coproduct, hopf.antipode_poly):
         with pytest.raises(ValueError, match="need n >= 0"):
             extend(p, "dfdb")
+
+
+def _refuses_side(call, side) -> None:
+    with pytest.raises(ValueError) as got:
+        call(side)
+    assert str(got.value) == f"unknown side {side!r}, expected 'left' or 'right'"
+
+
+def _sides_in_memo() -> set:
+    return {side for _, _, side in hopf._ANTIPODE}
+
+
+@pytest.mark.parametrize("variant", ["fdb", "dfdb", "c", "nc"])
+def test_engine_refuses_a_bad_side(variant):
+    # the lowest generator (X_0 or d1) and the recursion above it, on a cold
+    # and on a warm memo; the extension also for elements without letters
+    cls = hopf.ring(variant)
+    low = 0 if variant in ("fdb", "dfdb") else 1
+    ncbell.clear_caches()
+    for warm in (False, True):
+        for n in (low, low + 1, 3):
+            _refuses_side(lambda side: hopf.bell_antipode(n, variant, side), "bogus")
+        for p in (cls.zero(), cls.one(), cls.letter(2)):
+            _refuses_side(lambda side: hopf.antipode_extend(p, variant, side), "x")
+        assert _sides_in_memo() == ({"left", "right"} if warm else set())
+        for side in ("left", "right"):
+            hopf.bell_antipode(3, variant, side)
+    ncbell.clear_caches()
+
+
+SIDE_ENTRY_POINTS = {
+    "hopf.antipode_recursive": lambda s: hopf.antipode_recursive(2, "dfdb", s),
+    "hopf.antipode_recursive_unit": lambda s: hopf.antipode_recursive(0, "fdb", s),
+    "hopf.antipode_poly": lambda s: hopf.antipode_poly(NCPoly.letter(2), "dfdb", s),
+    "hopf.antipode_poly_unit": lambda s: hopf.antipode_poly(CPoly.one(), "fdb", s),
+    "mobius.antipode_m": lambda s: mobius.antipode_m(2, "nc", s),
+    "mobius.antipode_m_d1": lambda s: mobius.antipode_m(1, "c", s),
+    "mobius.antipode_poly": lambda s: mobius.antipode_poly(CPoly.letter(2), "c", s),
+    "mobius.antipode_poly_unit": lambda s: mobius.antipode_poly(NCPoly.one(), "nc", s),
+}
+
+
+@pytest.mark.parametrize("side", ["bogus", "Right", ""])
+@pytest.mark.parametrize("name", list(SIDE_ENTRY_POINTS))
+def test_entry_points_refuse_a_bad_side(name, side):
+    _refuses_side(SIDE_ENTRY_POINTS[name], side)
+    assert _sides_in_memo() <= {"left", "right"}
 
 
 # ---------------------------------------------------------------------------

@@ -204,10 +204,10 @@ _SHARED = {
     "from_json_dict": "algebra's is in ncbell.__all__; the series classes': the series verb",
     "letter": "both rings through cls.letter in bell, hopf and quasidet",
     "letter_key": "both rings through key_of and the engine's ring(variant).letter_key",
-    "one": "both rings through cls.one; QPoly: qkappa and qcount_product",
     "ring": "algebra's: every variant guard; hopf's: the engine on all four variant names",
     "to_json_dict": "algebra's: the json format; FormalSeries': the series verb",
-    "zero": "both rings through cls.zero; QPoly: qbinomial; MultiPoly: the flow pullbacks",
+    "zero": "TermRing's: every ring through cls.zero, QPoly in qbinomial; MultiPoly's, which "
+            "takes nvars: the flow pullbacks",
 }
 
 

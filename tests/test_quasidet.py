@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from ncbell.algebra import NCPoly, parse_text, render_text
+from ncbell.algebra import CPoly, NCPoly, parse_text, render_text
 from ncbell.bell import bell
 from ncbell.quasidet import (
     bell_matrix,
     bell_via_quasidet,
     det,
+    hessenberg,
     hessenberg_quasidet,
     hessenberg_quasidet_sum,
     mat_inverse,
@@ -37,6 +38,30 @@ def _symbol_matrix(n: int):
                 row.append(NCPoly.letter(10 * i + j))
         matrix.append(row)
     return matrix
+
+
+@pytest.mark.parametrize("cls", [NCPoly, CPoly])
+def test_hessenberg_layout(cls):
+    seen = []
+
+    def entry(i, j):
+        seen.append((i, j))
+        return cls.letter(10 * i + j)
+
+    m = hessenberg(4, cls, entry)
+    assert seen == [(i, j) for i in range(1, 5) for j in range(i, 5)]
+    for i in range(4):
+        for j in range(4):
+            e = m[i][j]
+            assert type(e) is cls
+            if i <= j:
+                assert e == cls.letter(10 * (i + 1) + j + 1)
+            elif i == j + 1:
+                assert e.terms == {(): -1}
+            else:
+                assert e.terms == {}
+    if cls is NCPoly:
+        assert m == _symbol_matrix(4)
 
 
 def test_hessenberg_symbolic_goldens():

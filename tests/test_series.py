@@ -100,6 +100,14 @@ def test_reversion():
         assert compose(reversion(g), g) == FormalSeries([0, 1], 8)
 
 
+def test_compose_refuses_an_order_below_one():
+    # order 0 used to reach the Horner loop's f[-1] and raise IndexError
+    f = FormalSeries([Fraction(0), Fraction(1)], 2)
+    for order in (0, -1):
+        with pytest.raises(ValueError, match="^order must be at least 1$"):
+            compose(f, f, order)
+
+
 def test_reversion_needs_unit():
     with pytest.raises(ValueError):
         reversion(FormalSeries([Fraction(0), Fraction(0), Fraction(1)], 5))
