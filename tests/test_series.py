@@ -101,7 +101,6 @@ def test_reversion():
 
 
 def test_compose_refuses_an_order_below_one():
-    # order 0 used to reach the Horner loop's f[-1] and raise IndexError
     f = FormalSeries([Fraction(0), Fraction(1)], 2)
     for order in (0, -1):
         with pytest.raises(ValueError, match="^order must be at least 1$"):
