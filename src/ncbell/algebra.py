@@ -24,7 +24,11 @@ class. A ring class supplies only its keys, through four hooks:
 and its own __add__ and __mul__ from _ring_ops (see below). From these
 TermRing builds the rest once: zero() as _new({}), one() as
 _new({unit_key: 1}), and a repr through render_text, which QPoly and
-MultiPoly replace with their own renderers.
+MultiPoly replace with their own renderers. MultiPoly, whose unit key
+depends on its nvars, replaces zero() and one() with zero(nvars) and
+one(nvars). NCPoly, CPoly and QPoly keep TermRing's constructor, which
+takes a term dict (MultiPoly's takes nvars first): a constant is
+QPoly({0: c}) or QPoly.one() * c, never QPoly(c).
 
 The rings built on it are
 
@@ -38,6 +42,9 @@ The rings built on it are
 and ncbell.series.MultiPoly, polynomials in x1..xm keyed by exponent
 vectors. A scalar (int or Fraction) is lifted to a constant at unit_key
 on either side of +, -, * and ==; any other operand is NotImplemented.
+Every scalar commutes with every polynomial, so a right product is the
+left one: each ring class binds __radd__, __rmul__ = __add__, __mul__
+in its own body.
 
 Each ring class binds its own __add__ and __mul__: fresh copies of one
 shared source, made by _ring_ops. The benchmark's span tracer
@@ -135,7 +142,8 @@ class TermRing:
     """A polynomial as a dict .terms from key to nonzero exact coefficient.
 
     Subclasses set key_mul and unit_key, define _key, and bind
-    ``__add__, __mul__ = _ring_ops(); __radd__ = __add__`` in their body.
+    ``__add__, __mul__ = _ring_ops()`` and
+    ``__radd__, __rmul__ = __add__, __mul__`` in their body.
     """
 
     __slots__ = ("terms",)
@@ -198,11 +206,6 @@ class TermRing:
         if other is NotImplemented:
             return NotImplemented
         return other + (-self)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
 
     @classmethod
     def zero(cls):
@@ -365,7 +368,7 @@ class NCPoly(TermRing):
     __slots__ = ()
     tag = "nc"
     __add__, __mul__ = _ring_ops()
-    __radd__ = __add__
+    __radd__, __rmul__ = __add__, __mul__
     substitute = _substitute_op()
 
     @staticmethod
@@ -494,7 +497,7 @@ class CPoly(TermRing):
     __slots__ = ()
     tag = "c"
     __add__, __mul__ = _ring_ops()
-    __radd__ = __add__
+    __radd__, __rmul__ = __add__, __mul__
     substitute = _substitute_op()
 
     @staticmethod
@@ -585,12 +588,9 @@ class QPoly(TermRing):
 
     __slots__ = ()
     __add__, __mul__ = _ring_ops()
-    __radd__ = __add__
+    __radd__, __rmul__ = __add__, __mul__
     unit_key = 0
     key_mul = staticmethod(int.__add__)
-
-    def __init__(self, terms=None):
-        super().__init__({0: terms} if isinstance(terms, (int, Fraction)) else terms)
 
     @staticmethod
     def _key(p) -> int:

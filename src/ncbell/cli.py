@@ -75,6 +75,15 @@ def _load_json(args, shape: type):
     return data
 
 
+def _members(data: dict, **shape) -> list:
+    """The members of a JSON object named by the keywords of shape, in
+    order; ValueError giving the object's shape when one is missing."""
+    if not shape.keys() <= data.keys():
+        members = ", ".join(f'"{name}": {kind}' for name, kind in shape.items())
+        raise ValueError(f"the JSON input must be an object {{{members}}}")
+    return [data[name] for name in shape]
+
+
 def _load_matrix(args) -> list:
     """A matrix as a JSON array of rows, each row an array."""
     rows = _load_json(args, list)
@@ -203,9 +212,8 @@ def cmd_series(args) -> int:
     from .series import FormalSeries, MultiPoly, VectorField, compose, reversion
 
     if args.compose:
-        data = _load_json(args, dict)
-        f = FormalSeries.from_json_dict(data["f"])
-        g = FormalSeries.from_json_dict(data["g"])
+        f, g = _members(_load_json(args, dict), f="series", g="series")
+        f, g = FormalSeries.from_json_dict(f), FormalSeries.from_json_dict(g)
         _emit_series(compose(f, g, args.order), args.format)
         return 0
     if args.reversion:
@@ -217,9 +225,8 @@ def cmd_series(args) -> int:
         raise ValueError("--flow-check prints text only")
     order = 5 if args.order is None else args.order
     if args.file:
-        data = _load_json(args, dict)
-        field = VectorField.from_json_dict(data["field"])
-        psi = MultiPoly.from_json_dict(data["psi"])
+        field, psi = _members(_load_json(args, dict), field="vector field", psi="polynomial")
+        field, psi = VectorField.from_json_dict(field), MultiPoly.from_json_dict(psi)
     else:
         field, psi = _default_flow_instance()
     ok = _flow_check(field, psi, order)

@@ -11,20 +11,20 @@ The engine. These bialgebras and the d-alphabet bialgebra of
 ncbell.mobius all have the Bell coproduct shape
 Delta(x_n) = sum_{k=low}^{n} P_{n,k} (x) x_k with a group-like, invertible
 lowest generator g = x_low and P_{n,n} = g^n. They differ only in their
-data, which the variant name picks (_shape): for "fdb" and "dfdb" the
-table P = W (rank_poly) and g = X_0 = 1; for the d-alphabet names "c"
-and "nc" P = B (bell_partial) and g = d1, with the inverse letter INV
-group-like and S(d1^{-1}) = d1. Everything else lives here once, written
-over the key codec of the ring class (NCPoly or CPoly, which ring() looks
-up by any of the four variant names with algebra.ring): the generator
-coproduct bell_coproduct, the antipode recursions bell_antipode with the
-one antipode memo _ANTIPODE, tensor_mul, the multiplicative coproduct
-extension coproduct_extend, the anti-morphism antipode extension
-antipode_extend, the Character class and the pairing pair behind both
-convolutions. The engine checks the antipode side itself: bell_antipode
-and antipode_extend refuse any side but "left" and "right", so the entry
-points of both modules pass it through unchecked and the memo never holds
-another.
+data, which the variant name picks through one descriptor (_shape): the
+ring class, NCPoly or CPoly; for "fdb" and "dfdb" the table P = W
+(rank_poly) and g = X_0 = 1; for the d-alphabet names "c" and "nc"
+P = B (bell_partial) and g = d1, with the inverse letter INV group-like
+and S(d1^{-1}) = d1. Any other name is refused there, before the degree
+or the side. Everything else lives here once, written over the key codec
+of the ring class: the generator coproduct bell_coproduct, the antipode
+recursions bell_antipode with the one antipode memo _ANTIPODE,
+tensor_mul, the multiplicative coproduct extension coproduct_extend, the
+anti-morphism antipode extension antipode_extend, the Character class and
+the pairing pair behind both convolutions. The engine checks the
+antipode side itself: bell_antipode and antipode_extend refuse any side
+but "left" and "right", so the entry points of both modules pass it
+through unchecked and the memo never holds another.
 
 Tensors are plain dicts mapping (left monomial key, right monomial key) to
 an exact coefficient, an int or a Fraction, never a float, as in the ring
@@ -63,18 +63,21 @@ def ring(variant: str):
 
 
 def _shape(variant: str) -> tuple:
-    """The Bell data of a variant: (table P, lowest generator index low,
-    letter of g^{-1}). The table is looked up in the module globals on
-    every call, so a rebound rank_poly or bell_partial is the one used."""
-    return (rank_poly, 0, 0) if variant in ("fdb", "dfdb") else (bell_partial, 1, INV)
+    """The one descriptor of a variant: (ring class, table P, lowest
+    generator index low, letter of g^{-1}). A name outside the four raises
+    the unknown-variant ValueError of ring(). The table is looked up in the
+    module globals on every call, so a rebound rank_poly or bell_partial is
+    the one used."""
+    cls = ring(variant)
+    return (cls, rank_poly, 0, 0) if variant in ("fdb", "dfdb") else (cls, bell_partial, 1, INV)
 
 
 def bell_coproduct(n: int, variant: str) -> dict:
     """The generator coproduct sum_{k=low}^{n} P_{n,k} (x) x_k."""
-    table, low, _ = _shape(variant)
+    cls, table, low, _ = _shape(variant)
     if n < low:
         raise ValueError(f"need n >= {low}")
-    letter_key = ring(variant).letter_key
+    letter_key = cls.letter_key
     return {(key, letter_key(k)): c
             for k in range(low, n + 1) for key, c in table(n, k, variant).terms.items()}
 
@@ -93,12 +96,11 @@ def bell_antipode(n: int, variant: str, side: str):
     memo_key = (n, variant, side)
     if memo_key in _ANTIPODE:
         return _ANTIPODE[memo_key]
+    cls, table, low, inverse = _shape(variant)
     if side not in ("left", "right"):
         raise ValueError(f"unknown side {side!r}, expected 'left' or 'right'")
-    table, low, inverse = _shape(variant)
     if n < low:
         raise ValueError(f"need n >= {low}")
-    cls = ring(variant)
     acc: dict = {}
     if n == low:
         s = cls.from_key(cls.letter_key(inverse))
@@ -141,8 +143,7 @@ def tensor_mul(t1: dict, t2: dict, variant: str) -> dict:
 def coproduct_extend(terms: dict, variant: str) -> dict:
     """The coproduct of sum(c * key) over terms, extended multiplicatively
     from bell_coproduct on the generators, with g^{-1} group-like."""
-    _, _, inverse = _shape(variant)
-    cls = ring(variant)
+    cls, _, _, inverse = _shape(variant)
     group_like = {(cls.letter_key(inverse),) * 2: 1}
     total: dict = {}
     for key, c in terms.items():
@@ -160,10 +161,9 @@ def antipode_extend(p, variant: str, side: str):
     """The antipode of p, extended as an anti-morphism (a morphism in the
     commutative rings) from bell_antipode on the generators, with
     S(g^{-1}) = g. The side is checked even when p has no letters."""
+    cls, _, low, inverse = _shape(variant)
     if side not in ("left", "right"):
         raise ValueError(f"unknown side {side!r}, expected 'left' or 'right'")
-    _, low, inverse = _shape(variant)
-    cls = ring(variant)
     acc: dict = {}
     for key, c in p.terms.items():
         factor = cls.one()

@@ -99,6 +99,16 @@ def size_words(n: int) -> dict:
     return dict(tally)
 
 
+def _block_sizes(sizes) -> tuple:
+    """A max-ordered block-size word as a tuple; ValueError for a size below
+    1. The empty word is the one partition of the empty set, so the counts
+    and the q-counts of () are all 1."""
+    sizes = tuple(sizes)
+    if any(p < 1 for p in sizes):
+        raise ValueError("block sizes must be positive")
+    return sizes
+
+
 def count_max_ordered(n: int, sizes) -> int:
     """Number of partitions with max-ordered block sizes exactly (p_1..p_k).
 
@@ -106,9 +116,7 @@ def count_max_ordered(n: int, sizes) -> int:
     that, the count is scaled by the binomial choosing which elements the
     blocks use (the leftover elements are not partitioned).
     """
-    sizes = tuple(sizes)
-    if any(p < 1 for p in sizes):
-        raise ValueError("block sizes must be positive")
+    sizes = _block_sizes(sizes)
     s = sum(sizes)
     if s > n:
         raise ValueError(f"size sum {s} exceeds ground set {n}")
@@ -122,9 +130,7 @@ def N_formula(sizes) -> int:
     """Closed form for count_max_ordered on a ground set of size sum(p_i):
     the product of binom(p_1+...+p_{i+1} - 1, p_{i+1} - 1) over i = 1..k-1.
     """
-    sizes = tuple(sizes)
-    if any(p < 1 for p in sizes):
-        raise ValueError("block sizes must be positive")
+    sizes = _block_sizes(sizes)
     total = 0
     out = 1
     for i, p in enumerate(sizes):
@@ -196,9 +202,9 @@ def qcount_max_ordered(sizes) -> QPoly:
     with the same (s, k) read that tally. The QPoly returned is new on
     every call, so changing it leaves the memo alone.
     """
-    sizes = tuple(sizes)
-    if any(p < 1 for p in sizes):
-        raise ValueError("block sizes must be positive")
+    sizes = _block_sizes(sizes)
+    if not sizes:
+        return QPoly.one()
     key = (sum(sizes), len(sizes))
     tally = _QCOUNT.get(key)
     if tally is None:
@@ -214,7 +220,7 @@ def qcount_max_ordered(sizes) -> QPoly:
 def qcount_product(sizes) -> QPoly:
     """The q-binomial product form: prod over i of
     qbinomial(p_1+...+p_{i+1} - 1, p_{i+1} - 1)."""
-    sizes = tuple(sizes)
+    sizes = _block_sizes(sizes)
     total = 0
     out = QPoly.one()
     for i, p in enumerate(sizes):

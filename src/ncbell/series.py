@@ -40,6 +40,7 @@ from fractions import Fraction
 from math import factorial
 
 from .algebra import (
+    CPoly,
     TermRing,
     _coeff,
     _parse_coeff,
@@ -136,10 +137,7 @@ class FormalSeries:
                         out[i + j] = out[i + j] + x * b[j]
         return FormalSeries(out, order)
 
-    def __rmul__(self, other) -> "FormalSeries":
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__
 
     def to_json_dict(self) -> dict:
         return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
@@ -231,8 +229,6 @@ def egf_bell_check(max_n: int) -> list:
     """Compare n-th divided coefficients of exp(sum_m d_m t^m / m!) with the
     commutative Bell polynomials, for 1 <= n <= max_n. Returns the list of
     failing n, empty when the generating-function identity holds."""
-    from .algebra import CPoly
-
     order = max_n + 1
     u = FormalSeries(
         [CPoly.zero()] + [CPoly.letter(m) * Fraction(1, factorial(m)) for m in range(1, order)],
@@ -290,8 +286,12 @@ class MultiPoly(TermRing):
         return cls(nvars)
 
     @classmethod
+    def one(cls, nvars: int) -> "MultiPoly":
+        return cls(nvars, {(0,) * nvars: 1})
+
+    @classmethod
     def const(cls, nvars: int, c) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: c})
+        return cls.one(nvars) * c
 
     @classmethod
     def var(cls, nvars: int, i: int) -> "MultiPoly":
@@ -324,11 +324,11 @@ class MultiPoly(TermRing):
         self._same(other)
         return self._add(other)
 
-    __radd__ = __add__
-
     def __mul__(self, other) -> "MultiPoly":
         self._same(other)
         return self._mul(other)
+
+    __radd__, __rmul__ = __add__, __mul__
 
     def partial(self, i: int) -> "MultiPoly":
         """Derivative with respect to x_{i+1} (i is 0-based)."""

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 import ncbell
-from ncbell.algebra import CPoly, NCPoly, QPoly, mono_length, parse_text, render_text
+from ncbell.algebra import CPoly, NCPoly, QPoly, add_into, mono_length, parse_text, render_text
 from ncbell.bell import (
     bell,
     bell_c_explicit,
@@ -222,3 +222,27 @@ def test_qbell_grouped_collects_multisets():
 def test_qbell_coefficient_per_word():
     assert qbell_coefficient((1, 3)) == QPoly({0: 1, 1: 1, 2: 1})
     assert qbell_coefficient((3, 1)) == QPoly.one()
+
+
+def _unshuffle(p) -> dict:
+    """The coproduct of an NCPoly when every letter d_j is primitive: each
+    word w goes to the sum over position sets S of w|S (x) w|(not S)."""
+    out: dict = {}
+    for w, c in p.terms.items():
+        for mask in range(1 << len(w)):
+            key = (tuple(x for i, x in enumerate(w) if mask >> i & 1),
+                   tuple(x for i, x in enumerate(w) if not mask >> i & 1))
+            out[key] = out.get(key, 0) + c
+    return out
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_bell_is_of_binomial_type_under_the_unshuffle(n):
+    # Delta B_n = sum_k C(n, k) B_k (x) B_{n-k} with every d_j primitive: a
+    # check of bell() that needs no Faa di Bruno table and no partition
+    expect: dict = {}
+    for k in range(n + 1):
+        add_into(expect, {(u, v): comb(n, k) * a * b
+                          for u, a in bell(k, "nc").terms.items()
+                          for v, b in bell(n - k, "nc").terms.items()})
+    assert _unshuffle(bell(n, "nc")) == expect

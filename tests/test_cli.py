@@ -218,6 +218,9 @@ _FIELD_SHAPE = ('a vector field must be a JSON object {"nvars": int, '
                 '"time_coefficients": [[polynomial, ...], ...]}')
 _POLY_SHAPE = ('a polynomial must be a JSON object {"nvars": int, "terms": '
                '[{"coeff": ..., "exponents": [int, ...]}, ...]}')
+_PAIR = 'the JSON input must be an object {"f": series, "g": series}'
+_FLOW = 'the JSON input must be an object {"field": vector field, "psi": polynomial}'
+_SERIES = '{"order": 2, "coeffs": ["0", "1"]}'
 
 
 @pytest.mark.parametrize("argv, text, message", [
@@ -249,6 +252,11 @@ _POLY_SHAPE = ('a polynomial must be a JSON object {"nvars": int, "terms": '
     (["series", "--flow-check"],
      f'{{"field": {{"nvars": 1, "time_coefficients": [[{_POLY}]], "exact": "false"}}, '
      f'"psi": {_POLY}}}', 'a vector field\'s "exact" must be true or false'),
+    (["series", "--compose"], f'{{"f": {_SERIES}}}', _PAIR),
+    (["series", "--compose"], f'{{"g": {_SERIES}}}', _PAIR),
+    (["series", "--flow-check"], f'{{"psi": {_POLY}}}', _FLOW),
+    (["series", "--flow-check"],
+     f'{{"field": {{"nvars": 1, "time_coefficients": [[{_POLY}]]}}}}', _FLOW),
 ])
 def test_malformed_json_is_one_error_line(argv, text, message, tmp_path, capsys):
     # a JSON value of the wrong shape is refused by its loader, exit 2,

@@ -125,6 +125,31 @@ def test_engine_reads_its_tables_at_call_time(monkeypatch):
     ncbell.clear_caches()
 
 
+ENGINE_CALLS = {
+    "shape": lambda v: hopf._shape(v),
+    "bell_coproduct": lambda v: hopf.bell_coproduct(0, v),
+    "bell_antipode": lambda v: hopf.bell_antipode(0, v, "bogus"),
+    "coproduct_extend": lambda v: hopf.coproduct_extend({(): 1}, v),
+    "antipode_extend": lambda v: hopf.antipode_extend(NCPoly.one(), v, "bogus"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_CALLS))
+def test_engine_refuses_an_unknown_variant_first(name):
+    # one descriptor per variant: a name outside the four is refused before
+    # the degree or the side is looked at, so each call here is wrong twice
+    with pytest.raises(ValueError, match="unknown variant 'xyz'"):
+        ENGINE_CALLS[name]("xyz")
+    assert "xyz" not in {variant for _, variant, _ in hopf._ANTIPODE}
+
+
+def test_shape_gives_ring_table_low_and_inverse():
+    assert hopf._shape("dfdb") == (NCPoly, hopf.rank_poly, 0, 0)
+    assert hopf._shape("fdb") == (CPoly, hopf.rank_poly, 0, 0)
+    assert hopf._shape("nc") == (NCPoly, hopf.bell_partial, 1, INV)
+    assert hopf._shape("c") == (CPoly, hopf.bell_partial, 1, INV)
+
+
 def test_one_antipode_memo_serves_every_variant():
     ncbell.clear_caches()
     for variant in ("nc", "c"):

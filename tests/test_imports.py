@@ -203,6 +203,8 @@ _SHARED = {
     "evaluate": "CPoly: the stirling suite and compose_via_bell; QPoly: the q-statistics suite",
     "from_json_dict": "algebra's is in ncbell.__all__; the series classes': the series verb",
     "letter": "both rings through cls.letter in bell, hopf and quasidet",
+    "one": "TermRing's: every ring through cls.one, QPoly in qfactorial and the q-counts; "
+           "MultiPoly's, which takes nvars: MultiPoly.const",
     "letter_key": "both rings through key_of and the engine's ring(variant).letter_key",
     "ring": "algebra's: every variant guard; hopf's: the engine on all four variant names",
     "to_json_dict": "algebra's: the json format; FormalSeries': the series verb",

@@ -272,6 +272,25 @@ def test_qcount_agrees_with_product():
         assert lhs.evaluate(1) == count_max_ordered(n, sizes)
 
 
+# the brute-force counts and the closed forms agree on every word, the
+# edge cases included: the empty word counts the one partition of the empty
+# set, and a size below 1 is refused by all four alike
+@pytest.mark.parametrize("sizes", [(), (1,), (3,), (2, 1), (1, 2, 1), (2, 1, 2),
+                                   (0,), (2, 0), (0, 2), (-1,), (1, -2, 3)])
+def test_max_ordered_counts_agree_on_edge_cases(sizes):
+    routes = (lambda: count_max_ordered(sum(sizes), sizes), lambda: N_formula(sizes),
+              lambda: qcount_max_ordered(sizes), lambda: qcount_product(sizes))
+    if min(sizes, default=1) < 1:
+        for route in routes:
+            with pytest.raises(ValueError, match="block sizes must be positive"):
+                route()
+        return
+    count, closed, qbrute, qclosed = (route() for route in routes)
+    assert count == closed == qbrute.evaluate(1) and qbrute == qclosed
+    if not sizes:
+        assert count == 1 and qbrute == QPoly.one()
+
+
 def test_qbell_coefficient_is_the_weight_generating_function():
     # the q-Bell coefficient of d_{p_1}...d_{p_k} counts the partitions with
     # max-ordered block sizes p by q^weight, as an identity of polynomials in q

@@ -497,4 +497,4 @@ def test_det_errors_besides_floats():
     with pytest.raises(TypeError, match="got str"):
         det([["1", 2], [3, 4]])
     with pytest.raises(ValueError, match="no polynomial entries"):
-        det([[QPoly(1), 2], [3, 4]])
+        det([[QPoly.one(), 2], [3, 4]])

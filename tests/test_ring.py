@@ -30,7 +30,7 @@ NVARS = 2
 CONST = {
     "NCPoly": lambda c: NCPoly({(): c}),
     "CPoly": lambda c: CPoly({(): c}),
-    "QPoly": QPoly,
+    "QPoly": lambda c: QPoly({0: c}),
     "MultiPoly": lambda c: MultiPoly.const(NVARS, c),
 }
 
@@ -81,6 +81,31 @@ def test_foreign_operands_are_unsupported(ring):
         assert p != other
 
 
+# every scalar commutes, so each ring's right product is its left one
+LEFT_SCALAR = dict(SAMPLE, FormalSeries=lambda: series.FormalSeries([1, Fraction(1, 3), 0, 2]))
+
+
+def _coefficient_types(x):
+    return [type(c) for c in x.coeffs] if isinstance(x, series.FormalSeries) else {
+        k: type(c) for k, c in x.terms.items()}
+
+
+@pytest.mark.parametrize("c", [0, 3, True, Fraction(-1, 2), Fraction(4)])
+@pytest.mark.parametrize("ring", sorted(LEFT_SCALAR))
+def test_left_scalar_product_is_the_right_one(ring, c):
+    cls = type(LEFT_SCALAR[ring]())
+    assert vars(cls)["__rmul__"] is vars(cls)["__mul__"]
+    p = LEFT_SCALAR[ring]()
+    left, right = c * p, p * c
+    assert left == right and type(left) is type(right)
+    assert _coefficient_types(left) == _coefficient_types(right)
+    for other in (1.5, None):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            other * p
+        with pytest.raises(TypeError, match="unsupported operand"):
+            p * other
+
+
 def test_ncpoly_minus_cpoly_is_unsupported():
     with pytest.raises(TypeError, match="unsupported operand"):
         NCPoly.letter(1) - CPoly.letter(1)
@@ -93,6 +118,25 @@ def test_multipoly_dimensions_must_agree():
             op(x2, x3)
     assert x2 != x3
     assert MultiPoly.zero(2) == MultiPoly.zero(3) == 0
+
+
+# TermRing's classmethod constructors, with the arguments each needs
+TERM_RING_CONSTRUCTORS = {"_new": ({},), "zero": (), "one": ()}
+
+
+@pytest.mark.parametrize("cls", (NCPoly, CPoly, QPoly, MultiPoly), ids=lambda cls: cls.__name__)
+def test_term_ring_constructors_work_or_are_overridden(cls):
+    built = {name for name, value in vars(TermRing).items() if isinstance(value, classmethod)}
+    assert built == set(TERM_RING_CONSTRUCTORS)
+    for name in sorted(built - set(vars(cls))):
+        assert type(getattr(cls, name)(*TERM_RING_CONSTRUCTORS[name])) is cls, name
+
+
+def test_multipoly_one_takes_nvars():
+    one = MultiPoly.one(3)
+    assert one.nvars == 3 and one.terms == {(0, 0, 0): 1}
+    assert one == 1 == MultiPoly.const(3, 1) and MultiPoly.const(3, 0) == MultiPoly.zero(3)
+    assert MultiPoly.const(2, Fraction(1, 2)).terms == {(0, 0): Fraction(1, 2)}
 
 
 def test_multipoly_constants_compare_by_coefficient_across_dimensions():
