@@ -93,9 +93,8 @@ def _coefficient_types(x):
 @pytest.mark.parametrize("c", [0, 3, True, Fraction(-1, 2), Fraction(4)])
 @pytest.mark.parametrize("ring", sorted(LEFT_SCALAR))
 def test_left_scalar_product_is_the_right_one(ring, c):
-    cls = type(LEFT_SCALAR[ring]())
-    assert vars(cls)["__rmul__"] is vars(cls)["__mul__"]
     p = LEFT_SCALAR[ring]()
+    assert vars(type(p))["__rmul__"] is vars(type(p))["__mul__"]
     left, right = c * p, p * c
     assert left == right and type(left) is type(right)
     assert _coefficient_types(left) == _coefficient_types(right)
