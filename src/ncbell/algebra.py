@@ -28,7 +28,8 @@ MultiPoly replace with their own renderers. MultiPoly, whose unit key
 depends on its nvars, replaces zero() and one() with zero(nvars) and
 one(nvars). NCPoly, CPoly and QPoly keep TermRing's constructor, which
 takes a term dict (MultiPoly's takes nvars first): a constant is
-QPoly({0: c}) or QPoly.one() * c, never QPoly(c).
+QPoly({0: c}) or QPoly.one() * c, and QPoly(c), or any other argument
+that is not a dict, is a TypeError.
 
 The rings built on it are
 
@@ -149,6 +150,9 @@ class TermRing:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
+        if terms is not None and not isinstance(terms, dict):
+            raise TypeError(f"{type(self).__name__} takes a term dict {{key: coefficient}}, "
+                            f"got {type(terms).__name__}")
         acc: dict = {}
         if terms:
             key = self._key

@@ -9,13 +9,13 @@ from_json_dict to the identical polynomial; a format or option the
 chosen output cannot use is refused with exit code 2.
 verify prints one pass/fail line per suite and exits nonzero when any
 suite fails, as do the self-checking series commands. Each verb imports
-the submodules it uses when it runs, so a call loads only those.
+the submodules it uses when it runs, so a call loads only those, and json
+is imported only by the JSON formats and the JSON readers.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .algebra import (
@@ -30,18 +30,24 @@ from .algebra import (
 from .bell import bell, bell_partial, bell_scaled, qbell, qbell_grouped
 
 
+def _print_json(doc) -> None:
+    import json  # here, so that text output never loads it
+
+    print(json.dumps(doc))
+
+
 def _emit_poly(p, fmt: str, symbol: str = "d", algebra: str | None = None) -> None:
     if fmt == "latex":
         print(render_latex(p, symbol))
     elif fmt == "json":
-        print(json.dumps(to_json_dict(p, algebra)))
+        _print_json(to_json_dict(p, algebra))
     else:
         print(render_text(p, symbol))
 
 
 def _emit_series(s, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(s.to_json_dict()))
+        _print_json(s.to_json_dict())
         return
     latex = fmt == "latex"
     power = "t^{{{}}}" if latex else "t^{}"
@@ -56,7 +62,7 @@ def _emit_qtable(table: dict, fmt: str) -> None:
     if fmt == "json":
         terms = [{"word": list(parts), "coeff": {str(p): str(c) for p, c in qc.terms.items()}}
                  for parts, qc in rows]
-        print(json.dumps({"algebra": "q-bell", "terms": terms}))
+        _print_json({"algebra": "q-bell", "terms": terms})
         return
     for parts, qc in rows:
         print(f"{render_text(NCPoly.from_word(parts))}: {render_qpoly(qc)}")
@@ -65,6 +71,8 @@ def _emit_qtable(table: dict, fmt: str) -> None:
 def _load_json(args, shape: type):
     """The JSON document of --file, or of stdin without it; ValueError
     unless it is an object (shape dict) or an array (shape list)."""
+    import json
+
     if args.file:
         with open(args.file, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -123,7 +131,7 @@ def cmd_trees(args) -> int:
     if args.format == "json":
         rows = [{"tree": trees.serialize(t), "coeff": str(c)}
                 for t, c in sorted(tp.items())]
-        print(json.dumps({"algebra": "trees", "terms": rows}))
+        _print_json({"algebra": "trees", "terms": rows})
     else:
         print(trees.render_tree_poly(tp))
     return 0
@@ -162,7 +170,7 @@ def cmd_hopf(args) -> int:
             raise ValueError("--coproduct takes no --method or --side")
         t = hopf.coproduct_gen(args.n, variant)
         if args.format == "json":
-            print(json.dumps(hopf.tensor_to_json(t, variant)))
+            _print_json(hopf.tensor_to_json(t, variant))
         else:
             print(hopf.render_tensor(t, variant, latex=(args.format == "latex")))
         return 0

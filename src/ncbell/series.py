@@ -7,14 +7,13 @@ Coefficients at or beyond the truncation order are undefined, never
 assumed zero.
 
 The series product is one plain loop that skips zero factors on either
-side; it serves egf_bell_check (CPoly) and the Picard oracle (MultiPoly),
-and on int or Fraction input it gives Fraction coefficients. compose takes
-int and Fraction coefficients only and is Horner evaluation on the
-integer numerators of f and g with powers of g's denominator, one
-Fraction per result coefficient. compose_via_bell takes each B_{n,k} from
-bell_partial, which files B_n's terms by length once per n, evaluates it at
-the integer numerators of g and divides by the k-th power of their
-denominator once.
+side; it serves egf_bell_check (CPoly), and on int or Fraction input it
+gives Fraction coefficients. compose and compose_via_bell take int and
+Fraction coefficients only and work on integer numerators over one
+denominator, with one Fraction per result coefficient: compose is Horner
+evaluation with powers of g's denominator, and compose_via_bell takes each
+B_{n,k} from bell_partial, which files B_n's terms by length once per n,
+and sums f's numerators times B_{n,k} at g's numerators in ints.
 
 The flow half of the module works over MultiPoly, exact multivariate
 polynomials in x1..xm. A VectorField is a list of m components, optionally
@@ -25,19 +24,19 @@ bell_apply reads a word d_{j_1}...d_{j_k} as the operator composition
 F_{j_1}[F_{j_2}[...F_{j_k}[psi]...]]: the leftmost letter acts outermost.
 The opposite orientation silently passes every symmetric low-order check,
 so it is worth stating twice: leftmost letter, outermost derivative.
-flow_pullback_taylor is the independent oracle, integrating the flow ODE
-by Picard iteration with a symbolic base point, each iterate a
-FormalSeries over MultiPoly. Iterate k is exact through t^k, so iteration
-k runs at truncation k and the powers of y it needs are built once per
-iteration; the coefficients through the requested order are the same as
-with every iteration at full truncation.
+flow_pullback_taylor is the independent oracle: it solves the flow ODE
+with a symbolic base point, one divided t-coefficient after the other, and
+never reads a Bell polynomial or a word. Both routes clear the field's
+denominators once (D, the lcm over the components of F_1, F_2, ... that
+they read) and psi's (Dp), run on polynomials with int coefficients, and
+divide each result by Dp D^n once.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .algebra import (
     CPoly,
@@ -45,6 +44,7 @@ from .algebra import (
     _coeff,
     _parse_coeff,
     _ring_ops,
+    add_into,
     common_denominator,
     signed_sum,
 )
@@ -83,12 +83,6 @@ class FormalSeries:
             coeffs = coeffs + [Fraction(0)] * (order - len(coeffs))
         self.coeffs = coeffs[:order]
         self.order = order
-
-    @classmethod
-    def from_divided(cls, divided, order=None) -> "FormalSeries":
-        """Build from divided-power coefficients f_n, so c_n = f_n / n!."""
-        divided = list(divided)
-        return cls([f * Fraction(1, factorial(n)) for n, f in enumerate(divided)], order)
 
     def coeff(self, n: int):
         if not 0 <= n < self.order:
@@ -188,21 +182,27 @@ def compose(f: FormalSeries, g: FormalSeries, order: int | None = None) -> Forma
 def compose_via_bell(f: FormalSeries, g: FormalSeries) -> FormalSeries:
     """f(g(t)) through min(f.order, g.order), with divided-power coefficients
     from the classical chain-rule expansion
-    h_n = sum_k f_k B_{n,k}(g_1, ..., g_{n-k+1})."""
+    h_n = sum_k f_k B_{n,k}(g_1, ..., g_{n-k+1}), on int and Fraction
+    coefficients (any other is a TypeError). B_{n,k} is homogeneous of
+    degree k, so with f_k = F_k / df and g_i = G_i / d on integer
+    numerators, h_n = sum_k F_k B_{n,k}(G) d^(n-k) / (df d^n): a sum of
+    ints per order and one Fraction."""
     order = min(f.order, g.order)
     if g.coeff(0) != 0:
         raise ValueError("inner series must vanish at the origin")
-    # B_{n,k} is homogeneous of degree k: B_{n,k}(g) = B_{n,k}(g d) / d^k
-    gnums, d = common_denominator([g.divided(i) for i in range(1, order)])
-    gvals = dict(enumerate(gnums, 1))
-    divided = [f.coeff(0)]
+    if not _EXACT.issuperset(map(type, f.coeffs[:order] + g.coeffs[:order])):
+        raise TypeError("compose_via_bell needs int or Fraction coefficients")
+    F, df = common_denominator([f.divided(k) for k in range(order)])
+    G, d = common_denominator([g.divided(i) for i in range(1, order)])
+    gvals = dict(enumerate(G, 1))
+    coeffs = [Fraction(F[0], df)]
     for n in range(1, order):
-        total = Fraction(0)
+        total = 0
         for k in range(1, n + 1):
-            b_nk = bell_partial(n, k, "c")
-            total += f.divided(k) * Fraction(b_nk.evaluate(gvals), d**k)
-        divided.append(total)
-    return FormalSeries.from_divided(divided, order)
+            if F[k]:
+                total += F[k] * bell_partial(n, k, "c").evaluate(gvals) * d ** (n - k)
+        coeffs.append(Fraction(total, df * d**n * factorial(n)))
+    return FormalSeries(coeffs, order)
 
 
 def reversion(g: FormalSeries, order: int | None = None) -> FormalSeries:
@@ -288,10 +288,6 @@ class MultiPoly(TermRing):
     @classmethod
     def one(cls, nvars: int) -> "MultiPoly":
         return cls(nvars, {(0,) * nvars: 1})
-
-    @classmethod
-    def const(cls, nvars: int, c) -> "MultiPoly":
-        return cls.one(nvars) * c
 
     @classmethod
     def var(cls, nvars: int, i: int) -> "MultiPoly":
@@ -434,79 +430,140 @@ class VectorField:
         return cls(d["nvars"], tcs[0], tcs)
 
 
+def _add_multiple(acc: dict, p: MultiPoly, c: int) -> None:
+    """acc += c * p on term dicts, dropping cancelled keys."""
+    for e, x in p.terms.items():
+        s = acc.get(e, 0) + c * x
+        if s:
+            acc[e] = s
+        elif e in acc:
+            del acc[e]
+
+
+def _over(p: MultiPoly, den: int) -> MultiPoly:
+    """p / den with one Fraction per term, for p with int coefficients."""
+    return p._new({e: Fraction(c, den) for e, c in p.terms.items()})
+
+
+def _cleared(field: VectorField, psi: MultiPoly, jmax: int) -> tuple:
+    """(N, D, P, Dp) with int coefficients: N[j-1] the components of D F_j
+    for j = 1..jmax, D the lcm of their coefficients' denominators, and
+    P = Dp psi, Dp the lcm of psi's."""
+
+    def clear(polys) -> tuple:
+        nums, d = common_denominator([c for p in polys for c in p.terms.values()])
+        values = iter(nums)
+        return [p._new({e: next(values) for e in p.terms}) for p in polys], d
+
+    m = field.nvars
+    comps, D = clear([p for j in range(1, jmax + 1) for p in field.field(j)])
+    (P,), Dp = clear([psi])
+    return [comps[j * m:(j + 1) * m] for j in range(jmax)], D, P, Dp
+
+
 def _lie(components, psi: MultiPoly) -> MultiPoly:
     """F[psi] = sum_i F^i d(psi)/dx_i, the Lie derivative of psi along the
     field with the given components."""
-    out = MultiPoly.zero(psi.nvars)
+    acc: dict = {}
     for i, comp in enumerate(components):
-        out = out + comp * psi.partial(i)
-    return out
-
-
-def _word_apply(word, field: VectorField, psi: MultiPoly) -> MultiPoly:
-    acc = psi
-    for j in reversed(word):
-        acc = _lie(field.field(j), acc)
-    return acc
+        if comp:
+            add_into(acc, (comp * psi.partial(i)).terms)
+    return psi._new(acc)
 
 
 def bell_apply(field: VectorField, psi: MultiPoly, n: int) -> MultiPoly:
     """The n-th noncommutative Bell polynomial applied as iterated Lie
-    derivatives, words read leftmost-outermost."""
+    derivatives, words read leftmost-outermost.
+
+    With N_j = D F_j and P = Dp psi on integer coefficients, a word of
+    length k applied to psi is D^-k Dp^-1 times the same word of N's applied
+    to P, so the sum over the words w of B_n is
+    sum_w c_w D^(n-|w|) w(P) / (Dp D^n): ints throughout and one Fraction
+    per term. Each word suffix is applied once per call. The result has
+    int coefficients when psi and F_1..F_n do, and Fraction ones
+    otherwise; B_0 = 1 gives psi itself.
+    """
     if psi.nvars != field.nvars:
         raise ValueError("dimension mismatch")
     if n < 0:
         raise ValueError("need n >= 0")
     if not field.exact and n > field.time_order():
         raise ValueError(f"order {n} exceeds time truncation {field.time_order()}")
-    out = MultiPoly.zero(field.nvars)
+    if n == 0:
+        return psi
+    jmax = min(n, field.time_order())
+    N, D, P, Dp = _cleared(field, psi, jmax)
+    applied = {(): P}  # word suffix -> the suffix applied to P
+
+    def apply(word: tuple) -> MultiPoly:
+        p = applied.get(word)
+        if p is None:
+            inner = apply(word[1:])
+            p = _lie(N[word[0] - 1], inner) if word[0] <= jmax and inner else inner._new({})
+            applied[word] = p
+        return p
+
+    acc: dict = {}
     for word, c in bell(n, "nc").terms.items():
-        out = out + _word_apply(word, field, psi) * c
-    return out
+        _add_multiple(acc, apply(word), c * D ** (n - len(word)))
+    out = psi._new(acc)
+    inputs = [psi] + [p for j in range(1, jmax + 1) for p in field.field(j)]
+    if all(type(c) is int for p in inputs for c in p.terms.values()):
+        return out  # D = Dp = 1
+    return _over(out, Dp * D**n)
 
 
-def _power(y, i: int, e: int, powers: dict) -> FormalSeries:
-    """y[i]**e, memoised in powers by (i, e)."""
-    p = powers.get((i, e))
-    if p is None:
-        p = y[i] if e == 1 else _power(y, i, e - 1, powers) * y[i]
-        powers[(i, e)] = p
-    return p
+def _monomial(exps: tuple, b: int, z: list, memo: dict) -> MultiPoly:
+    """Divided coefficient b of the series z^exps, for exps not all zero and
+    every z[i] known through b. z^exps is z^rest * z[i], i the last variable
+    of exps, a binomial convolution; each coefficient is built once and kept
+    in memo[exps]."""
+    entry = memo.get(exps)
+    if entry is None:
+        i = max(k for k, e in enumerate(exps) if e)
+        rest = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+        entry = memo[exps] = (i, rest if any(rest) else None, [])
+    i, rest, coeffs = entry
+    if rest is None:
+        return z[i][b]
+    while len(coeffs) <= b:
+        c = len(coeffs)
+        acc: dict = {}
+        for s in range(c + 1):
+            u, v = _monomial(rest, s, z, memo), z[i][c - s]
+            if u and v:
+                _add_multiple(acc, u * v, comb(c, s))
+        coeffs.append(z[i][0]._new(acc))
+    return coeffs[b]
 
 
-def _at_series(poly: MultiPoly, y, order: int, powers: dict) -> list:
-    """The first `order` MultiPoly coefficients of poly(y), for series y of
-    that truncation. powers caches y[i]**e; every call that sees the same y
-    may share one cache."""
-    m = poly.nvars
-    out = [MultiPoly.zero(m)] * order
+def _at(poly: MultiPoly, b: int, z: list, memo: dict) -> MultiPoly:
+    """Divided coefficient b of poly(z), z and memo as for _monomial."""
+    acc: dict = {}
     for exps, c in poly.terms.items():
-        term = None
-        for i, e in enumerate(exps):
-            if e:
-                p = _power(y, i, e, powers)
-                term = p if term is None else term * p
-        if term is None:
-            out[0] = out[0] + MultiPoly.const(m, c)
-            continue
-        for a, x in enumerate(term.coeffs):
-            if x:
-                out[a] = out[a] + x * c
-    return out
+        if any(exps):
+            _add_multiple(acc, _monomial(exps, b, z, memo), c)
+        elif b == 0:  # the constant monomial: the series 1
+            _add_multiple(acc, MultiPoly.one(poly.nvars), c)
+    return poly._new(acc)
 
 
 def flow_pullback_taylor(field: VectorField, psi: MultiPoly, order: int) -> list:
     """Divided t-coefficients of psi pulled back along the flow of the field.
 
-    Integrates y' = F_t(y), y(0) = x with a symbolic base point by Picard
-    iteration, then expands psi(y(t)). Entry n of the result is
-    n! [t^n] psi(y(t)), which must match bell_apply(field, psi, n).
+    Solves y' = F_t(y), y(0) = x with a symbolic base point for the divided
+    coefficients y_a = a! [t^a] y, then expands psi(y(t)). Entry n of the
+    result is n! [t^n] psi(y(t)), which must match bell_apply(field, psi, n).
 
-    Picard iterate k is exact through t^k, and its t^k coefficient reads
-    only the coefficients of iterate k-1 through t^(k-1). So iteration k
-    evaluates the field at truncation k-1 and keeps the coefficients
-    through t^k: iterate `order` holds the same exact coefficients through
-    t^order as `order` iterations at full truncation would.
+    With F_t = sum_j t^(j-1)/(j-1)! F_j, the Picard step reads
+    y_(a+1) = sum_j C(a, j-1) [F_j(y)]_(a-j+1), [.]_b a divided coefficient,
+    and a product of series is the binomial convolution of their divided
+    coefficients. With N_j = D F_j and P = Dp psi on integer coefficients,
+    the series Z(t) = y(D t), whose divided coefficients are Z_a = D^a y_a,
+    obeys Z_(a+1) = sum_j C(a, j-1) D^(j-1) [N_j(Z)]_(a-j+1) in ints, and
+    [P(Z)]_n = Dp D^n n! [t^n] psi(y(t)). Each divided coefficient of each
+    monomial in the Z's is built once, when a step first needs it. Entry 0
+    is psi itself; every later entry has Fraction coefficients.
     """
     if psi.nvars != field.nvars:
         raise ValueError("dimension mismatch")
@@ -515,21 +572,16 @@ def flow_pullback_taylor(field: VectorField, psi: MultiPoly, order: int) -> list
     if not field.exact and order > field.time_order():
         raise ValueError(f"order {order} exceeds time truncation {field.time_order()}")
     m = field.nvars
-    y = [FormalSeries([MultiPoly.var(m, i)]) for i in range(m)]
-    for it in range(1, order + 1):
-        # y holds the coefficients through t^(it-1); F_t(y) is needed that far
-        rhs = [[MultiPoly.zero(m)] * it for _ in range(m)]
-        powers: dict = {}
-        for j in range(1, min(it, field.time_order()) + 1):
-            scale = Fraction(1, factorial(j - 1))
-            for i, comp in enumerate(field.field(j)):
-                vals = _at_series(comp, y, it, powers)
-                for a in range(it - (j - 1)):
-                    if vals[a]:
-                        rhs[i][a + j - 1] = rhs[i][a + j - 1] + vals[a] * scale
-        y = [
-            FormalSeries([yi.coeffs[0]] + [rhs[i][a] * Fraction(1, a + 1) for a in range(it)])
-            for i, yi in enumerate(y)
-        ]
-    values = _at_series(psi, y, order + 1, {})
-    return [values[n] * factorial(n) for n in range(order + 1)]
+    jmax = min(order, field.time_order())
+    N, D, P, Dp = _cleared(field, psi, jmax)
+    z = [[MultiPoly.var(m, i)] for i in range(m)]
+    memo: dict = {}
+    for a in range(order):
+        # Z_(a+1) reads the Z's through Z_a only
+        steps = [(j, comb(a, j - 1) * D ** (j - 1)) for j in range(1, min(a + 1, jmax) + 1)]
+        for i in range(m):
+            acc: dict = {}
+            for j, scale in steps:
+                _add_multiple(acc, _at(N[j - 1][i], a - j + 1, z, memo), scale)
+            z[i].append(psi._new(acc))
+    return [psi] + [_over(_at(P, n, z, memo), Dp * D**n) for n in range(1, order + 1)]

@@ -80,6 +80,23 @@ def test_cli_verb_loads_only_its_footprint(argv, footprint):
     assert set(json.loads(_cold(body)[-1])) == footprint
 
 
+def _imported_by(argv: list) -> set:
+    """The top-level names of every module `python -m ncbell.cli argv`
+    imports, read from -X importtime in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "ncbell.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[1].strip().split(".")[0]
+            for line in proc.stderr.splitlines() if line.startswith("import time:")}
+
+
+def test_text_output_never_loads_json():
+    assert "json" not in _imported_by(["bell", "-n", "8"])
+    assert "json" in _imported_by(["bell", "-n", "3", "--format", "json"])
+
+
 def test_submodule_attribute_imports_it_on_first_use():
     (loaded,) = _cold("import ncbell\nassert ncbell.trees.tree_bell is ncbell.tree_bell")
     assert set(json.loads(loaded)) == _modules("algebra", "bell", "trees")
@@ -204,12 +221,12 @@ _SHARED = {
     "from_json_dict": "algebra's is in ncbell.__all__; the series classes': the series verb",
     "letter": "both rings through cls.letter in bell, hopf and quasidet",
     "one": "TermRing's: every ring through cls.one, QPoly in qfactorial and the q-counts; "
-           "MultiPoly's, which takes nvars: MultiPoly.const",
+           "MultiPoly's, which takes nvars: the constant term in the flow pullback",
     "letter_key": "both rings through key_of and the engine's ring(variant).letter_key",
     "ring": "algebra's: every variant guard; hopf's: the engine on all four variant names",
     "to_json_dict": "algebra's: the json format; FormalSeries': the series verb",
     "zero": "TermRing's: every ring through cls.zero, QPoly in qbinomial; MultiPoly's, which "
-            "takes nvars: the flow pullbacks",
+            "takes nvars: VectorField.field and the analytic suite",
 }
 
 

@@ -10,7 +10,8 @@ types (every series product coefficient, every determinant, inverse entry
 and numeric quasideterminant is a Fraction; a pairing of int inputs is an
 int), and a float is refused with the same TypeError as a ring
 coefficient, and series arithmetic with an operand that is not a series
-is a TypeError. compose refuses ring-valued series with a TypeError."""
+is a TypeError. compose and compose_via_bell refuse ring-valued series
+with a TypeError."""
 
 import operator
 from fractions import Fraction
@@ -430,6 +431,17 @@ def test_compose_refuses_ring_valued_series():
                 compose(f, g, order)
 
 
+def test_compose_via_bell_refuses_ring_valued_series():
+    u = FormalSeries([CPoly.zero(), CPoly.letter(1), CPoly.letter(2)])
+    exact = FormalSeries([0, 1, 2])
+    for f, g in ((u, exact), (exact, u), (u, u)):
+        with pytest.raises(TypeError, match="compose_via_bell needs int or Fraction coefficients"):
+            compose_via_bell(f, g)
+    # the origin is checked first, as before
+    with pytest.raises(ValueError, match="inner series must vanish at the origin"):
+        compose_via_bell(exact, FormalSeries([CPoly.letter(1), CPoly.letter(2)]))
+
+
 def test_ring_valued_series_keep_the_plain_loop():
     # a CPoly series times a rational one: no common denominator exists
     d1, d2 = CPoly.letter(1), CPoly.letter(2)
@@ -470,11 +482,6 @@ def test_series_arithmetic_with_a_non_series_is_a_type_error(op, other):
         return
     with pytest.raises(TypeError, match="unsupported operand|can't multiply"):
         op(f, other)
-
-
-def test_from_divided_refuses_float_results():
-    with pytest.raises(TypeError, match=FLOAT_ERROR):
-        FormalSeries.from_divided([0, 1, 0.5])
 
 
 @pytest.mark.parametrize("M", [[[1.5, 2], [3, 4]], [[1, 2], [3, 4.0]], [[0.0]]])

@@ -64,8 +64,8 @@ def test_render_empty_tensor():
 
 def test_render_multipoly():
     x, y = MultiPoly.var(2, 0), MultiPoly.var(2, 1)
-    assert render_multipoly(MultiPoly.const(2, 3)) == "3"
-    assert render_multipoly(MultiPoly.const(2, F(-3, 4))) == "-3/4"
+    assert render_multipoly(MultiPoly.one(2) * 3) == "3"
+    assert render_multipoly(MultiPoly.one(2) * F(-3, 4)) == "-3/4"
     assert render_multipoly(MultiPoly.zero(2)) == "0"
     p = F(-1, 2) * x * x * y - y + F(5, 3) - x
     assert render_multipoly(p) == "5/3 - x2 - x1 - 1/2*x1^2*x2"

@@ -31,7 +31,7 @@ CONST = {
     "NCPoly": lambda c: NCPoly({(): c}),
     "CPoly": lambda c: CPoly({(): c}),
     "QPoly": lambda c: QPoly({0: c}),
-    "MultiPoly": lambda c: MultiPoly.const(NVARS, c),
+    "MultiPoly": lambda c: MultiPoly.one(NVARS) * c,
 }
 
 # ring name -> a sample nonconstant element
@@ -134,15 +134,15 @@ def test_term_ring_constructors_work_or_are_overridden(cls):
 def test_multipoly_one_takes_nvars():
     one = MultiPoly.one(3)
     assert one.nvars == 3 and one.terms == {(0, 0, 0): 1}
-    assert one == 1 == MultiPoly.const(3, 1) and MultiPoly.const(3, 0) == MultiPoly.zero(3)
-    assert MultiPoly.const(2, Fraction(1, 2)).terms == {(0, 0): Fraction(1, 2)}
+    assert one == 1 == one * 1 and one * 0 == MultiPoly.zero(3)
+    assert (MultiPoly.one(2) * Fraction(1, 2)).terms == {(0, 0): Fraction(1, 2)}
 
 
 def test_multipoly_constants_compare_by_coefficient_across_dimensions():
-    c2, c3 = MultiPoly.const(2, 3), MultiPoly.const(3, 3)
+    c2, c3 = MultiPoly.one(2) * 3, MultiPoly.one(3) * 3
     assert c2 == 3 == c3 and c2 == c3 and c3 == c2
     assert len({c2, c3, 3}) == 1
-    assert c2 != MultiPoly.const(3, 4)
+    assert c2 != MultiPoly.one(3) * 4
     x2, x3 = MultiPoly.var(2, 0), MultiPoly.var(3, 0)
     assert x2 != c3 and c3 != x2 and c2 != x3
     assert x2 + 3 != x3 + 3
@@ -174,6 +174,20 @@ def test_constructor_drops_zeros():
     assert CPoly({((1, 1),): 0, ((2, 1),): 3}).terms == {((2, 1),): 3}
     assert QPoly({0: 0, 1: Fraction(1, 2)}).terms == {1: Fraction(1, 2)}
     assert MultiPoly(NVARS, {(0, 1): 1, (1, 0): 0}).terms == {(0, 1): 1}
+
+
+@pytest.mark.parametrize("build, given", [
+    (lambda: NCPoly(3), "int"),
+    (lambda: CPoly(3), "int"),
+    (lambda: QPoly(1), "int"),
+    (lambda: NCPoly(0), "int"),
+    (lambda: MultiPoly(NVARS, 3), "int"),
+    (lambda: NCPoly([((1,), 2)]), "list"),
+    (lambda: CPoly(Fraction(1, 2)), "Fraction"),
+], ids=["NCPoly(3)", "CPoly(3)", "QPoly(1)", "NCPoly(0)", "MultiPoly(2, 3)", "pairs", "Fraction"])
+def test_constructor_refuses_what_is_not_a_term_dict(build, given):
+    with pytest.raises(TypeError, match=rf"^\w+ takes a term dict \{{key: coefficient\}}, got {given}$"):
+        build()
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +255,7 @@ def test_constants_hash_as_their_scalar(ring, c):
 
 
 def test_multipoly_hash_keeps_nvars_off_constants_only():
-    assert hash(MultiPoly.const(2, 3)) == hash(MultiPoly.const(3, 3)) == hash(3)
+    assert hash(MultiPoly.one(2) * 3) == hash(MultiPoly.one(3) * 3) == hash(3)
     assert hash(MultiPoly.zero(2)) == hash(MultiPoly.zero(5)) == 0
     x2, x3 = MultiPoly.var(2, 0), MultiPoly.var(3, 0)
     assert x2 != x3 and hash(x2) != hash(x3)

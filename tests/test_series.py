@@ -25,7 +25,7 @@ from ncbell.series import (
 )
 
 bell_module = import_module("ncbell.bell")  # ncbell.bell is the function
-EXP = FormalSeries.from_divided([Fraction(0)] + [Fraction(1)] * 8, 9)
+EXP = FormalSeries([Fraction(0)] + [Fraction(1, factorial(n)) for n in range(1, 9)], 9)
 
 
 def test_compose_via_bell_reads_each_bell_monomial_once(monkeypatch):
@@ -57,7 +57,7 @@ def test_series_basics():
     assert (s * s).coeffs == [1, 4, 10]
 
 
-def test_series_from_divided():
+def test_series_divided_view():
     assert EXP.coeff(3) == Fraction(1, 6)
     assert EXP.divided(5) == 1
 
@@ -130,7 +130,7 @@ def test_multipoly_json_round_trip():
     z = MultiPoly.var(3, 2)
     doc = {"nvars": 3, "terms": [{"coeff": "-1/2", "exponents": [0, 0, 0]},
                                  {"coeff": "1", "exponents": [2, 0, 1]}]}
-    assert MultiPoly.from_json_dict(doc) == x * x * z - MultiPoly.const(3, Fraction(1, 2))
+    assert MultiPoly.from_json_dict(doc) == x * x * z - MultiPoly.one(3) * Fraction(1, 2)
 
 
 def test_lie_derivative():
@@ -163,7 +163,7 @@ def test_flow_pullback_matches_bell_words():
 
 def test_flow_pullback_time_dependent():
     x = MultiPoly.var(1, 0)
-    one = MultiPoly.const(1, 1)
+    one = MultiPoly.one(1)
     zero = MultiPoly.zero(1)
     # dx/dt = 1 + t x with the time series truncated far enough to cover
     # every requested order
@@ -200,7 +200,30 @@ def test_vector_field_json_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# the Picard oracle against the full-truncation loop it replaced
+# the integer routes against the plain Fraction loops they replaced
+
+
+def _typed(p: MultiPoly) -> dict:
+    return {e: (type(c), c) for e, c in p.terms.items()}
+
+
+def _lie_reference(components, psi):
+    out = MultiPoly.zero(psi.nvars)
+    for i, comp in enumerate(components):
+        out = out + comp * psi.partial(i)
+    return out
+
+
+def _bell_apply_reference(field, psi, n):
+    """Every word of B_n applied to psi from its last letter out, in the
+    field's own coefficients."""
+    out = MultiPoly.zero(field.nvars)
+    for word, c in bell(n, "nc").terms.items():
+        acc = psi
+        for j in reversed(word):
+            acc = _lie_reference(field.field(j), acc)
+        out = out + acc * c
+    return out
 
 
 def _full_truncation_taylor(field, psi, order):
@@ -217,7 +240,7 @@ def _full_truncation_taylor(field, psi, order):
     def ts_eval(poly, args):
         out = [MultiPoly.zero(m) for _ in range(order + 1)]
         for exps, c in poly.terms.items():
-            term = [MultiPoly.const(m, c)] + [MultiPoly.zero(m)] * order
+            term = [MultiPoly.one(m) * c] + [MultiPoly.zero(m)] * order
             for i, e in enumerate(exps):
                 for _ in range(e):
                     term = ts_mul(term, args[i])
@@ -239,42 +262,110 @@ def _full_truncation_taylor(field, psi, order):
     return [values[n] * factorial(n) for n in range(order + 1)]
 
 
+_SCALARS = {
+    "int": st.integers(-3, 3),
+    "Fraction": st.fractions(min_value=-3, max_value=3, max_denominator=4),
+}
+_SCALARS["mixed"] = st.one_of(*_SCALARS.values())
+
+
 @st.composite
-def _multipoly(draw, nvars):
+def _multipoly(draw, nvars, kind="Fraction"):
     terms = draw(st.dictionaries(
-        st.tuples(*[st.integers(0, 2)] * nvars),
-        st.fractions(min_value=-3, max_value=3, max_denominator=4),
-        max_size=3,
+        st.tuples(*[st.integers(0, 2)] * nvars), _SCALARS[kind], max_size=3,
     ))
     return MultiPoly(nvars, terms)
 
 
 @st.composite
-def _flow_case(draw):
+def _flow_case(draw, kinds):
+    kind = draw(st.sampled_from(kinds))
     nvars = draw(st.integers(1, 3))
     order = draw(st.integers(0, 5 if nvars < 3 else 3))
-    components = [draw(_multipoly(nvars)) for _ in range(nvars)]
+    components = [draw(_multipoly(nvars, kind)) for _ in range(nvars)]
     if draw(st.booleans()):
         field = VectorField(nvars, components)
     else:
         extra = draw(st.integers(order, order + 2))
         field = VectorField(nvars, components, [components] + [
-            [draw(_multipoly(nvars)) for _ in range(nvars)] for _ in range(extra)
+            [draw(_multipoly(nvars, kind)) for _ in range(nvars)] for _ in range(extra)
         ])
-    return field, draw(_multipoly(nvars)), order
+    return field, draw(_multipoly(nvars, kind)), order, kind
 
 
 @settings(max_examples=60, deadline=None)
-@given(_flow_case())
+@given(_flow_case(("int", "Fraction", "mixed")))
 def test_flow_pullback_equals_full_truncation_picard(case):
-    field, psi, order = case
+    field, psi, order, _ = case
     got = flow_pullback_taylor(field, psi, order)
     want = _full_truncation_taylor(field, psi, order)
     assert got == want
+    assert [_typed(p) for p in got] == [_typed(p) for p in want]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_flow_case(("int", "Fraction", "mixed")))
+def test_bell_apply_matches_the_fraction_word_loop(case):
+    field, psi, order, kind = case
+    for n in range(order + 1):
+        got, want = bell_apply(field, psi, n), _bell_apply_reference(field, psi, n)
+        assert got == want
+        if kind != "mixed" or n == 0:
+            assert _typed(got) == _typed(want)
+        else:
+            # one coefficient type throughout, where the word loop may mix
+            # int and Fraction term by term
+            assert len(set(map(type, got.terms.values()))) <= 1
+
+
+def test_bell_apply_on_mixed_coefficients_gives_fractions():
+    x = MultiPoly.var(1, 0)
+    field = VectorField(1, [x * 2])
+    psi = x * Fraction(1, 2) + x * x * 3
+    got, want = bell_apply(field, psi, 2), _bell_apply_reference(field, psi, 2)
+    assert got == want
+    assert _typed(want) == {(1,): (Fraction, 2), (2,): (int, 48)}
+    assert _typed(got) == {(1,): (Fraction, 2), (2,): (Fraction, 48)}
+
+
+def _x(m, i):
+    return MultiPoly.var(m, i)
+
+
+@pytest.mark.parametrize("field, psi, order", [
+    # D = 6 and Dp = 10, autonomous
+    (VectorField(2, [_x(2, 0) * Fraction(1, 2) + _x(2, 1) * _x(2, 1) * Fraction(1, 3),
+                     _x(2, 0) * _x(2, 1) + Fraction(-5, 2)]),
+     _x(2, 0) * _x(2, 0) * Fraction(3, 5) + _x(2, 1) * Fraction(1, 2), 5),
+    # D = 12 over three time coefficients read to order = time_order()
+    (VectorField(1, [_x(1, 0) * Fraction(1, 4)],
+                 [[_x(1, 0) * Fraction(1, 4)], [_x(1, 0) * _x(1, 0) * Fraction(2, 3)],
+                  [MultiPoly.one(1) * Fraction(-1, 6)]]),
+     _x(1, 0) * _x(1, 0) * _x(1, 0) * Fraction(7, 9) + Fraction(1, 2), 3),
+    # zero components: the flow is the identity
+    (VectorField(2, [MultiPoly.zero(2)] * 2), _x(2, 0) * _x(2, 1) * Fraction(2, 3), 4),
+    # order 0 reads no field at all
+    (VectorField(1, [_x(1, 0) * Fraction(1, 7)], [[_x(1, 0) * Fraction(1, 7)]]),
+     _x(1, 0) * 3 + Fraction(1, 2), 0),
+    # int coefficients throughout: D = Dp = 1
+    (VectorField(2, [_x(2, 1) * 2, _x(2, 0) * _x(2, 0) - 1]), _x(2, 0) * _x(2, 1) + 4, 4),
+], ids=["D=6,Dp=10", "D=12,time-order", "zero-field", "order-0", "ints"])
+def test_flow_and_words_with_scaled_denominators(field, psi, order):
+    got = flow_pullback_taylor(field, psi, order)
+    want = _full_truncation_taylor(field, psi, order)
+    assert [_typed(p) for p in got] == [_typed(p) for p in want]
+    for n in range(order + 1):
+        assert _typed(bell_apply(field, psi, n)) == _typed(_bell_apply_reference(field, psi, n))
+    if not field.exact:
+        for route in (flow_pullback_taylor, bell_apply):
+            with pytest.raises(ValueError, match=f"order {field.time_order() + 1} exceeds"):
+                route(field, psi, field.time_order() + 1)
 
 
 def test_analytic_suite_multiplication_budget(monkeypatch):
-    # the full-truncation loop made 7,871 MultiPoly products in this suite
+    # the full-truncation loop made 7,871 MultiPoly products in this suite,
+    # the Picard loop with powers built once per iteration 2,788, and the
+    # divided-power solve with each coefficient built once makes 707
     calls = []
     original = MultiPoly.__mul__
 
@@ -285,25 +376,26 @@ def test_analytic_suite_multiplication_budget(monkeypatch):
     monkeypatch.setattr(MultiPoly, "__mul__", counted)
     ok, detail = verify.suite_analytic(None, 0)
     assert ok, detail
-    assert len(calls) <= 7871 // 2
+    assert len(calls) <= 742
 
 
-def test_picard_builds_each_power_once_per_iteration(monkeypatch):
+def test_flow_builds_each_power_coefficient_once(monkeypatch):
     x = MultiPoly.var(1, 0)
     cube = x * x * x
     order = 4
-    # F_1 .. F_4 all x^3: every iteration needs x^2 and x^3 for up to four
-    # time coefficients, and the expansion of psi = x^3 needs them once more
+    # F_1 .. F_4 all x^3 and psi = x^3: the solve needs the divided
+    # coefficients 0..order of x^2 and x^3, and builds each once, coefficient
+    # c as a binomial sum of c + 1 products
     field = VectorField(1, [cube], [[cube]] * order)
     calls = []
-    original = FormalSeries.__mul__
+    original = MultiPoly.__mul__
 
     def counted(self, other):
-        calls.append(self.order)
+        calls.append(1)
         return original(self, other)
 
-    monkeypatch.setattr(FormalSeries, "__mul__", counted)
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
     taylor = flow_pullback_taylor(field, cube, order)
-    assert len(calls) == 2 * order + 2
+    assert len(calls) <= 2 * sum(c + 1 for c in range(order + 1))
     monkeypatch.undo()
     assert taylor == _full_truncation_taylor(field, cube, order)
