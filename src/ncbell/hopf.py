@@ -290,15 +290,17 @@ def coproduct(p, variant: str = "dfdb") -> dict:
 
 
 def coproduct_oracle(n: int, variant: str = "dfdb") -> dict:
-    """Brute-force coproduct of X_n from set partitions of {1..n+1}: each
+    """The coproduct of X_n counted over the set partitions of {1..n+1}: each
     partition contributes (product of X_{|block|-1}, blocks by increasing
-    maxima) tensor X_{#blocks-1}. partitions.size_words tallies the
-    block-size words of {1..n+1} in one walk, shared by both variants, and
-    each distinct word then gives its key pair once, weighted by its
-    count."""
+    maxima) tensor X_{#blocks-1}. partitions.size_words counts the
+    partitions of {1..n+1} by block-size word, one memoised tally shared by
+    both variants, and each distinct word then gives its key pair once,
+    weighted by its count. Like the engine, it refuses n < 0."""
     from . import partitions
 
     cls = _cls(variant)
+    if n < 0:
+        raise ValueError("need n >= 0")
     out: dict = {}
     for sizes, count in partitions.size_words(n + 1).items():
         key = (key_of(cls, [s - 1 for s in sizes]), cls.letter_key(len(sizes) - 1))

@@ -13,6 +13,13 @@ than every element placed so far, moves its block to the end. The q-weight
 is read in the original labels: removing blocks from the largest maximum
 down, one scan of the remaining ground set scores each removal.
 
+size_words takes the same step on words instead of partitions: since a
+child's word depends only on its parent's, it carries one count per word
+and never builds a partition. It stays independent of the routes it
+checks: bell() raises one letter in place and puts d_1 in front, while
+this step moves the grown letter to the end and puts 1 behind, and
+N_formula is a closed product that the walk never reads.
+
 The brute-force q-count memoises per ground set: the partitions of {1..s}
 into k blocks are enumerated once, and their weights are tallied into one
 {weight: count} histogram per max-ordered size tuple. Every composition of
@@ -86,17 +93,30 @@ _SIZE_WORDS: dict = {}
 
 def size_words(n: int) -> dict:
     """{max-ordered block-size word: number of partitions of {1..n} that
-    spell it}, from one walk per n: the first call for n tallies
-    tuple(map(len, P)) over iter_partitions(n) into _SIZE_WORDS, and every
-    call returns a fresh copy of that tally."""
-    tally = _SIZE_WORDS.get(n)
-    if tally is None:
-        tally = {}
-        for P in iter_partitions(n):
-            sizes = tuple(map(len, P))
-            tally[sizes] = tally.get(sizes, 0) + 1
-        _SIZE_WORDS[n] = tally
-    return dict(tally)
+    spell it}.
+
+    The restricted-growth walk of iter_partitions, lumped by word: a
+    child's word depends only on its parent's, so one {word: count} level
+    per ground set carries every partition of {1..i}. Element i+1 opens a
+    block, which appends 1, or joins the block at position j, whose size
+    leaves its place and goes to the end one larger. A call starts from
+    the highest level <= n in _SIZE_WORDS, stores every level it builds,
+    and returns a fresh copy of level n.
+    """
+    if n < 1:
+        raise ValueError("ground set must be nonempty")
+    m = max((i for i in _SIZE_WORDS if i <= n), default=0)
+    level = _SIZE_WORDS[m] if m else {(): 1}
+    for i in range(m + 1, n + 1):
+        grown: dict = {}
+        for word, count in level.items():
+            for j, p in enumerate(word):
+                child = word[:j] + word[j + 1:] + (p + 1,)
+                grown[child] = grown.get(child, 0) + count
+            child = word + (1,)
+            grown[child] = grown.get(child, 0) + count
+        _SIZE_WORDS[i] = level = grown
+    return dict(level)
 
 
 def _block_sizes(sizes) -> tuple:

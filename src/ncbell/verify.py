@@ -227,8 +227,8 @@ def suite_constructions(max_degree=None, seed=0):
 
 
 def suite_partition_oracle(max_degree=None, seed=0):
-    """Every word coefficient equals the brute-force count of max-ordered
-    partitions and the closed binomial product."""
+    """Every word coefficient equals the count of max-ordered partitions
+    (partitions.size_words) and the closed binomial product."""
     top = max_degree or 9
     for n in range(1, top + 1):
         tally = partitions.size_words(n)
@@ -328,7 +328,9 @@ def suite_antipode_cross(max_degree=None, seed=0):
 
 
 def suite_coproduct_oracle(max_degree=None, seed=0):
-    """Set-partition brute force equals the Bell-polynomial coproduct."""
+    """The coproduct counted over set partitions (partitions.size_words,
+    which never reads a Bell polynomial) equals the Bell-polynomial
+    coproduct."""
     top = max_degree or 6
     for variant in ("fdb", "dfdb"):
         for n in range(1, top + 1):

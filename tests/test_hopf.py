@@ -63,7 +63,9 @@ def test_coproduct_gen_refuses_negative_n(variant):
         coproduct_gen(-1, variant)
     with pytest.raises(ValueError, match="need n >= 0"):
         antipode_recursive(-1, variant)
-    assert coproduct_gen(0, variant) == {((), ()): 1}
+    with pytest.raises(ValueError, match="need n >= 0"):
+        coproduct_oracle(-1, variant)
+    assert coproduct_gen(0, variant) == {((), ()): 1} == coproduct_oracle(0, variant)
 
 
 def test_coproduct_gen_three():

@@ -1,6 +1,7 @@
 """Set partitions, max-ordering statistics, and Stirling/Bell counts."""
 
 import gc
+import sys
 import tracemalloc
 from fractions import Fraction
 from operator import itemgetter
@@ -335,29 +336,73 @@ def test_qcount_result_is_a_fresh_copy():
     assert second.terms is not first.terms
 
 
-def test_size_words_tallies_one_walk_per_n(monkeypatch):
-    ncbell.clear_caches()
-    walks = []
+def walked_tally(n: int) -> dict:
+    """{word: count} of tuple(map(len, P)) over iter_partitions(n): the
+    reference for size_words."""
+    tally: dict = {}
+    for P in iter_partitions(n):
+        word = tuple(map(len, P))
+        tally[word] = tally.get(word, 0) + 1
+    return tally
+
+
+def count_walks(monkeypatch) -> list:
+    """Rebind partitions.iter_partitions to a counter; the list returned
+    gets the name of the calling function on every call."""
+    callers = []
     original = partitions.iter_partitions
 
     def counted(n, k=None):
-        walks.append(n)
+        callers.append(sys._getframe(1).f_code.co_name)
         return original(n, k)
 
     monkeypatch.setattr(partitions, "iter_partitions", counted)
-    for n in range(1, 8):
-        tally: dict = {}
-        for P in original(n):
-            tally[tuple(map(len, P))] = tally.get(tuple(map(len, P)), 0) + 1
-        first = size_words(n)
-        assert first == tally
-        first.clear()  # the result is a fresh copy
-        assert size_words(n) == tally
-    assert walks == list(range(1, 8))
-    # the coproduct oracle reads the tally of {1..n+1} for both variants
-    walks.clear()
+    return callers
+
+
+def test_size_words_equals_the_walked_tally(monkeypatch):
+    want = {n: walked_tally(n) for n in range(1, 10)}
+    walks = count_walks(monkeypatch)
+    for n in range(1, 10):  # from cold
+        ncbell.clear_caches()
+        assert size_words(n) == want[n], n
+    for n in range(9, 0, -1):  # level 9 was built last, with every level below it
+        assert size_words(n) == want[n], n
+    ncbell.clear_caches()
+    for n in (3, 8, 5, 9, 1):  # after a clear, each call grows from the highest level below
+        assert size_words(n) == want[n], n
+    first = size_words(6)
+    first.clear()  # the result is a fresh copy
+    assert size_words(6) == want[6]
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="ground set must be nonempty"):
+            size_words(n)
+    # neither the tally nor the coproduct oracle reading it builds a partition
     ok, _ = verify.suite_coproduct_oracle(max_degree=7)
-    assert ok and walks == [8]
+    assert ok and walks == []
+    ncbell.clear_caches()
+
+
+def test_size_words_at_depth_without_a_walk():
+    # every composition of n is the word of some partition; N_formula counts
+    # each independently, so it serves as the reference here and only here
+    ncbell.clear_caches()
+    for n in range(1, 17):
+        tally = size_words(n)
+        assert len(tally) == 2 ** (n - 1)
+        assert sum(tally.values()) == bell_number(n)
+        assert all(count == N_formula(word) for word, count in tally.items()), n
+    ncbell.clear_caches()
+
+
+def test_verify_builds_partitions_only_through_enumerate_partitions(monkeypatch):
+    # perfbench counts the partitions a pass builds at enumerate_partitions,
+    # so every walk of a verify pass has to come through it
+    callers = count_walks(monkeypatch)
+    ncbell.clear_caches()
+    results = verify.run_suites("all")
+    assert [name for name, _, _ in results] == list(verify.SUITES)
+    assert callers and set(callers) == {"enumerate_partitions"}
     ncbell.clear_caches()
 
 
@@ -401,21 +446,16 @@ def test_q_statistics_enumerates_each_ground_set_once(monkeypatch):
 
 
 def test_commutative_partition_sum_tallies_every_partition(monkeypatch):
-    visited = []
-    original = partitions.iter_partitions
-
-    def counted(*args):
-        for P in original(*args):
-            visited.append(P)
-            yield P
-
-    monkeypatch.setattr(partitions, "iter_partitions", counted)
+    want = {}
     for n in range(1, 9):
-        visited.clear()
+        want[n] = CPoly.zero()
+        for P in iter_partitions(n):
+            want[n] = want[n] + monomial_of(P, "c")
+    walks = count_walks(monkeypatch)
+    ncbell.clear_caches()
+    for n in range(1, 9):
         got = verify._partition_sum(n)
-        assert len(visited) == bell_number(n)
-        want = CPoly.zero()
-        for P in original(n):
-            want = want + monomial_of(P, "c")
-        assert got == want
+        assert got == want[n]
         assert all(type(c) is int for c in got.terms.values())
+    assert walks == []
+    ncbell.clear_caches()
