@@ -28,18 +28,24 @@ through unchecked and the memo never holds another.
 
 Tensors are plain dicts mapping (left monomial key, right monomial key) to
 an exact coefficient, an int or a Fraction, never a float, as in the ring
-classes; triple tensors use 3-tuples of keys.
+classes; triple tensors use 3-tuples of keys. tensor_mul reads every leg
+product from a table of key products, {u: {v: u * v}}, shared by both legs
+and filled as pairs are met. Without one it fills a fresh table per call;
+coproduct and coproduct_extend pass a caller's table to each tensor_mul.
 
 The axiom battery hopf_axiom_check expands each distinct tensor leg once
 per call: one memo holds the coproduct of every leg and another its
-antipode, shared by both legs and by every element checked. Each distinct
-element of its pool is checked once, and each distinct pair of the
-multiplicativity check compared once; the random products repeat often,
-and a repeat replays the stored verdict, so a failure line appears once per
-occurrence. All these memos are local to the call, so nothing the battery
-caches outlives it. The counit and antipode sums of each element are term
-dicts filled in place, one per side, so no ring element is built per
-tensor term.
+antipode, shared by both legs and by every element checked. One
+key-product table serves the coproduct of each element, each Delta(uv)
+and each Delta(u)Delta(v), so each distinct pair of legs is multiplied
+once in all of them; the leg expansions (coproduct_mono) keep a fresh
+table per tensor_mul. Each distinct element of its pool is checked once,
+and each distinct pair of the multiplicativity check compared once; the
+random products repeat often, and a repeat replays the stored verdict, so
+a failure line appears once per occurrence. All these memos are local to the call, so nothing the battery
+caches outlives it (at degree 10 the dfdb table alone holds 95,611 pairs).
+The counit and antipode sums of each element are term dicts filled in
+place, one per side, so no ring element is built per tensor term.
 """
 
 from __future__ import annotations
@@ -117,19 +123,29 @@ def bell_antipode(n: int, variant: str, side: str):
     return s
 
 
-def tensor_mul(t1: dict, t2: dict, variant: str) -> dict:
-    """Product of two 2-tensors, leg by leg. Each distinct left leg of t1 is
-    multiplied once by each distinct left leg of t2, and likewise on the
-    right; the term loop then only looks the products up."""
+def tensor_mul(t1: dict, t2: dict, variant: str, products: dict | None = None) -> dict:
+    """Product of two 2-tensors, leg by leg. products is a table of key
+    products, mapping a key u to {v: u * v}; both legs are keys of one ring,
+    so left and right share it. The pairs the call needs (each distinct left
+    leg of t1 by each distinct left leg of t2, and likewise on the right)
+    that the table lacks are multiplied once and added to it; the term loop
+    then only looks the products up. Without a table the call fills a fresh
+    one; a caller that passes one table to many calls multiplies each
+    distinct pair of keys once in all of them."""
     key_mul = ring(variant).key_mul
-    lefts = {l for l, _ in t2}
-    rights = {r for _, r in t2}
-    left_of = {l1: {l2: key_mul(l1, l2) for l2 in lefts} for l1 in {l for l, _ in t1}}
-    right_of = {r1: {r2: key_mul(r1, r2) for r2 in rights} for r1 in {r for _, r in t1}}
+    if products is None:
+        products = {}
+    for firsts, seconds in (({l for l, _ in t1}, {l for l, _ in t2}),
+                            ({r for _, r in t1}, {r for _, r in t2})):
+        for u in firsts:
+            row = products.setdefault(u, {})
+            for v in seconds:
+                if v not in row:
+                    row[v] = key_mul(u, v)
     out: dict = {}
     for (l1, r1), c1 in t1.items():
-        lrow = left_of[l1]
-        rrow = right_of[r1]
+        lrow = products[l1]
+        rrow = products[r1]
         for (l2, r2), c2 in t2.items():
             key = (lrow[l2], rrow[r2])
             s = out.get(key, 0) + c1 * c2
@@ -140,16 +156,19 @@ def tensor_mul(t1: dict, t2: dict, variant: str) -> dict:
     return out
 
 
-def coproduct_extend(terms: dict, variant: str) -> dict:
+def coproduct_extend(terms: dict, variant: str, products: dict | None = None) -> dict:
     """The coproduct of sum(c * key) over terms, extended multiplicatively
-    from bell_coproduct on the generators, with g^{-1} group-like."""
+    from bell_coproduct on the generators, with g^{-1} group-like. products,
+    a key-product table, is passed to every tensor_mul of the extension;
+    when None each of them fills a fresh one."""
     cls, _, _, inverse = _shape(variant)
     group_like = {(cls.letter_key(inverse),) * 2: 1}
     total: dict = {}
     for key, c in terms.items():
         t = {((), ()): c}
         for i in cls.key_letters(key):
-            t = tensor_mul(t, group_like if i == inverse else bell_coproduct(i, variant), variant)
+            t = tensor_mul(t, group_like if i == inverse else bell_coproduct(i, variant),
+                           variant, products)
         if total:
             add_into(total, t)
         else:
@@ -283,10 +302,12 @@ def coproduct_mono(key, variant: str) -> dict:
     return coproduct_extend({key: 1}, variant)
 
 
-def coproduct(p, variant: str = "dfdb") -> dict:
-    """The coproduct of an arbitrary element, extended as algebra morphism."""
+def coproduct(p, variant: str = "dfdb", products: dict | None = None) -> dict:
+    """The coproduct of an arbitrary element, extended as algebra morphism.
+    products is the key-product table of tensor_mul, passed through
+    coproduct_extend."""
     _cls(variant)
-    return coproduct_extend(p.terms, variant)
+    return coproduct_extend(p.terms, variant, products)
 
 
 def coproduct_oracle(n: int, variant: str = "dfdb") -> dict:
@@ -421,8 +442,11 @@ def hopf_axiom_check(max_degree: int, variant: str = "dfdb", seed: int = 0, n_pr
     """Check coassociativity, the counit laws, both antipode identities, and
     the morphism property of the coproduct on all generators up to
     max_degree and on random products. Returns a list of failure strings,
-    empty when everything holds. Each distinct leg has its coproduct and
-    its antipode computed once per call. Each distinct element of the pool
+    empty when everything holds; a max_degree below 1 or a negative
+    n_products is refused. Each distinct leg has its coproduct and its
+    antipode computed once per call, and one key-product table multiplies
+    each distinct pair of legs once across the element coproducts, every
+    Delta(uv) and every Delta(u)Delta(v). Each distinct element of the pool
     is checked once and each distinct product pair compared once; a repeat
     replays the stored verdict, so a failure line appears once for every
     occurrence, in pool order (random products often repeat, so lines
@@ -431,11 +455,13 @@ def hopf_axiom_check(max_degree: int, variant: str = "dfdb", seed: int = 0, n_pr
 
     if max_degree < 1:
         raise ValueError(f"max degree must be at least 1, got {max_degree}")
+    if n_products < 0:
+        raise ValueError(f"product count must be at least 0, got {n_products}")
     rng = random.Random(seed)
     cls = _cls(variant)
     failures = []
     elements = [cls.letter(i) for i in range(1, max_degree + 1)]
-    products = []
+    drawn = []
     for _ in range(n_products):
         deg = 0
         factors = []
@@ -448,14 +474,15 @@ def hopf_axiom_check(max_degree: int, variant: str = "dfdb", seed: int = 0, n_pr
         prod = cls.one()
         for i in factors:
             prod = prod * cls.letter(i)
-        products.append(prod)
-    pool = elements + products
+        drawn.append(prod)
+    pool = elements + drawn
     checked: dict = {}  # distinct element -> (its coproduct, its verdict)
     deltas: dict = {}
     antipodes: dict = {}
+    products: dict = {}  # key u -> {key v: u * v}, the table of every tensor_mul below
     for p in pool:
         if p not in checked:
-            delta = coproduct(p, variant)
+            delta = coproduct(p, variant, products)
             checked[p] = (delta, _check_element(p, delta, variant, deltas, antipodes))
         bad = checked[p][1]
         if bad is not None:
@@ -466,8 +493,8 @@ def hopf_axiom_check(max_degree: int, variant: str = "dfdb", seed: int = 0, n_pr
     for _ in range(n_products):
         u, v = rng.choice(pool), rng.choice(pool)
         if (u, v) not in multiplicative:
-            multiplicative[u, v] = (coproduct(u * v, variant)
-                                    == tensor_mul(checked[u][0], checked[v][0], variant))
+            multiplicative[u, v] = (coproduct(u * v, variant, products)
+                                    == tensor_mul(checked[u][0], checked[v][0], variant, products))
         if not multiplicative[u, v]:
             failures.append(f"coproduct not multiplicative on {u!r}, {v!r}")
     return failures

@@ -456,6 +456,35 @@ def test_battery_refuses_a_degree_below_one(max_degree):
         hopf_axiom_check(max_degree, "fdb")
 
 
+@pytest.mark.parametrize("max_degree, variant, n_products", [(3, "fdb", -5), (6, "dfdb", -1)])
+def test_battery_refuses_a_negative_product_count(max_degree, variant, n_products):
+    with pytest.raises(ValueError, match=f"product count must be at least 0, got {n_products}"):
+        hopf_axiom_check(max_degree, variant, n_products=n_products)
+    # no products is allowed: the generators alone are checked
+    assert (hopf_axiom_check(max_degree, variant, n_products=0)
+            == _battery_per_occurrence(max_degree, variant, 0, 0))
+
+
+@pytest.mark.parametrize("variant, budget", [("fdb", 4_990), ("dfdb", 10_816)])
+def test_battery_key_product_budget(variant, budget, monkeypatch):
+    # verify's battery (degree 7, 50 products, seed 0) with warm module
+    # memos: a fresh key-product table per tensor_mul made 34,839 (fdb) and
+    # 68,561 (dfdb) key products; one table per battery makes 4,753 and
+    # 10,301, and the budget allows 5 % more
+    want = hopf_axiom_check(7, variant, n_products=50)
+    cls = hopf.ring(variant)
+    original = cls.key_mul
+    calls = []
+
+    def counted(u, v):
+        calls.append(1)
+        return original(u, v)
+
+    monkeypatch.setattr(cls, "key_mul", staticmethod(counted))
+    assert hopf_axiom_check(7, variant, n_products=50) == want
+    assert len(calls) <= budget
+
+
 # fdb monomials of degree <= 6, the unit included
 _FDB_WORDS = st.lists(st.integers(1, 6), max_size=6).map(
     lambda word: [i for n, i in enumerate(word) if sum(word[:n + 1]) <= 6])
@@ -550,3 +579,41 @@ def test_tensor_mul_matches_the_double_loop(terms1, terms2, variant):
     got = tensor_mul(t1, t2, variant)
     assert got == want
     assert {k: type(c) for k, c in got.items()} == {k: type(c) for k, c in want.items()}
+
+
+_X_TERMS = st.lists(st.tuples(*[st.lists(st.sampled_from((1, 1, 2, 3)), max_size=3)] * 2,
+                              _COEFFS), max_size=6)
+# a variant with the terms of a few tensors: the d-alphabet ones with the
+# inverse letter d1^{-1}, the X-alphabet ones without
+_CHAINS = st.one_of(
+    st.tuples(st.sampled_from(("nc", "c")), st.lists(_TERMS, min_size=4, max_size=6)),
+    st.tuples(st.sampled_from(("fdb", "dfdb")), st.lists(_X_TERMS, min_size=4, max_size=6)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_CHAINS)
+# the cancelling d1^{-1} seams of the examples above, after a product that
+# already put d1 * d1^{-1} and d1 * d1^{-1} d2 in the table
+@example(("nc", [[([1], [1], 1)], [([INV], [INV, 2], 1)],
+                 [([1], [1], 1), ([], [], -1)], [([INV, 2], [INV, 2], 1), ([2], [2], 1)]]))
+@example(("c", [[([1], [], 1)], [([INV], [], 2)],
+                [([1], [], Fraction(1, 2)), ([], [], 1)], [([INV], [], 2), ([], [], -1)]]))
+# (X1 + X2)(X2 - X1) (x) 1: the X1 X2 terms cancel in fdb, after a product
+# that already put X1 * X2 in the table
+@example(("fdb", [[([1], [], 1)], [([2], [], 1)],
+                  [([1], [], 1), ([2], [], 1)], [([2], [], 1), ([1], [], -1)]]))
+def test_tensor_mul_chain_shares_one_table(chain):
+    variant, terms = chain
+    first, second, *tensors = [_random_tensor(t, variant) for t in terms]
+    products: dict = {}
+    tensor_mul(first, second, variant, products)  # an earlier product fills the table
+    got = want = bare = tensors[0]
+    for t in tensors[1:]:
+        got = tensor_mul(got, t, variant, products)
+        want = _tensor_mul_loop(want, t, variant)
+        bare = tensor_mul(bare, t, variant)
+        assert got == want == bare
+        assert ({k: type(c) for k, c in got.items()} == {k: type(c) for k, c in want.items()}
+                == {k: type(c) for k, c in bare.items()})
+    key_mul = hopf.ring(variant).key_mul
+    assert all(w == key_mul(u, v) for u, row in products.items() for v, w in row.items())
