@@ -28,22 +28,27 @@ through unchecked and the memo never holds another.
 
 Tensors are plain dicts mapping (left monomial key, right monomial key) to
 an exact coefficient, an int or a Fraction, never a float, as in the ring
-classes; triple tensors use 3-tuples of keys. tensor_mul reads every leg
-product from a table of key products, {u: {v: u * v}}, shared by both legs
-and filled as pairs are met. Without one it fills a fresh table per call;
-coproduct and coproduct_extend pass a caller's table to each tensor_mul.
+classes; triple tensors use 3-tuples of keys. Inside the engine they run
+on the small int ids of a LegTable instead: it numbers every monomial key
+it meets, keeps one row per id of the ids of its products, filled with
+key_mul as pairs are met, and holds each generator coproduct in ids once.
+tensor_mul is the one term loop, over tensors keyed by (id, id).
+coproduct_extend runs its product chains in ids and, like tensor_mul,
+coproduct and coproduct_mono, returns key tensors, in the same term order,
+when no table is passed, and tensors in the caller's ids when one is.
 
-The axiom battery hopf_axiom_check expands each distinct tensor leg once
+The axiom battery hopf_axiom_check holds every tensor in the ids of one
+leg table per call: the coproduct of each element, of each leg, each
+Delta(uv), each Delta(u)Delta(v) and the coassociativity 3-tensors, so
+each generator coproduct is built once and each distinct pair of legs
+multiplied once in all of them. It expands each distinct tensor leg once
 per call: one memo holds the coproduct of every leg and another its
-antipode, shared by both legs and by every element checked. One
-key-product table serves the coproduct of each element, each Delta(uv)
-and each Delta(u)Delta(v), so each distinct pair of legs is multiplied
-once in all of them; the leg expansions (coproduct_mono) keep a fresh
-table per tensor_mul. Each distinct element of its pool is checked once,
-and each distinct pair of the multiplicativity check compared once; the
-random products repeat often, and a repeat replays the stored verdict, so
-a failure line appears once per occurrence. All these memos are local to the call, so nothing the battery
-caches outlives it (at degree 10 the dfdb table alone holds 95,611 pairs).
+antipode, shared by both legs and by every element checked. Each distinct
+element of its pool is checked once, and each distinct pair of the
+multiplicativity check compared once; the random products repeat often,
+and a repeat replays the stored verdict, so a failure line appears once
+per occurrence. All these memos are local to the call, so nothing the
+battery caches outlives it.
 The counit and antipode sums of each element are term dicts filled in
 place, one per side, so no ring element is built per tensor term.
 """
@@ -123,29 +128,79 @@ def bell_antipode(n: int, variant: str, side: str):
     return s
 
 
-def tensor_mul(t1: dict, t2: dict, variant: str, products: dict | None = None) -> dict:
-    """Product of two 2-tensors, leg by leg. products is a table of key
-    products, mapping a key u to {v: u * v}; both legs are keys of one ring,
-    so left and right share it. The pairs the call needs (each distinct left
+class LegTable:
+    """Small int ids for the monomial keys of one variant, and the products
+    of the ids met so far: ids maps a key to its id, keys[i] is the key of
+    id i, and rows[i] maps an id j to the id of keys[i] * keys[j], filled
+    with key_mul as pairs are met. gens holds the coproduct of each letter
+    in ids, built once. A tensor in ids has the legs of a key tensor
+    replaced by their ids; since ids and keys correspond one to one, two
+    such tensors are equal exactly when their key tensors are."""
+
+    __slots__ = ("variant", "key_mul", "ids", "keys", "rows", "gens")
+
+    def __init__(self, variant: str):
+        self.variant = variant
+        self.key_mul = ring(variant).key_mul
+        self.ids: dict = {}
+        self.keys: list = []
+        self.rows: list = []
+        self.gens: dict = {}
+
+    def id(self, key) -> int:
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.keys)
+            self.keys.append(key)
+            self.rows.append({})
+        return i
+
+    def intern(self, t: dict) -> dict:
+        """The 2-tensor t in ids, in the same term order."""
+        id_ = self.id
+        return {(id_(l), id_(r)): c for (l, r), c in t.items()}
+
+    def keyed(self, t: dict) -> dict:
+        """The 2-tensor t in ids back in keys, in the same term order."""
+        keys = self.keys
+        return {(keys[l], keys[r]): c for (l, r), c in t.items()}
+
+    def generator(self, i: int) -> dict:
+        """The coproduct of the letter i in ids: bell_coproduct, or
+        g^{-1} (x) g^{-1} for the inverse letter."""
+        t = self.gens.get(i)
+        if t is None:
+            cls, _, _, inverse = _shape(self.variant)
+            t = self.gens[i] = self.intern({(cls.letter_key(i),) * 2: 1} if i == inverse
+                                           else bell_coproduct(i, self.variant))
+        return t
+
+
+def tensor_mul(t1: dict, t2: dict, variant: str, table: LegTable | None = None) -> dict:
+    """Product of two 2-tensors, leg by leg. With a leg table, t1, t2 and
+    the result are in its ids; the pairs the call needs (each distinct left
     leg of t1 by each distinct left leg of t2, and likewise on the right)
-    that the table lacks are multiplied once and added to it; the term loop
-    then only looks the products up. Without a table the call fills a fresh
-    one; a caller that passes one table to many calls multiplies each
-    distinct pair of keys once in all of them."""
-    key_mul = ring(variant).key_mul
-    if products is None:
-        products = {}
+    that the table lacks are multiplied once and added to it, and the term
+    loop then only looks the products up. A caller that passes one table
+    to many calls multiplies each distinct pair of keys once in all of
+    them. Without a table, t1, t2 and the result are key tensors: the call
+    interns them in a fresh table and translates the result back."""
+    keyed = table is None
+    if keyed:
+        table = LegTable(variant)
+        t1, t2 = table.intern(t1), table.intern(t2)
+    rows, keys, key_mul, id_ = table.rows, table.keys, table.key_mul, table.id
     for firsts, seconds in (({l for l, _ in t1}, {l for l, _ in t2}),
                             ({r for _, r in t1}, {r for _, r in t2})):
         for u in firsts:
-            row = products.setdefault(u, {})
+            row = rows[u]
             for v in seconds:
                 if v not in row:
-                    row[v] = key_mul(u, v)
+                    row[v] = id_(key_mul(keys[u], keys[v]))
     out: dict = {}
     for (l1, r1), c1 in t1.items():
-        lrow = products[l1]
-        rrow = products[r1]
+        lrow = rows[l1]
+        rrow = rows[r1]
         for (l2, r2), c2 in t2.items():
             key = (lrow[l2], rrow[r2])
             s = out.get(key, 0) + c1 * c2
@@ -153,27 +208,30 @@ def tensor_mul(t1: dict, t2: dict, variant: str, products: dict | None = None) -
                 out[key] = s
             elif key in out:
                 del out[key]
-    return out
+    return table.keyed(out) if keyed else out
 
 
-def coproduct_extend(terms: dict, variant: str, products: dict | None = None) -> dict:
+def coproduct_extend(terms: dict, variant: str, table: LegTable | None = None) -> dict:
     """The coproduct of sum(c * key) over terms, extended multiplicatively
-    from bell_coproduct on the generators, with g^{-1} group-like. products,
-    a key-product table, is passed to every tensor_mul of the extension;
-    when None each of them fills a fresh one."""
-    cls, _, _, inverse = _shape(variant)
-    group_like = {(cls.letter_key(inverse),) * 2: 1}
+    from bell_coproduct on the generators, with g^{-1} group-like. The
+    product chains run in the ids of table, which holds each generator
+    coproduct once, and the result is in its ids; without a table the call
+    runs in a fresh one and returns a key tensor."""
+    keyed = table is None
+    if keyed:
+        table = LegTable(variant)
+    key_letters, generator = ring(variant).key_letters, table.generator
+    unit = table.id(())
     total: dict = {}
     for key, c in terms.items():
-        t = {((), ()): c}
-        for i in cls.key_letters(key):
-            t = tensor_mul(t, group_like if i == inverse else bell_coproduct(i, variant),
-                           variant, products)
+        t = {(unit, unit): c}
+        for i in key_letters(key):
+            t = tensor_mul(t, generator(i), variant, table)
         if total:
             add_into(total, t)
         else:
             total = t
-    return total
+    return table.keyed(total) if keyed else total
 
 
 def antipode_extend(p, variant: str, side: str):
@@ -297,17 +355,18 @@ def coproduct_gen(n: int, variant: str = "dfdb") -> dict:
     return bell_coproduct(n, variant)
 
 
-def coproduct_mono(key, variant: str) -> dict:
+def coproduct_mono(key, variant: str, table: LegTable | None = None) -> dict:
+    """The coproduct of one monomial key, in the ids of table when one is
+    given (coproduct_extend)."""
     _cls(variant)
-    return coproduct_extend({key: 1}, variant)
+    return coproduct_extend({key: 1}, variant, table)
 
 
-def coproduct(p, variant: str = "dfdb", products: dict | None = None) -> dict:
-    """The coproduct of an arbitrary element, extended as algebra morphism.
-    products is the key-product table of tensor_mul, passed through
-    coproduct_extend."""
+def coproduct(p, variant: str = "dfdb", table: LegTable | None = None) -> dict:
+    """The coproduct of an arbitrary element, extended as algebra morphism;
+    in the ids of table when one is given (coproduct_extend)."""
     _cls(variant)
-    return coproduct_extend(p.terms, variant, products)
+    return coproduct_extend(p.terms, variant, table)
 
 
 def coproduct_oracle(n: int, variant: str = "dfdb") -> dict:
@@ -379,16 +438,17 @@ def antipode_quasidet(n: int, variant: str = "dfdb"):
 # axioms
 
 
-def _tensor_expand(t: dict, leg: int, variant: str, deltas: dict) -> dict:
-    """Apply the coproduct to one leg of a 2-tensor, giving a 3-tensor.
-    deltas maps a leg key to its coproduct; a leg missing from it is
-    expanded once and added, so a memo shared between calls expands each
-    distinct leg once in all of them."""
+def _tensor_expand(t: dict, leg: int, variant: str, table: LegTable, deltas: dict) -> dict:
+    """Apply the coproduct to one leg of a 2-tensor, giving a 3-tensor, both
+    in the ids of table. deltas maps a leg id to its coproduct; a leg
+    missing from it is expanded once and added, so a memo shared between
+    calls expands each distinct leg once in all of them."""
+    keys = table.keys
     out: dict = {}
     for (l, r), c in t.items():
         mono = l if leg == 0 else r
         if mono not in deltas:
-            deltas[mono] = coproduct_mono(mono, variant)
+            deltas[mono] = coproduct_mono(keys[mono], variant, table)
         for (a, b), c2 in deltas[mono].items():
             key = (a, b, r) if leg == 0 else (l, a, b)
             s = out.get(key, 0) + c * c2
@@ -416,22 +476,28 @@ def _antipode_sums(delta: dict, antipodes: dict, key_mul) -> tuple:
     return ({k: v for k, v in left.items() if v}, {k: v for k, v in right.items() if v})
 
 
-def _check_element(p, delta: dict, variant: str, deltas: dict, antipodes: dict) -> str | None:
-    """The first axiom that fails on p, whose coproduct is delta, or None.
-    deltas and antipodes map leg keys to their coproducts and antipodes,
-    filled as legs are met and shared with the other elements. The counit
-    and antipode sums are built as term dicts, not by ring operations."""
+def _check_element(p, delta: dict, variant: str, table: LegTable, deltas: dict,
+                   antipodes: dict) -> str | None:
+    """The first axiom that fails on p, whose coproduct is delta in the ids
+    of table, or None. deltas maps leg ids to their coproducts in ids, and
+    antipodes leg keys to their antipodes, filled as legs are met and
+    shared with the other elements. The coassociativity 3-tensors stay in
+    ids; the counit and antipode sums are built in keys, as term dicts,
+    not by ring operations."""
     cls = _cls(variant)
-    if _tensor_expand(delta, 0, variant, deltas) != _tensor_expand(delta, 1, variant, deltas):
+    if (_tensor_expand(delta, 0, variant, table, deltas)
+            != _tensor_expand(delta, 1, variant, table, deltas)):
         return "coassociativity"
+    keys, unit = table.keys, table.id(())
     # the terms with a unit leg have distinct other legs: no sums needed
-    left_counit = {r: c for (l, r), c in delta.items() if l == () and c}
-    right_counit = {l: c for (l, r), c in delta.items() if r == () and c}
+    left_counit = {keys[r]: c for (l, r), c in delta.items() if l == unit and c}
+    right_counit = {keys[l]: c for (l, r), c in delta.items() if r == unit and c}
     if left_counit != p.terms or right_counit != p.terms:
         return "counit"
-    for leg in {k for legs in delta for k in legs} - antipodes.keys():
+    keyed = table.keyed(delta)
+    for leg in {k for legs in keyed for k in legs} - antipodes.keys():
         antipodes[leg] = antipode_poly(cls.from_key(leg), variant)
-    s_left, s_right = _antipode_sums(delta, antipodes, cls.key_mul)
+    s_left, s_right = _antipode_sums(keyed, antipodes, cls.key_mul)
     expect = (cls.one() * counit(p)).terms
     if s_left != expect or s_right != expect:
         return "antipode"
@@ -444,9 +510,12 @@ def hopf_axiom_check(max_degree: int, variant: str = "dfdb", seed: int = 0, n_pr
     max_degree and on random products. Returns a list of failure strings,
     empty when everything holds; a max_degree below 1 or a negative
     n_products is refused. Each distinct leg has its coproduct and its
-    antipode computed once per call, and one key-product table multiplies
-    each distinct pair of legs once across the element coproducts, every
-    Delta(uv) and every Delta(u)Delta(v). Each distinct element of the pool
+    antipode computed once per call. Every tensor is held in the ids of one
+    leg table from start to end (the element coproducts, the leg
+    coproducts, the coassociativity 3-tensors, every Delta(uv) and every
+    Delta(u)Delta(v)), so each generator coproduct is built once and each
+    distinct pair of legs multiplied once in all of them; only the counit
+    and antipode sums go back to keys. Each distinct element of the pool
     is checked once and each distinct product pair compared once; a repeat
     replays the stored verdict, so a failure line appears once for every
     occurrence, in pool order (random products often repeat, so lines
@@ -479,22 +548,23 @@ def hopf_axiom_check(max_degree: int, variant: str = "dfdb", seed: int = 0, n_pr
     checked: dict = {}  # distinct element -> (its coproduct, its verdict)
     deltas: dict = {}
     antipodes: dict = {}
-    products: dict = {}  # key u -> {key v: u * v}, the table of every tensor_mul below
+    table = LegTable(variant)  # every tensor below is in its ids
     for p in pool:
         if p not in checked:
-            delta = coproduct(p, variant, products)
-            checked[p] = (delta, _check_element(p, delta, variant, deltas, antipodes))
+            delta = coproduct(p, variant, table)
+            checked[p] = (delta, _check_element(p, delta, variant, table, deltas, antipodes))
         bad = checked[p][1]
         if bad is not None:
             failures.append(f"{bad} fails on {p!r}")
-    # vacuous as it stands: coproduct() is itself built with tensor_mul, so
-    # this holds by construction until an independent product oracle exists
+    # vacuous as it stands: coproduct() is itself built with tensor_mul on the
+    # same leg table, so this holds by construction until an independent
+    # product oracle exists
     multiplicative: dict = {}  # distinct (u, v) -> whether Delta(uv) = Delta(u)Delta(v)
     for _ in range(n_products):
         u, v = rng.choice(pool), rng.choice(pool)
         if (u, v) not in multiplicative:
-            multiplicative[u, v] = (coproduct(u * v, variant, products)
-                                    == tensor_mul(checked[u][0], checked[v][0], variant, products))
+            multiplicative[u, v] = (coproduct(u * v, variant, table)
+                                    == tensor_mul(checked[u][0], checked[v][0], variant, table))
         if not multiplicative[u, v]:
             failures.append(f"coproduct not multiplicative on {u!r}, {v!r}")
     return failures

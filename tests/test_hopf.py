@@ -262,32 +262,69 @@ def _counted(monkeypatch, name: str, key) -> list:
     return calls
 
 
+def _keyed(t: dict, table) -> dict:
+    """A tensor of any order in the ids of a leg table, back in keys."""
+    return {tuple(table.keys[i] for i in legs): c for legs, c in t.items()}
+
+
+def _coproduct_reference(p, variant: str, memo: dict) -> dict:
+    """The coproduct of p as a key tensor, each monomial's a chain of plain
+    double loops over the generator coproducts: no leg table. memo maps a
+    monomial key to its coproduct."""
+    total: dict = {}
+    for key, c in p.terms.items():
+        if key not in memo:
+            t = {((), ()): 1}
+            for i in type(p).key_letters(key):
+                t = _tensor_mul_loop(t, hopf.bell_coproduct(i, variant), variant)
+            memo[key] = t
+        add_into(total, {legs: c * c2 for legs, c2 in memo[key].items()})
+    return total
+
+
+def _expand_reference(delta: dict, leg: int, variant: str, memo: dict) -> dict:
+    """hopf._tensor_expand on a key tensor, every leg expanded by
+    _coproduct_reference."""
+    cls = hopf._cls(variant)
+    out: dict = {}
+    for (l, r), c in delta.items():
+        mono = l if leg == 0 else r
+        for (a, b), c2 in _coproduct_reference(cls.from_key(mono), variant, memo).items():
+            add_into(out, {(a, b, r) if leg == 0 else (l, a, b): c * c2})
+    return out
+
+
 def test_tensor_expand_expands_each_leg_once(monkeypatch):
     for variant, text in (("dfdb", "X1*X2*X1 + X3"), ("fdb", "X1^2*X2 + X3")):
         delta = coproduct(parse_text(text, commutative=variant == "fdb", symbol="X"), variant)
-        wants = []
-        for leg in (0, 1):
-            want: dict = {}
-            for (l, r), c in delta.items():
-                for (a, b), c2 in hopf.coproduct_mono(l if leg == 0 else r, variant).items():
-                    key = (a, b, r) if leg == 0 else (l, a, b)
-                    want[key] = want.get(key, 0) + c * c2
-            wants.append({k: v for k, v in want.items() if v})
+        memo: dict = {}
+        wants = [_expand_reference(delta, leg, variant, memo) for leg in (0, 1)]
+        table = hopf.LegTable(variant)
         calls = _counted(monkeypatch, "coproduct_mono", lambda key: key)
         deltas: dict = {}
-        got = [hopf._tensor_expand(delta, leg, variant, deltas) for leg in (0, 1)]
+        got = [hopf._tensor_expand(table.intern(delta), leg, variant, table, deltas)
+               for leg in (0, 1)]
         monkeypatch.undo()
-        assert got == wants
+        assert [_keyed(t, table) for t in got] == wants
         # one memo serves both legs: a monomial met on either side is
-        # expanded once in all
+        # expanded once in all, in the ids of the one table
         assert sorted(calls) == sorted({key for legs in delta for key in legs})
-        assert deltas == {key: hopf.coproduct_mono(key, variant) for key in calls}
+        assert ({table.keys[i]: table.keyed(d) for i, d in deltas.items()}
+                == {key: memo[key] for key in calls})
 
 
 @pytest.mark.parametrize("variant", ["dfdb", "fdb"])
 def test_axiom_check_computes_each_leg_once(variant, monkeypatch):
     want = hopf_axiom_check(5, variant)
+    tables = []
     expanded = _counted(monkeypatch, "coproduct_mono", lambda key: key)
+    original = hopf.coproduct_mono  # the counting wrapper
+
+    def shared(key, variant, table):
+        tables.append(table)
+        return original(key, variant, table)
+
+    monkeypatch.setattr(hopf, "coproduct_mono", shared)
     inverted = _counted(monkeypatch, "antipode_poly", lambda p: tuple(p.terms.items()))
     assert hopf_axiom_check(5, variant) == want
     monkeypatch.undo()
@@ -295,14 +332,19 @@ def test_axiom_check_computes_each_leg_once(variant, monkeypatch):
         assert calls and len(calls) == len(set(calls))
     assert {terms[0][0] for terms in inverted} <= set(expanded)
     assert all(terms[0][1] == 1 for terms in inverted)
+    # every leg expansion shares the battery's one leg table
+    assert isinstance(tables[0], hopf.LegTable)
+    assert all(t is tables[0] for t in tables)
 
 
-def _check_element_reference(p, delta: dict, variant: str, deltas: dict, antipodes: dict):
-    """hopf._check_element with the counit and antipode sums built by ring
-    operations, one ring element per tensor term."""
+def _check_element_reference(p, delta: dict, variant: str, memo: dict, antipodes: dict):
+    """hopf._check_element on a key tensor, with every leg expanded by
+    _coproduct_reference (memo maps monomial keys to their coproducts)
+    and the counit and antipode sums built by ring operations, one ring
+    element per tensor term."""
     cls = hopf._cls(variant)
-    if (hopf._tensor_expand(delta, 0, variant, deltas)
-            != hopf._tensor_expand(delta, 1, variant, deltas)):
+    if (_expand_reference(delta, 0, variant, memo)
+            != _expand_reference(delta, 1, variant, memo)):
         return "coassociativity"
     left_counit, right_counit = cls.zero(), cls.zero()
     for (l, r), c in delta.items():
@@ -333,23 +375,28 @@ def _ring_antipode_sums(delta: dict, antipodes: dict, variant: str) -> tuple:
 @pytest.mark.parametrize("variant", ["fdb", "dfdb"])
 def test_battery_sums_match_the_ring_sums(variant, monkeypatch):
     # every element the battery builds at degree <= 7, as given and with one
-    # tensor term doubled or dropped, so that both verdicts can fail
+    # tensor term doubled or dropped, so that both verdicts can fail; its
+    # coproduct, in the battery's leg ids, is the reference one
     cls = hopf._cls(variant)
     original = hopf._check_element
+    memo: dict = {}
     seen = []
 
-    def compared(p, delta, variant, deltas, antipodes):
-        got = original(p, delta, variant, deltas, antipodes)
-        assert got == _check_element_reference(p, delta, variant, deltas, antipodes)
-        s_left, s_right = _ring_antipode_sums(delta, antipodes, variant)
-        assert hopf._antipode_sums(delta, antipodes, cls.key_mul) == (s_left.terms, s_right.terms)
+    def compared(p, delta, variant, table, deltas, antipodes):
+        got = original(p, delta, variant, table, deltas, antipodes)
+        keyed = table.keyed(delta)
+        assert keyed == _coproduct_reference(p, variant, memo)
+        assert got == _check_element_reference(p, keyed, variant, memo, antipodes)
+        s_left, s_right = _ring_antipode_sums(keyed, antipodes, variant)
+        assert hopf._antipode_sums(keyed, antipodes, cls.key_mul) == (s_left.terms, s_right.terms)
         first = next(iter(delta))
         for bad in ({**delta, first: 2 * delta[first]},
                     {k: c for k, c in delta.items() if k != first}):
-            assert (original(p, bad, variant, deltas, antipodes)
-                    == _check_element_reference(p, bad, variant, deltas, antipodes))
-            s_left, s_right = _ring_antipode_sums(bad, antipodes, variant)
-            assert hopf._antipode_sums(bad, antipodes, cls.key_mul) == (s_left.terms, s_right.terms)
+            keyed = table.keyed(bad)
+            assert (original(p, bad, variant, table, deltas, antipodes)
+                    == _check_element_reference(p, keyed, variant, memo, antipodes))
+            s_left, s_right = _ring_antipode_sums(keyed, antipodes, variant)
+            assert hopf._antipode_sums(keyed, antipodes, cls.key_mul) == (s_left.terms, s_right.terms)
         seen.append(p)
         return got
 
@@ -382,28 +429,39 @@ def _battery_draws(max_degree: int, variant: str, seed: int, n_products: int) ->
 
 
 def _battery_per_occurrence(max_degree: int, variant: str, seed: int, n_products: int) -> list:
-    """hopf_axiom_check as a loop that checks every pool occurrence and
-    every drawn pair afresh."""
+    """hopf_axiom_check as a loop over key tensors that checks every pool
+    occurrence and every drawn pair afresh, with coproducts and products
+    built by plain double loops, never in a leg table."""
     pool, pairs = _battery_draws(max_degree, variant, seed, n_products)
     failures = []
-    deltas: dict = {}
+    memo: dict = {}
     antipodes: dict = {}
     for p in pool:
-        bad = hopf._check_element(p, coproduct(p, variant), variant, deltas, antipodes)
+        bad = _check_element_reference(p, _coproduct_reference(p, variant, memo), variant,
+                                       memo, antipodes)
         if bad is not None:
             failures.append(f"{bad} fails on {p!r}")
     for u, v in pairs:
-        if coproduct(u * v, variant) != tensor_mul(coproduct(u, variant),
-                                                   coproduct(v, variant), variant):
+        if _coproduct_reference(u * v, variant, memo) != _tensor_mul_loop(
+                _coproduct_reference(u, variant, memo), _coproduct_reference(v, variant, memo),
+                variant):
             failures.append(f"coproduct not multiplicative on {u!r}, {v!r}")
     return failures
 
 
+@pytest.mark.parametrize("variant", ["fdb", "dfdb"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_battery_matches_the_key_dict_reference(variant, seed):
+    for degree in range(1, 7):
+        assert (hopf_axiom_check(degree, variant, seed=seed)
+                == _battery_per_occurrence(degree, variant, seed, 20))
+
+
 def _count_battery_calls(monkeypatch) -> dict:
     """Wrap hopf._check_element, coproduct and tensor_mul so that each
-    records the first two arguments of the calls the battery makes itself;
-    calls made inside another wrapped call (coproduct's own tensor_mul)
-    are not recorded."""
+    records the arguments of the calls the battery makes itself; calls
+    made inside another wrapped call (coproduct's own tensor_mul) are not
+    recorded."""
     calls: dict = {}
     depth = [0]
 
@@ -413,7 +471,7 @@ def _count_battery_calls(monkeypatch) -> dict:
 
         def wrapper(*args):
             if not depth[0]:
-                seen.append(args[:2])
+                seen.append(args)
             depth[0] += 1
             try:
                 return original(*args)
@@ -438,10 +496,15 @@ def test_battery_checks_each_distinct_element_and_pair_once(monkeypatch):
         assert got == want
         elements = list(dict.fromkeys(pool))
         distinct_pairs = list(dict.fromkeys(pairs))
-        assert [p for p, _ in calls["_check_element"]] == elements
-        assert [p for p, _ in calls["coproduct"]] == elements + [u * v for u, v in distinct_pairs]
-        assert calls["tensor_mul"] == [(coproduct(u, variant), coproduct(v, variant))
-                                       for u, v in distinct_pairs]
+        # one leg table for every call
+        table = calls["tensor_mul"][0][3]
+        for name, place in (("_check_element", 3), ("coproduct", 2), ("tensor_mul", 3)):
+            assert all(args[place] is table for args in calls[name])
+        assert [args[0] for args in calls["_check_element"]] == elements
+        assert ([args[0] for args in calls["coproduct"]]
+                == elements + [u * v for u, v in distinct_pairs])
+        assert ([(table.keyed(t1), table.keyed(t2)) for t1, t2, _, _ in calls["tensor_mul"]]
+                == [(coproduct(u, variant), coproduct(v, variant)) for u, v in distinct_pairs])
         occurrences += len(pool)
         checks += len(elements)
     # the verify suite's battery at its default degree and seed; dfdb keeps
@@ -465,12 +528,14 @@ def test_battery_refuses_a_negative_product_count(max_degree, variant, n_product
             == _battery_per_occurrence(max_degree, variant, 0, 0))
 
 
-@pytest.mark.parametrize("variant, budget", [("fdb", 4_990), ("dfdb", 10_816)])
+@pytest.mark.parametrize("variant, budget", [("fdb", 4_103), ("dfdb", 8_564)])
 def test_battery_key_product_budget(variant, budget, monkeypatch):
     # verify's battery (degree 7, 50 products, seed 0) with warm module
     # memos: a fresh key-product table per tensor_mul made 34,839 (fdb) and
-    # 68,561 (dfdb) key products; one table per battery makes 4,753 and
-    # 10,301, and the budget allows 5 % more
+    # 68,561 (dfdb) key products; one key-product table per battery for
+    # all but the leg expansions made 4,753 and 10,301; one leg table for
+    # every product, the leg expansions included, makes 3,908 and 8,157,
+    # and the budget allows 5 % more
     want = hopf_axiom_check(7, variant, n_products=50)
     cls = hopf.ring(variant)
     original = cls.key_mul
@@ -483,6 +548,22 @@ def test_battery_key_product_budget(variant, budget, monkeypatch):
     monkeypatch.setattr(cls, "key_mul", staticmethod(counted))
     assert hopf_axiom_check(7, variant, n_products=50) == want
     assert len(calls) <= budget
+
+
+def test_each_generator_coproduct_is_built_once_per_call(monkeypatch):
+    # one coproduct_extend call, and one battery call, build each generator
+    # coproduct at most once, however often its letter recurs
+    calls = _counted(monkeypatch, "bell_coproduct", lambda n: n)
+    for variant in ("fdb", "dfdb", "c", "nc"):
+        cls = hopf.ring(variant)
+        q = cls.letter(1) + cls.letter(2) + cls.letter(3)
+        calls.clear()
+        hopf.coproduct_extend((q * q * q).terms, variant)
+        assert sorted(calls) == [1, 2, 3]
+    for variant in ("fdb", "dfdb"):
+        calls.clear()
+        hopf_axiom_check(7, variant, n_products=50)
+        assert sorted(calls) == list(range(1, 8))
 
 
 # fdb monomials of degree <= 6, the unit included
@@ -527,10 +608,11 @@ def test_battery_names_a_wrong_coproduct_leg(monkeypatch):
     original = hopf.coproduct_mono
     x2 = CPoly.letter_key(2)
 
-    def wrong(key, variant):
-        out = original(key, variant)
+    def wrong(key, variant, table):
+        out = original(key, variant, table)
         if key == x2:
-            out = {**out, (x2, x2): out.get((x2, x2), 0) + 1}
+            i = table.id(x2)
+            out = {**out, (i, i): out.get((i, i), 0) + 1}
         return out
 
     monkeypatch.setattr(hopf, "coproduct_mono", wrong)
@@ -602,18 +684,33 @@ _CHAINS = st.one_of(
 # that already put X1 * X2 in the table
 @example(("fdb", [[([1], [], 1)], [([2], [], 1)],
                   [([1], [], 1), ([2], [], 1)], [([2], [], 1), ([1], [], -1)]]))
+# X1X2 (x) 1 gets 1/2 from X1 * X2, cancels with -1/2 from 1 * X1X2, and
+# comes back as the int 1 from X1X2 * 1, all within one product: the
+# cancelled Fraction must not linger and make the int a Fraction
+@example(("dfdb", [[([1], [], 1)], [([2], [], 1)],
+                   [([1], [], Fraction(1, 2)), ([], [], Fraction(-1, 2)), ([1, 2], [], 1)],
+                   [([2], [], 1), ([1, 2], [], 1), ([], [], 1)]]))
+@example(("fdb", [[([2], [1], 1)], [([1], [1], 1)],
+                  [([1], [1], Fraction(1, 2)), ([], [], Fraction(-1, 2)), ([1, 2], [1], 1)],
+                  [([2], [], 1), ([1, 2], [1], 1), ([], [], 1)]]))
 def test_tensor_mul_chain_shares_one_table(chain):
     variant, terms = chain
     first, second, *tensors = [_random_tensor(t, variant) for t in terms]
-    products: dict = {}
-    tensor_mul(first, second, variant, products)  # an earlier product fills the table
-    got = want = bare = tensors[0]
+    table = hopf.LegTable(variant)
+    # an earlier product fills the table
+    tensor_mul(table.intern(first), table.intern(second), variant, table)
+    got, want, bare = table.intern(tensors[0]), tensors[0], tensors[0]
     for t in tensors[1:]:
-        got = tensor_mul(got, t, variant, products)
+        got = tensor_mul(got, table.intern(t), variant, table)
         want = _tensor_mul_loop(want, t, variant)
         bare = tensor_mul(bare, t, variant)
-        assert got == want == bare
-        assert ({k: type(c) for k, c in got.items()} == {k: type(c) for k, c in want.items()}
+        keyed = table.keyed(got)
+        assert keyed == want == bare
+        # the same term order as the double loop, and the same coefficient types
+        assert list(keyed) == list(want) == list(bare)
+        assert ({k: type(c) for k, c in keyed.items()} == {k: type(c) for k, c in want.items()}
                 == {k: type(c) for k, c in bare.items()})
-    key_mul = hopf.ring(variant).key_mul
-    assert all(w == key_mul(u, v) for u, row in products.items() for v, w in row.items())
+    key_mul, keys = hopf.ring(variant).key_mul, table.keys
+    assert all(table.ids[key] == i for i, key in enumerate(keys))
+    assert all(keys[w] == key_mul(keys[u], keys[v])
+               for u, row in enumerate(table.rows) for v, w in row.items())
