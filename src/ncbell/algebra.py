@@ -31,6 +31,16 @@ takes a term dict (MultiPoly's takes nvars first): a constant is
 QPoly({0: c}) or QPoly.one() * c, and QPoly(c), or any other argument
 that is not a dict, is a TypeError.
 
+Input is checked once, where it enters. The constructor checks every key
+with _key and every coefficient with _coeff. NCPoly.letter, CPoly.letter
+and qint check their own arguments, with the errors the constructor would
+raise (the letter first, then the coefficient), and build their term dict
+with _new; the q-count of ncbell.partitions and every ring operation do
+the same, their terms being checked already. A bool is an int but not a
+letter: check_letter, check_mono and CPoly.letter refuse it, and a
+commutative JSON or text word has its letters checked before they merge
+into a monomial. CPoly.evaluate checks each letter's value once per call.
+
 The rings built on it are
 
   NCPoly  free associative algebra, key a reduced word
@@ -342,7 +352,9 @@ def key_of(cls, letters) -> tuple:
 
 
 def check_letter(letter: int) -> None:
-    if not isinstance(letter, int) or (letter < 1 and letter != INV):
+    """ValueError unless letter is an index i >= 1 or INV; a bool is not a
+    letter, though it is an int."""
+    if type(letter) is bool or not isinstance(letter, int) or (letter < 1 and letter != INV):
         raise ValueError(f"bad letter {letter!r}: need index >= 1, or -1 for d1^-1")
 
 
@@ -384,7 +396,8 @@ class NCPoly(TermRing):
     @classmethod
     def letter(cls, i: int, coeff=1) -> "NCPoly":
         check_letter(i)
-        return cls({(i,): coeff})
+        c = _coeff(coeff)
+        return cls._new({(i,): c} if c else {})
 
     @classmethod
     def from_word(cls, word, coeff=1) -> "NCPoly":
@@ -481,7 +494,7 @@ def _word_of_mono(m: tuple) -> tuple:
 def check_mono(m: tuple) -> None:
     last = 0
     for i, e in m:
-        if not isinstance(i, int) or i < 1:
+        if type(i) is bool or not isinstance(i, int) or i < 1:
             raise ValueError(f"bad index {i!r} in monomial")
         if i <= last:
             raise ValueError(f"monomial {m!r} not sorted by index")
@@ -512,9 +525,10 @@ class CPoly(TermRing):
 
     @classmethod
     def letter(cls, i: int, coeff=1) -> "CPoly":
-        if not isinstance(i, int) or i < 1:
+        if type(i) is bool or not isinstance(i, int) or i < 1:
             raise ValueError(f"bad letter index {i!r}")
-        return cls({((i, 1),): coeff})
+        c = _coeff(coeff)
+        return cls._new({((i, 1),): c} if c else {})
 
     @classmethod
     def from_mono(cls, m, coeff=1) -> "CPoly":
@@ -556,14 +570,19 @@ class CPoly(TermRing):
         return CPoly._new(acc)
 
     def evaluate(self, values: dict) -> int | Fraction:
-        """Plug a Fraction (or int) in for every letter."""
+        """Plug a Fraction (or int) in for every letter. Each letter's value
+        is checked once per call, the first time a term needs it."""
+        checked: dict = {}
         total = 0
         for m, c in self.terms.items():
             prod = c
             for i, e in m:
-                if i not in values:
+                if i in checked:
+                    v = checked[i]
+                elif i in values:
+                    v = checked[i] = _coeff(values[i])
+                else:
                     raise ValueError(f"no value for letter {i}")
-                v = _coeff(values[i])
                 prod = prod * v**e if e > 0 else exact_div(prod, v**-e)
             total += prod
         return total
@@ -645,7 +664,7 @@ def qint(n: int) -> QPoly:
     """[n]_q = 1 + q + ... + q^{n-1}."""
     if n < 0:
         raise ValueError("qint needs n >= 0")
-    return QPoly({i: 1 for i in range(n)})
+    return QPoly._new({i: 1 for i in range(n)})
 
 
 _QFACTORIAL: list = []  # _QFACTORIAL[n] = [n]_q!, extended on demand
@@ -782,11 +801,17 @@ def _parse_coeff(text: str | int) -> int | Fraction:
 
 
 def _from_words(pieces, commutative: bool):
-    """The sum of c * word over the (word, c) pairs, in CPoly or NCPoly."""
+    """The sum of c * word over the (word, c) pairs, in CPoly or NCPoly.
+    A commutative word's letters are checked one by one before they are
+    merged into a monomial, where a 1 would absorb a True or a 1.0."""
     cls = CPoly if commutative else NCPoly
     acc: dict = {}
     for word, c in pieces:
-        add_into(acc, cls.from_key(mono_from_word(word) if commutative else word, c).terms)
+        if commutative:
+            for letter in word:
+                check_letter(letter)
+            word = mono_from_word(word)
+        add_into(acc, cls.from_key(word, c).terms)
     return cls._new(acc)
 
 

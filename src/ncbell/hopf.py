@@ -39,9 +39,10 @@ when no table is passed, and tensors in the caller's ids when one is.
 
 The axiom battery hopf_axiom_check holds every tensor in the ids of one
 leg table per call: the coproduct of each element, of each leg, each
-Delta(uv), each Delta(u)Delta(v) and the coassociativity 3-tensors, so
-each generator coproduct is built once and each distinct pair of legs
-multiplied once in all of them. It expands each distinct tensor leg once
+Delta(uv), each Delta(u)Delta(v), the coassociativity 3-tensors, each leg
+antipode and the counit and antipode sums, so each generator coproduct is
+built once and each distinct pair of monomials multiplied once in all of
+them. It expands each distinct tensor leg once
 per call: one memo holds the coproduct of every leg and another its
 antipode, shared by both legs and by every element checked. Each distinct
 element of its pool is checked once, and each distinct pair of the
@@ -50,7 +51,8 @@ and a repeat replays the stored verdict, so a failure line appears once
 per occurrence. All these memos are local to the call, so nothing the
 battery caches outlives it.
 The counit and antipode sums of each element are term dicts filled in
-place, one per side, so no ring element is built per tensor term.
+place, one per side, so no ring element is built per tensor term, and
+their products are read from the leg table's rows.
 """
 
 from __future__ import annotations
@@ -267,24 +269,32 @@ class Character:
         return self.values[i]
 
     def __call__(self, p) -> int | Fraction:
-        return _evaluate((((key,), c) for key, c in p.terms.items()), (self,),
+        return _evaluate((((key,), c) for key, c in p.terms.items()), (_numerators(self),),
                          type(p).key_letters)
 
 
-def _evaluate(items, chars: tuple, key_letters) -> int | Fraction:
+def _numerators(ch: Character) -> tuple:
+    """(table, d, exact) of a character: table maps each letter to the
+    integer numerator of its value over the one denominator d, and exact
+    says whether every value is an int. Built per call of the evaluating
+    function, never kept on the character, whose values may change."""
+    values = ch.values
+    nums, d = common_denominator(list(values.values()))
+    return dict(zip(values, nums)), d, not any(isinstance(v, Fraction) for v in values.values())
+
+
+def _evaluate(items, numerators: tuple, key_letters) -> int | Fraction:
     """The sum of c * chars[0](legs[0]) * chars[1](legs[1]) * ... over the
-    (legs, c) pairs of items, legs a tuple of monomial keys. A character's
-    values are read as integer numerators over one denominator d, so a
-    leg of length m is worth its numerator product / d^m; terms are summed
-    per tuple of leg lengths, brought up to the longest legs with powers
-    of d, and divided once. An int when every value and coefficient is an
-    int (0 when there are no terms), else a Fraction."""
-    tables, dens = [], []
-    for ch in chars:
-        nums, d = common_denominator(list(ch.values.values()))
-        tables.append(dict(zip(ch.values, nums)))
-        dens.append(d)
-    exact_int = not any(isinstance(v, Fraction) for ch in chars for v in ch.values.values())
+    (legs, c) pairs of items, legs a tuple of monomial keys, each character
+    given by its _numerators. A character's values are read as integer
+    numerators over one denominator d, so a leg of length m is worth its
+    numerator product / d^m; terms are summed per tuple of leg lengths,
+    brought up to the longest legs with powers of d, and divided once. An
+    int when every value and coefficient is an int (0 when there are no
+    terms), else a Fraction."""
+    tables = [table for table, _, _ in numerators]
+    dens = [d for _, d, _ in numerators]
+    exact_int = all(exact for _, _, exact in numerators)
     by_length: dict = {}
     try:
         for legs, c in items:
@@ -314,7 +324,7 @@ def _evaluate(items, chars: tuple, key_letters) -> int | Fraction:
 def pair(phi: Character, psi: Character, t: dict, variant: str) -> int | Fraction:
     """(phi (x) psi)(t) = sum of c * phi(left) * psi(right) over a 2-tensor,
     evaluated on integer numerators and divided once."""
-    return _evaluate(t.items(), (phi, psi), ring(variant).key_letters)
+    return _evaluate(t.items(), (_numerators(phi), _numerators(psi)), ring(variant).key_letters)
 
 
 # ---------------------------------------------------------------------------
@@ -459,19 +469,30 @@ def _tensor_expand(t: dict, leg: int, variant: str, table: LegTable, deltas: dic
     return out
 
 
-def _antipode_sums(delta: dict, antipodes: dict, key_mul) -> tuple:
+def _antipode_sums(delta: dict, antipodes: dict, table: LegTable) -> tuple:
     """The term dicts of sum c * S(l) * r and sum c * l * S(r) over the terms
-    (l, r) -> c of delta, antipodes mapping each leg key to S of it. Every
-    term of an antipode is shifted by the other leg's monomial straight
-    into one dict per side."""
+    (l, r) -> c of delta, all in the ids of table, antipodes mapping each
+    leg id to the term dict of S of it in ids. Every term of an antipode is
+    shifted by the other leg straight into one dict per side, the product
+    ids read from the table's rows; a pair the rows lack is multiplied once
+    with key_mul and added."""
+    rows, keys, key_mul, id_ = table.rows, table.keys, table.key_mul, table.id
+
+    def times(u: int, v: int) -> int:
+        row = rows[u]
+        w = row.get(v)
+        if w is None:
+            w = row[v] = id_(key_mul(keys[u], keys[v]))
+        return w
+
     left: dict = {}
     right: dict = {}
     for (l, r), c in delta.items():
-        for key, a in antipodes[l].terms.items():
-            key = key_mul(key, r)
+        for key, a in antipodes[l].items():
+            key = times(key, r)
             left[key] = left.get(key, 0) + a * c
-        for key, a in antipodes[r].terms.items():
-            key = key_mul(l, key)
+        for key, a in antipodes[r].items():
+            key = times(l, key)
             right[key] = right.get(key, 0) + a * c
     return ({k: v for k, v in left.items() if v}, {k: v for k, v in right.items() if v})
 
@@ -479,26 +500,29 @@ def _antipode_sums(delta: dict, antipodes: dict, key_mul) -> tuple:
 def _check_element(p, delta: dict, variant: str, table: LegTable, deltas: dict,
                    antipodes: dict) -> str | None:
     """The first axiom that fails on p, whose coproduct is delta in the ids
-    of table, or None. deltas maps leg ids to their coproducts in ids, and
-    antipodes leg keys to their antipodes, filled as legs are met and
-    shared with the other elements. The coassociativity 3-tensors stay in
-    ids; the counit and antipode sums are built in keys, as term dicts,
-    not by ring operations."""
+    of table, or None. deltas maps leg ids to their coproducts, and
+    antipodes leg ids to the term dicts of their antipodes, both in ids,
+    filled as legs are met and shared with the other elements. The
+    coassociativity 3-tensors and the counit and antipode sums are all
+    built in ids, as term dicts, not by ring operations; since ids and
+    keys correspond one to one, they compare as their key forms would."""
     cls = _cls(variant)
     if (_tensor_expand(delta, 0, variant, table, deltas)
             != _tensor_expand(delta, 1, variant, table, deltas)):
         return "coassociativity"
-    keys, unit = table.keys, table.id(())
+    keys, id_, unit = table.keys, table.id, table.id(())
+    own = {id_(k): c for k, c in p.terms.items()}
     # the terms with a unit leg have distinct other legs: no sums needed
-    left_counit = {keys[r]: c for (l, r), c in delta.items() if l == unit and c}
-    right_counit = {keys[l]: c for (l, r), c in delta.items() if r == unit and c}
-    if left_counit != p.terms or right_counit != p.terms:
+    left_counit = {r: c for (l, r), c in delta.items() if l == unit and c}
+    right_counit = {l: c for (l, r), c in delta.items() if r == unit and c}
+    if left_counit != own or right_counit != own:
         return "counit"
-    keyed = table.keyed(delta)
-    for leg in {k for legs in keyed for k in legs} - antipodes.keys():
-        antipodes[leg] = antipode_poly(cls.from_key(leg), variant)
-    s_left, s_right = _antipode_sums(keyed, antipodes, cls.key_mul)
-    expect = (cls.one() * counit(p)).terms
+    for leg in {i for legs in delta for i in legs} - antipodes.keys():
+        antipodes[leg] = {id_(k): c for k, c in
+                          antipode_poly(cls.from_key(keys[leg]), variant).terms.items()}
+    s_left, s_right = _antipode_sums(delta, antipodes, table)
+    e = counit(p)
+    expect = {unit: e} if e else {}
     if s_left != expect or s_right != expect:
         return "antipode"
     return None
@@ -513,9 +537,9 @@ def hopf_axiom_check(max_degree: int, variant: str = "dfdb", seed: int = 0, n_pr
     antipode computed once per call. Every tensor is held in the ids of one
     leg table from start to end (the element coproducts, the leg
     coproducts, the coassociativity 3-tensors, every Delta(uv) and every
-    Delta(u)Delta(v)), so each generator coproduct is built once and each
-    distinct pair of legs multiplied once in all of them; only the counit
-    and antipode sums go back to keys. Each distinct element of the pool
+    Delta(u)Delta(v), each leg antipode and the counit and antipode sums),
+    so each generator coproduct is built once and each distinct pair of
+    monomials multiplied once in all of them. Each distinct element of the pool
     is checked once and each distinct product pair compared once; a repeat
     replays the stored verdict, so a failure line appears once for every
     occurrence, in pool order (random products often repeat, so lines
@@ -587,9 +611,12 @@ def character_of_series(g: "FormalSeries") -> Character:
 def convolve(phi: Character, psi: Character) -> Character:
     """Convolution (phi * psi)(X_n) = sum over the coproduct of X_n of
     phi(left) psi(right), returned as a character on X_1..X_max_n, the
-    range both inputs are defined on."""
+    range both inputs are defined on. Each character's numerator table is
+    built once per call and shared by every X_n."""
     max_n = min(max(phi.values, default=0), max(psi.values, default=0))
-    values = {n: pair(phi, psi, coproduct_gen(n, "fdb"), "fdb") for n in range(1, max_n + 1)}
+    numerators, key_letters = (_numerators(phi), _numerators(psi)), _cls("fdb").key_letters
+    values = {n: _evaluate(coproduct_gen(n, "fdb").items(), numerators, key_letters)
+              for n in range(1, max_n + 1)}
     return Character(values)
 
 

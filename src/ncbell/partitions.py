@@ -11,7 +11,10 @@ iter_partitions walks the restricted-growth tree and carries each node's
 blocks already in max order: placing the next element, which is larger
 than every element placed so far, moves its block to the end. The q-weight
 is read in the original labels: removing blocks from the largest maximum
-down, one scan of the remaining ground set scores each removal.
+down, one scan of the remaining ground set scores each removal. One
+private scorer, _score, does that from an owner array (the max-order
+position of each element's block); weight checks a partition given in
+any form and builds the array for it.
 
 size_words takes the same step on words instead of partitions: since a
 child's word depends only on its parent's, it carries one count per word
@@ -21,10 +24,13 @@ this step moves the grown letter to the end and puts 1 behind, and
 N_formula is a closed product that the walk never reads.
 
 The brute-force q-count memoises per ground set: the partitions of {1..s}
-into k blocks are enumerated once, and their weights are tallied into one
-{weight: count} histogram per max-ordered size tuple. Every composition of
-s into k parts then reads its histogram from the memo (_QCOUNT, keyed by
-(s, k)), and each call returns a fresh QPoly built from it.
+are enumerated once, whatever their block count, and their weights are
+tallied into one {weight: count} histogram per max-ordered size word.
+Every composition of s then reads its histogram from the memo (_QCOUNT,
+keyed by s), and each call returns a fresh QPoly built from it. The walk
+yields each partition valid and in max order, so the tally refills one
+owner array from its blocks and scores it with _score directly, without
+weight's copy, sort and checks; weight itself is not called.
 """
 
 from __future__ import annotations
@@ -160,8 +166,9 @@ def N_formula(sizes) -> int:
     return out
 
 
-def weight(P) -> int:
-    """The q-weight of a partition of {1..m}, its blocks in any order.
+def _score(owner: list, m: int, k: int) -> int:
+    """The q-weight of the partition of {1..m} into k blocks in which x lies
+    in the block at position owner[x] of the max order (owner[0] unused).
 
     Blocks are removed one at a time, the one with the largest maximum
     first, until a single block is left. Each removal is one scan of the
@@ -171,28 +178,11 @@ def weight(P) -> int:
     in another block; the least ground element scores nothing. The weight
     is the total score. Read in the labels 1..m' of the current ground
     set, each maximal run of the removed block starting at j > 1 scores
-    m' - j. The generating function over all partitions with fixed
-    max-ordered sizes is the q-binomial product of qcount_product.
-
-    Every block must be a nonempty, strictly increasing sequence, and the
-    blocks together must hold each of 1..m exactly once.
+    m' - j.
     """
-    blocks = [tuple(b) for b in P]
-    m = sum(map(len, blocks))
-    if not all(blocks):
-        raise ValueError("partition does not cover a {1..m} ground set")
-    blocks.sort(key=itemgetter(-1))
-    owner = [-1] * (m + 1)  # owner[x]: position of x's block in max order
-    for t, block in enumerate(blocks):
-        prev = 0
-        for x in block:
-            if not prev < x <= m or owner[x] >= 0:
-                raise ValueError("partition does not cover a {1..m} ground set")
-            owner[x] = t
-            prev = x
     total = 0
     ground = range(1, m + 1)
-    for t in range(len(blocks) - 1, 0, -1):
+    for t in range(k - 1, 0, -1):
         above = len(ground)
         kept = []
         prev_here = True  # the least ground element scores nothing
@@ -209,6 +199,31 @@ def weight(P) -> int:
     return total
 
 
+def weight(P) -> int:
+    """The q-weight of a partition of {1..m}, its blocks in any order, as
+    _score reads it. The generating function over all partitions with
+    fixed max-ordered sizes is the q-binomial product of qcount_product.
+
+    Every block must be a nonempty, strictly increasing sequence, and the
+    blocks together must hold each of 1..m exactly once; the blocks are
+    copied, put in max order and checked before they are scored.
+    """
+    blocks = [tuple(b) for b in P]
+    m = sum(map(len, blocks))
+    if not all(blocks):
+        raise ValueError("partition does not cover a {1..m} ground set")
+    blocks.sort(key=itemgetter(-1))
+    owner = [-1] * (m + 1)  # owner[x]: position of x's block in max order
+    for t, block in enumerate(blocks):
+        prev = 0
+        for x in block:
+            if not prev < x <= m or owner[x] >= 0:
+                raise ValueError("partition does not cover a {1..m} ground set")
+            owner[x] = t
+            prev = x
+    return _score(owner, m, len(blocks))
+
+
 _QCOUNT: dict = {}
 
 
@@ -216,25 +231,33 @@ def qcount_max_ordered(sizes) -> QPoly:
     """Brute-force generating function sum of q^weight(P) over all partitions
     of {1..sum(sizes)} with the given max-ordered block sizes.
 
-    The first call for a ground set size s = sum(sizes) and block count
-    k = len(sizes) enumerates the partitions of {1..s} into k blocks once
-    and tallies q^weight(P) for every size tuple in _QCOUNT; later calls
-    with the same (s, k) read that tally. The QPoly returned is new on
-    every call, so changing it leaves the memo alone.
+    The first call for a ground set size s = sum(sizes) walks the
+    partitions of {1..s} once, with enumerate_partitions(s), and tallies
+    {size word: {weight: count}} for every block count in _QCOUNT[s];
+    later calls with the same s read that tally. The walk yields each
+    partition valid and in max order, so it is scored without weight's
+    copy, sort and checks: one owner array is refilled from its blocks
+    and passed to _score. The QPoly returned is new on every call, so
+    changing it leaves the memo alone.
     """
     sizes = _block_sizes(sizes)
     if not sizes:
         return QPoly.one()
-    key = (sum(sizes), len(sizes))
-    tally = _QCOUNT.get(key)
+    s = sum(sizes)
+    tally = _QCOUNT.get(s)
     if tally is None:
         tally = {}
-        for P in enumerate_partitions(*key):
+        owner = [0] * (s + 1)
+        for P in enumerate_partitions(s):
+            for t, block in enumerate(P):
+                for x in block:
+                    owner[x] = t
             hist = tally.setdefault(tuple(map(len, P)), {})
-            w = weight(P)
+            w = _score(owner, s, len(P))
             hist[w] = hist.get(w, 0) + 1
-        _QCOUNT[key] = tally
-    return QPoly(tally.get(sizes))
+        _QCOUNT[s] = tally
+    # every composition of s is the size word of some partition of {1..s}
+    return QPoly._new(dict(tally[sizes]))
 
 
 def qcount_product(sizes) -> QPoly:

@@ -352,3 +352,112 @@ def test_qpoly_divexact():
     assert all(type(c) is int for c in qbinomial(7, 3).terms.values())
     half = QPoly({0: 3}).divexact(QPoly({0: 2}))
     assert half.terms == {0: Fraction(3, 2)} and type(half.terms[0]) is Fraction
+
+
+def _shape(p) -> list:
+    """A polynomial's terms in order, each with its coefficient's type."""
+    return [(k, c, type(c)) for k, c in p.terms.items()]
+
+
+@pytest.mark.parametrize("coeff", [1, -3, 0, Fraction(1, 2), Fraction(4, 2), Fraction(0), True, False])
+@pytest.mark.parametrize("i", [1, 2, 7])
+def test_letters_match_the_checking_constructor(i, coeff):
+    # letter() checks its own input and skips the constructor's second
+    # pass; the terms, their order and the coefficient types are its own
+    assert _shape(NCPoly.letter(i, coeff)) == _shape(NCPoly({(i,): coeff}))
+    assert _shape(CPoly.letter(i, coeff)) == _shape(CPoly({((i, 1),): coeff}))
+    assert type(NCPoly.letter(i, coeff)) is NCPoly and type(CPoly.letter(i, coeff)) is CPoly
+    assert _shape(NCPoly.letter(INV, coeff)) == _shape(NCPoly({(INV,): coeff}))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 9, True, False])
+def test_qint_matches_the_checking_constructor(n):
+    assert _shape(qint(n)) == _shape(QPoly({i: 1 for i in range(n)}))
+
+
+@pytest.mark.parametrize("bad", [0, -2, 2.0, "3", None, True, False])
+def test_letters_refuse_a_bad_index(bad):
+    with pytest.raises(ValueError, match=f"bad letter {bad!r}: need index >= 1"):
+        NCPoly.letter(bad)
+    with pytest.raises(ValueError, match=f"bad letter index {bad!r}"):
+        CPoly.letter(bad)
+    # the index is checked before the coefficient
+    with pytest.raises(ValueError, match="bad letter"):
+        NCPoly.letter(bad, 0.5)
+    with pytest.raises(ValueError, match="bad letter"):
+        CPoly.letter(bad, 0.5)
+
+
+@pytest.mark.parametrize("coeff", [0.5, 1.0, "1", None])
+def test_letters_refuse_an_inexact_coefficient(coeff):
+    for build in (NCPoly.letter, CPoly.letter):
+        with pytest.raises(TypeError, match="coefficient must be Fraction or int"):
+            build(2, coeff)
+    with pytest.raises(ValueError, match="qint needs n >= 0"):
+        qint(-1)
+    with pytest.raises(TypeError):
+        qint(2.0)
+
+
+def test_bool_letters_are_refused():
+    with pytest.raises(ValueError, match="bad index True in monomial"):
+        check_mono(((True, 1),))
+    with pytest.raises(ValueError, match="bad index False in monomial"):
+        check_mono(((False, 1),))
+    with pytest.raises(ValueError, match="bad letter True"):
+        NCPoly.from_word((True, 2))
+    with pytest.raises(ValueError, match="bad index True in monomial"):
+        CPoly.from_mono(((True, 1), (2, 1)))
+    # a JSON word with a true in it, in either algebra; a commutative 1 next
+    # to it would otherwise absorb it into d1^2
+    for algebra in ("nc", "b-symbols", "c"):
+        for word, bad in (([True, 2], "True"), ([1, True], "True"), ([2, False], "False"),
+                          ([1, 1.0], "1.0")):
+            d = {"algebra": algebra, "terms": [{"coeff": "1", "word": word}]}
+            with pytest.raises(ValueError, match=f"bad letter {bad}:"):
+                from_json_dict(d)
+    # ints still read as before
+    assert from_json_dict({"algebra": "c", "terms": [{"coeff": "1", "word": [1, 1]}]}) \
+        == CPoly.from_mono(((1, 2),))
+
+
+def test_letters_and_qint_skip_the_checking_constructor(monkeypatch):
+    calls = []
+    original = ncbell.algebra.TermRing.__init__
+
+    def counted(self, terms=None):
+        calls.append(type(self).__name__)
+        original(self, terms)
+
+    monkeypatch.setattr(ncbell.algebra.TermRing, "__init__", counted)
+    for i in (1, 2, 9):
+        NCPoly.letter(i, 3)
+        CPoly.letter(i, Fraction(1, 3))
+        qint(i)
+    NCPoly.letter(INV)
+    assert calls == []
+    NCPoly({(1,): 1})  # the constructor itself is still the counted one
+    assert calls == ["NCPoly"]
+
+
+def test_cpoly_evaluate_checks_each_value_once(monkeypatch):
+    p = CPoly.from_mono(((1, 2), (2, 1))) + CPoly.from_mono(((1, 1), (3, 2))) + CPoly.letter(2)
+    checked = []
+    original = ncbell.algebra._coeff
+
+    def counted(x):
+        checked.append(x)
+        return original(x)
+
+    monkeypatch.setattr(ncbell.algebra, "_coeff", counted)
+    values = {1: Fraction(1, 2), 2: 3, 3: -1, 4: 0.5}  # 4 is not a letter of p
+    assert p.evaluate(values) == Fraction(3, 4) + Fraction(1, 2) + 3
+    assert sorted(checked, key=str) == sorted([Fraction(1, 2), 3, -1], key=str)
+    monkeypatch.undo()
+    # the missing-letter and float-value errors are as before
+    with pytest.raises(ValueError, match="no value for letter 3"):
+        p.evaluate({1: 1, 2: 1})
+    with pytest.raises(TypeError, match="coefficient must be Fraction or int, got float"):
+        p.evaluate({1: 1, 2: 1, 3: 1.5})
+    with pytest.raises(TypeError, match="got float"):
+        p.evaluate({1: 0.5, 2: 1})

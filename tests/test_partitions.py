@@ -442,7 +442,62 @@ def test_q_statistics_enumerates_each_ground_set_once(monkeypatch):
     monkeypatch.setattr(partitions, "enumerate_partitions", counted)
     ok, detail = verify.suite_q_statistics(None, 0)
     assert ok, detail
-    assert len(calls) == len(set(calls)) <= 36
+    # one walk per ground set, into any number of blocks; it was one per
+    # (s, k), 36 at the default degree 8
+    assert calls == [(s, None) for s in range(1, 9)]
+    assert ncbell.cache_info()["partitions.qcount"] == 8
+
+
+def test_qcount_tally_is_the_weight_tally():
+    # the memo scores the walk's partitions without weight's checks; the
+    # checking weight over the same walk gives the same tally, in the same
+    # order
+    ncbell.clear_caches()
+    for s in range(1, 9):
+        qcount_max_ordered((s,))
+        want: dict = {}
+        for P in iter_partitions(s):
+            hist = want.setdefault(tuple(map(len, P)), {})
+            w = weight(P)
+            hist[w] = hist.get(w, 0) + 1
+        got = partitions._QCOUNT[s]
+        assert got == want
+        assert list(got) == list(want)
+        assert all(list(got[word].items()) == list(want[word].items()) for word in want)
+    assert ncbell.cache_info()["partitions.qcount"] == 8
+    ncbell.clear_caches()
+
+
+def test_qcount_matches_the_checking_constructor():
+    # every word of a ground set up to 7, and the empty word: the terms,
+    # their order and their types are those of QPoly's constructor
+    ncbell.clear_caches()
+    for s in range(1, 8):
+        for k in range(1, s + 1):
+            for sizes in compositions(s, k):
+                got = qcount_max_ordered(sizes)
+                want = QPoly(partitions._QCOUNT[s][sizes])
+                assert type(got) is QPoly
+                assert [(p, c, type(c)) for p, c in got.terms.items()] == \
+                    [(p, c, type(c)) for p, c in want.terms.items()]
+    assert qcount_max_ordered(()).terms == {0: 1}
+    ncbell.clear_caches()
+
+
+def test_cold_qcount_never_calls_weight(monkeypatch):
+    calls = []
+    original = partitions.weight
+
+    def counted(P):
+        calls.append(P)
+        return original(P)
+
+    monkeypatch.setattr(partitions, "weight", counted)
+    ncbell.clear_caches()
+    for sizes in ((2, 1, 2), (3, 1, 1, 3), (1,)):
+        assert qcount_max_ordered(sizes) == qcount_product(sizes)
+    assert calls == []
+    ncbell.clear_caches()
 
 
 def test_commutative_partition_sum_tallies_every_partition(monkeypatch):
