@@ -134,7 +134,8 @@ class LegTable:
     """Small int ids for the monomial keys of one variant, and the products
     of the ids met so far: ids maps a key to its id, keys[i] is the key of
     id i, and rows[i] maps an id j to the id of keys[i] * keys[j], filled
-    with key_mul as pairs are met. gens holds the coproduct of each letter
+    with key_mul as pairs are met, by product one pair at a time or by
+    fill a block of pairs at once. gens holds the coproduct of each letter
     in ids, built once. A tensor in ids has the legs of a key tensor
     replaced by their ids; since ids and keys correspond one to one, two
     such tensors are equal exactly when their key tensors are."""
@@ -156,6 +157,25 @@ class LegTable:
             self.keys.append(key)
             self.rows.append({})
         return i
+
+    def product(self, u: int, v: int) -> int:
+        """The id of keys[u] * keys[v], read from row u; a pair the row
+        lacks is multiplied once with key_mul and added to it."""
+        row = self.rows[u]
+        w = row.get(v)
+        if w is None:
+            w = row[v] = self.id(self.key_mul(self.keys[u], self.keys[v]))
+        return w
+
+    def fill(self, firsts, seconds) -> None:
+        """Add to the rows each product of an id of firsts by an id of
+        seconds that they lack, as product would, in one loop."""
+        rows, keys, key_mul, id_ = self.rows, self.keys, self.key_mul, self.id
+        for u in firsts:
+            row = rows[u]
+            for v in seconds:
+                if v not in row:
+                    row[v] = id_(key_mul(keys[u], keys[v]))
 
     def intern(self, t: dict) -> dict:
         """The 2-tensor t in ids, in the same term order."""
@@ -191,14 +211,9 @@ def tensor_mul(t1: dict, t2: dict, variant: str, table: LegTable | None = None) 
     if keyed:
         table = LegTable(variant)
         t1, t2 = table.intern(t1), table.intern(t2)
-    rows, keys, key_mul, id_ = table.rows, table.keys, table.key_mul, table.id
-    for firsts, seconds in (({l for l, _ in t1}, {l for l, _ in t2}),
-                            ({r for _, r in t1}, {r for _, r in t2})):
-        for u in firsts:
-            row = rows[u]
-            for v in seconds:
-                if v not in row:
-                    row[v] = id_(key_mul(keys[u], keys[v]))
+    table.fill({l for l, _ in t1}, {l for l, _ in t2})
+    table.fill({r for _, r in t1}, {r for _, r in t2})
+    rows = table.rows
     out: dict = {}
     for (l1, r1), c1 in t1.items():
         lrow = rows[l1]
@@ -474,17 +489,8 @@ def _antipode_sums(delta: dict, antipodes: dict, table: LegTable) -> tuple:
     (l, r) -> c of delta, all in the ids of table, antipodes mapping each
     leg id to the term dict of S of it in ids. Every term of an antipode is
     shifted by the other leg straight into one dict per side, the product
-    ids read from the table's rows; a pair the rows lack is multiplied once
-    with key_mul and added."""
-    rows, keys, key_mul, id_ = table.rows, table.keys, table.key_mul, table.id
-
-    def times(u: int, v: int) -> int:
-        row = rows[u]
-        w = row.get(v)
-        if w is None:
-            w = row[v] = id_(key_mul(keys[u], keys[v]))
-        return w
-
+    ids read with table.product."""
+    times = table.product
     left: dict = {}
     right: dict = {}
     for (l, r), c in delta.items():

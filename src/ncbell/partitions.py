@@ -24,13 +24,14 @@ this step moves the grown letter to the end and puts 1 behind, and
 N_formula is a closed product that the walk never reads.
 
 The brute-force q-count memoises per ground set: the partitions of {1..s}
-are enumerated once, whatever their block count, and their weights are
-tallied into one {weight: count} histogram per max-ordered size word.
-Every composition of s then reads its histogram from the memo (_QCOUNT,
-keyed by s), and each call returns a fresh QPoly built from it. The walk
-yields each partition valid and in max order, so the tally refills one
-owner array from its blocks and scores it with _score directly, without
-weight's copy, sort and checks; weight itself is not called.
+are enumerated once, one block count k at a time, so at most S(s, k) of
+them are held at once, and their weights are tallied into one
+{weight: count} histogram per max-ordered size word. Every composition
+of s then reads its histogram from the memo (_QCOUNT, keyed by s), and
+each call returns a fresh QPoly built from it. The walk yields each
+partition valid and in max order, so the tally refills one owner array
+from its blocks and scores it with _score directly, without weight's
+copy, sort and checks; weight itself is not called.
 """
 
 from __future__ import annotations
@@ -231,14 +232,15 @@ def qcount_max_ordered(sizes) -> QPoly:
     """Brute-force generating function sum of q^weight(P) over all partitions
     of {1..sum(sizes)} with the given max-ordered block sizes.
 
-    The first call for a ground set size s = sum(sizes) walks the
-    partitions of {1..s} once, with enumerate_partitions(s), and tallies
-    {size word: {weight: count}} for every block count in _QCOUNT[s];
-    later calls with the same s read that tally. The walk yields each
-    partition valid and in max order, so it is scored without weight's
-    copy, sort and checks: one owner array is refilled from its blocks
-    and passed to _score. The QPoly returned is new on every call, so
-    changing it leaves the memo alone.
+    The first call for a ground set size s = sum(sizes) lists the
+    partitions of {1..s} into k blocks with enumerate_partitions(s, k),
+    for each k in turn (one list of S(s, k) partitions at a time, not all
+    Bell(s) at once), and tallies {size word: {weight: count}} for every
+    block count in _QCOUNT[s]; later calls with the same s read that
+    tally. The walk yields each partition valid and in max order, so it
+    is scored without weight's copy, sort and checks: one owner array is
+    refilled from its blocks and passed to _score. The QPoly returned is
+    new on every call, so changing it leaves the memo alone.
     """
     sizes = _block_sizes(sizes)
     if not sizes:
@@ -248,13 +250,14 @@ def qcount_max_ordered(sizes) -> QPoly:
     if tally is None:
         tally = {}
         owner = [0] * (s + 1)
-        for P in enumerate_partitions(s):
-            for t, block in enumerate(P):
-                for x in block:
-                    owner[x] = t
-            hist = tally.setdefault(tuple(map(len, P)), {})
-            w = _score(owner, s, len(P))
-            hist[w] = hist.get(w, 0) + 1
+        for k in range(1, s + 1):
+            for P in enumerate_partitions(s, k):
+                for t, block in enumerate(P):
+                    for x in block:
+                        owner[x] = t
+                hist = tally.setdefault(tuple(map(len, P)), {})
+                w = _score(owner, s, k)
+                hist[w] = hist.get(w, 0) + 1
         _QCOUNT[s] = tally
     # every composition of s is the size word of some partition of {1..s}
     return QPoly._new(dict(tally[sizes]))

@@ -442,16 +442,17 @@ def test_q_statistics_enumerates_each_ground_set_once(monkeypatch):
     monkeypatch.setattr(partitions, "enumerate_partitions", counted)
     ok, detail = verify.suite_q_statistics(None, 0)
     assert ok, detail
-    # one walk per ground set, into any number of blocks; it was one per
-    # (s, k), 36 at the default degree 8
-    assert calls == [(s, None) for s in range(1, 9)]
+    # one memo fill per ground set, listing the partitions of each block
+    # count once, so no list holds more than S(s, k) of them
+    assert calls == [(s, k) for s in range(1, 9) for k in range(1, s + 1)]
     assert ncbell.cache_info()["partitions.qcount"] == 8
 
 
 def test_qcount_tally_is_the_weight_tally():
     # the memo scores the walk's partitions without weight's checks; the
-    # checking weight over the same walk gives the same tally, in the same
-    # order
+    # checking weight over the same walk gives the same tally, each
+    # histogram in the same order (the words come one block count at a
+    # time, so only their own order may differ)
     ncbell.clear_caches()
     for s in range(1, 9):
         qcount_max_ordered((s,))
@@ -462,7 +463,6 @@ def test_qcount_tally_is_the_weight_tally():
             hist[w] = hist.get(w, 0) + 1
         got = partitions._QCOUNT[s]
         assert got == want
-        assert list(got) == list(want)
         assert all(list(got[word].items()) == list(want[word].items()) for word in want)
     assert ncbell.cache_info()["partitions.qcount"] == 8
     ncbell.clear_caches()
