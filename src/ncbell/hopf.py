@@ -24,35 +24,20 @@ anti-morphism antipode extension antipode_extend, the Character class and
 the pairing pair behind both convolutions. The engine checks the
 antipode side itself: bell_antipode and antipode_extend refuse any side
 but "left" and "right", so the entry points of both modules pass it
-through unchecked and the memo never holds another.
+through unchecked and the memo never holds another. antipode_extend, and
+coproduct in this module, refuse an element not of the variant's ring.
 
-Tensors are plain dicts mapping (left monomial key, right monomial key) to
-an exact coefficient, an int or a Fraction, never a float, as in the ring
-classes; triple tensors use 3-tuples of keys. Inside the engine they run
-on the small int ids of a LegTable instead: it numbers every monomial key
-it meets, keeps one row per id of the ids of its products, filled with
-key_mul as pairs are met, and holds each generator coproduct in ids once.
-tensor_mul is the one term loop, over tensors keyed by (id, id).
-coproduct_extend runs its product chains in ids and, like tensor_mul,
-coproduct and coproduct_mono, returns key tensors, in the same term order,
-when no table is passed, and tensors in the caller's ids when one is.
-
-The axiom battery hopf_axiom_check holds every tensor in the ids of one
-leg table per call: the coproduct of each element, of each leg, each
-Delta(uv), each Delta(u)Delta(v), the coassociativity 3-tensors, each leg
-antipode and the counit and antipode sums, so each generator coproduct is
-built once and each distinct pair of monomials multiplied once in all of
-them. It expands each distinct tensor leg once
-per call: one memo holds the coproduct of every leg and another its
-antipode, shared by both legs and by every element checked. Each distinct
-element of its pool is checked once, and each distinct pair of the
-multiplicativity check compared once; the random products repeat often,
-and a repeat replays the stored verdict, so a failure line appears once
-per occurrence. All these memos are local to the call, so nothing the
-battery caches outlives it.
-The counit and antipode sums of each element are term dicts filled in
-place, one per side, so no ring element is built per tensor term, and
-their products are read from the leg table's rows.
+Tensors are plain dicts mapping a tuple of legs, two or three, to an
+exact coefficient, an int or a Fraction, never a float, as in the ring
+classes. Inside the engine the legs are the small int ids of a LegTable,
+which carries the variant: it numbers every monomial key it meets, keeps
+one row per id of the ids of its products, filled with key_mul as pairs
+are met, and holds each generator coproduct in ids once. tensor_mul (the
+one term loop), coproduct_extend, coproduct and coproduct_mono take a
+table and work in its ids. Tensors leave the engine keyed by monomial
+keys: bell_coproduct, coproduct_gen, coproduct_m and coproduct_oracle
+build them so, and pair, render_tensor and tensor_to_json read them; a
+tensor in ids maps back to keys through the table's keys.
 """
 
 from __future__ import annotations
@@ -73,6 +58,12 @@ def ring(variant: str):
     """The ring class of any of the four variant names, since the engine
     serves ncbell.mobius ("nc", "c") as well as this module ("dfdb", "fdb")."""
     return algebra.ring(variant, algebra.VARIANTS)
+
+
+def _check_ring(p, cls, variant: str) -> None:
+    if not isinstance(p, cls):
+        raise TypeError(f"variant {variant!r} takes {cls.__name__} elements, "
+                        f"not {type(p).__name__}")
 
 
 def _shape(variant: str) -> tuple:
@@ -182,11 +173,6 @@ class LegTable:
         id_ = self.id
         return {(id_(l), id_(r)): c for (l, r), c in t.items()}
 
-    def keyed(self, t: dict) -> dict:
-        """The 2-tensor t in ids back in keys, in the same term order."""
-        keys = self.keys
-        return {(keys[l], keys[r]): c for (l, r), c in t.items()}
-
     def generator(self, i: int) -> dict:
         """The coproduct of the letter i in ids: bell_coproduct, or
         g^{-1} (x) g^{-1} for the inverse letter."""
@@ -198,19 +184,13 @@ class LegTable:
         return t
 
 
-def tensor_mul(t1: dict, t2: dict, variant: str, table: LegTable | None = None) -> dict:
-    """Product of two 2-tensors, leg by leg. With a leg table, t1, t2 and
-    the result are in its ids; the pairs the call needs (each distinct left
-    leg of t1 by each distinct left leg of t2, and likewise on the right)
-    that the table lacks are multiplied once and added to it, and the term
-    loop then only looks the products up. A caller that passes one table
-    to many calls multiplies each distinct pair of keys once in all of
-    them. Without a table, t1, t2 and the result are key tensors: the call
-    interns them in a fresh table and translates the result back."""
-    keyed = table is None
-    if keyed:
-        table = LegTable(variant)
-        t1, t2 = table.intern(t1), table.intern(t2)
+def tensor_mul(t1: dict, t2: dict, table: LegTable) -> dict:
+    """Product of two 2-tensors in the ids of table, leg by leg. The pairs
+    the call needs (each distinct left leg of t1 by each distinct left leg
+    of t2, and likewise on the right) that the table lacks are multiplied
+    once and added to it, and the term loop then only looks the products
+    up, so a caller that passes one table to many calls multiplies each
+    distinct pair of keys once in all of them."""
     table.fill({l for l, _ in t1}, {l for l, _ in t2})
     table.fill({r for _, r in t1}, {r for _, r in t2})
     rows = table.rows
@@ -225,39 +205,36 @@ def tensor_mul(t1: dict, t2: dict, variant: str, table: LegTable | None = None) 
                 out[key] = s
             elif key in out:
                 del out[key]
-    return table.keyed(out) if keyed else out
+    return out
 
 
-def coproduct_extend(terms: dict, variant: str, table: LegTable | None = None) -> dict:
+def coproduct_extend(terms: dict, table: LegTable) -> dict:
     """The coproduct of sum(c * key) over terms, extended multiplicatively
-    from bell_coproduct on the generators, with g^{-1} group-like. The
-    product chains run in the ids of table, which holds each generator
-    coproduct once, and the result is in its ids; without a table the call
-    runs in a fresh one and returns a key tensor."""
-    keyed = table is None
-    if keyed:
-        table = LegTable(variant)
-    key_letters, generator = ring(variant).key_letters, table.generator
+    from bell_coproduct on the generators, with g^{-1} group-like, in the
+    ids of table, which holds each generator coproduct once."""
+    key_letters, generator = ring(table.variant).key_letters, table.generator
     unit = table.id(())
     total: dict = {}
     for key, c in terms.items():
         t = {(unit, unit): c}
         for i in key_letters(key):
-            t = tensor_mul(t, generator(i), variant, table)
+            t = tensor_mul(t, generator(i), table)
         if total:
             add_into(total, t)
         else:
             total = t
-    return table.keyed(total) if keyed else total
+    return total
 
 
 def antipode_extend(p, variant: str, side: str):
     """The antipode of p, extended as an anti-morphism (a morphism in the
     commutative rings) from bell_antipode on the generators, with
-    S(g^{-1}) = g. The side is checked even when p has no letters."""
+    S(g^{-1}) = g. The side, then the ring of p, are checked even when p
+    has no letters."""
     cls, _, low, inverse = _shape(variant)
     if side not in ("left", "right"):
         raise ValueError(f"unknown side {side!r}, expected 'left' or 'right'")
+    _check_ring(p, cls, variant)
     acc: dict = {}
     for key, c in p.terms.items():
         factor = cls.one()
@@ -380,18 +357,18 @@ def coproduct_gen(n: int, variant: str = "dfdb") -> dict:
     return bell_coproduct(n, variant)
 
 
-def coproduct_mono(key, variant: str, table: LegTable | None = None) -> dict:
-    """The coproduct of one monomial key, in the ids of table when one is
-    given (coproduct_extend)."""
-    _cls(variant)
-    return coproduct_extend({key: 1}, variant, table)
+def coproduct_mono(key, table: LegTable) -> dict:
+    """The coproduct of one monomial key, in the ids of table
+    (coproduct_extend)."""
+    _cls(table.variant)
+    return coproduct_extend({key: 1}, table)
 
 
-def coproduct(p, variant: str = "dfdb", table: LegTable | None = None) -> dict:
-    """The coproduct of an arbitrary element, extended as algebra morphism;
-    in the ids of table when one is given (coproduct_extend)."""
-    _cls(variant)
-    return coproduct_extend(p.terms, variant, table)
+def coproduct(p, table: LegTable) -> dict:
+    """The coproduct of an element of the table's ring, extended as algebra
+    morphism, in the ids of table (coproduct_extend)."""
+    _check_ring(p, _cls(table.variant), table.variant)
+    return coproduct_extend(p.terms, table)
 
 
 def coproduct_oracle(n: int, variant: str = "dfdb") -> dict:
@@ -463,7 +440,7 @@ def antipode_quasidet(n: int, variant: str = "dfdb"):
 # axioms
 
 
-def _tensor_expand(t: dict, leg: int, variant: str, table: LegTable, deltas: dict) -> dict:
+def _tensor_expand(t: dict, leg: int, table: LegTable, deltas: dict) -> dict:
     """Apply the coproduct to one leg of a 2-tensor, giving a 3-tensor, both
     in the ids of table. deltas maps a leg id to its coproduct; a leg
     missing from it is expanded once and added, so a memo shared between
@@ -473,7 +450,7 @@ def _tensor_expand(t: dict, leg: int, variant: str, table: LegTable, deltas: dic
     for (l, r), c in t.items():
         mono = l if leg == 0 else r
         if mono not in deltas:
-            deltas[mono] = coproduct_mono(keys[mono], variant, table)
+            deltas[mono] = coproduct_mono(keys[mono], table)
         for (a, b), c2 in deltas[mono].items():
             key = (a, b, r) if leg == 0 else (l, a, b)
             s = out.get(key, 0) + c * c2
@@ -503,8 +480,7 @@ def _antipode_sums(delta: dict, antipodes: dict, table: LegTable) -> tuple:
     return ({k: v for k, v in left.items() if v}, {k: v for k, v in right.items() if v})
 
 
-def _check_element(p, delta: dict, variant: str, table: LegTable, deltas: dict,
-                   antipodes: dict) -> str | None:
+def _check_element(p, delta: dict, table: LegTable, deltas: dict, antipodes: dict) -> str | None:
     """The first axiom that fails on p, whose coproduct is delta in the ids
     of table, or None. deltas maps leg ids to their coproducts, and
     antipodes leg ids to the term dicts of their antipodes, both in ids,
@@ -512,9 +488,9 @@ def _check_element(p, delta: dict, variant: str, table: LegTable, deltas: dict,
     coassociativity 3-tensors and the counit and antipode sums are all
     built in ids, as term dicts, not by ring operations; since ids and
     keys correspond one to one, they compare as their key forms would."""
+    variant = table.variant
     cls = _cls(variant)
-    if (_tensor_expand(delta, 0, variant, table, deltas)
-            != _tensor_expand(delta, 1, variant, table, deltas)):
+    if _tensor_expand(delta, 0, table, deltas) != _tensor_expand(delta, 1, table, deltas):
         return "coassociativity"
     keys, id_, unit = table.keys, table.id, table.id(())
     own = {id_(k): c for k, c in p.terms.items()}
@@ -581,8 +557,8 @@ def hopf_axiom_check(max_degree: int, variant: str = "dfdb", seed: int = 0, n_pr
     table = LegTable(variant)  # every tensor below is in its ids
     for p in pool:
         if p not in checked:
-            delta = coproduct(p, variant, table)
-            checked[p] = (delta, _check_element(p, delta, variant, table, deltas, antipodes))
+            delta = coproduct(p, table)
+            checked[p] = (delta, _check_element(p, delta, table, deltas, antipodes))
         bad = checked[p][1]
         if bad is not None:
             failures.append(f"{bad} fails on {p!r}")
@@ -593,8 +569,8 @@ def hopf_axiom_check(max_degree: int, variant: str = "dfdb", seed: int = 0, n_pr
     for _ in range(n_products):
         u, v = rng.choice(pool), rng.choice(pool)
         if (u, v) not in multiplicative:
-            multiplicative[u, v] = (coproduct(u * v, variant, table)
-                                    == tensor_mul(checked[u][0], checked[v][0], variant, table))
+            multiplicative[u, v] = (coproduct(u * v, table)
+                                    == tensor_mul(checked[u][0], checked[v][0], table))
         if not multiplicative[u, v]:
             failures.append(f"coproduct not multiplicative on {u!r}, {v!r}")
     return failures

@@ -30,8 +30,8 @@ HOPF_ENTRY_POINTS = {
     "rank_poly": lambda v: hopf.rank_poly(3, 1, v),
     "coproduct_gen": lambda v: hopf.coproduct_gen(2, v),
     "coproduct_gen_unit": lambda v: hopf.coproduct_gen(0, v),
-    "coproduct_mono": lambda v: hopf.coproduct_mono((), v),
-    "coproduct": lambda v: hopf.coproduct(_p(v), v),
+    "coproduct_mono": lambda v: hopf.coproduct_mono((), hopf.LegTable(v)),
+    "coproduct": lambda v: hopf.coproduct(_p(v), hopf.LegTable(v)),
     "coproduct_oracle": lambda v: hopf.coproduct_oracle(3, v),
     "antipode_recursive": lambda v: hopf.antipode_recursive(2, v),
     "antipode_poly": lambda v: hopf.antipode_poly(_p(v), v),
@@ -129,7 +129,7 @@ ENGINE_CALLS = {
     "shape": lambda v: hopf._shape(v),
     "bell_coproduct": lambda v: hopf.bell_coproduct(0, v),
     "bell_antipode": lambda v: hopf.bell_antipode(0, v, "bogus"),
-    "coproduct_extend": lambda v: hopf.coproduct_extend({(): 1}, v),
+    "coproduct_extend": lambda v: hopf.coproduct_extend({(): 1}, hopf.LegTable(v)),
     "antipode_extend": lambda v: hopf.antipode_extend(NCPoly.one(), v, "bogus"),
 }
 
@@ -167,9 +167,41 @@ def test_one_antipode_memo_serves_every_variant():
 
 def test_faa_di_bruno_alphabets_refuse_the_inverse_letter():
     p = NCPoly.from_word((INV, 2))
-    for extend in (hopf.coproduct, hopf.antipode_poly):
-        with pytest.raises(ValueError, match="need n >= 0"):
-            extend(p, "dfdb")
+    with pytest.raises(ValueError, match="need n >= 0"):
+        hopf.coproduct(p, hopf.LegTable("dfdb"))
+    with pytest.raises(ValueError, match="need n >= 0"):
+        hopf.antipode_poly(p, "dfdb")
+
+
+# each variant's entry points given an element of the other ring
+WRONG_RING = {
+    "fdb": [lambda: hopf.coproduct(NCPoly.letter(2), hopf.LegTable("fdb")),
+            lambda: hopf.antipode_poly(NCPoly.letter(2), "fdb"),
+            lambda: hopf.antipode_extend(NCPoly.one(), "fdb", "left")],
+    "dfdb": [lambda: hopf.coproduct(CPoly.letter(2), hopf.LegTable("dfdb")),
+             lambda: hopf.antipode_poly(CPoly.letter(2), "dfdb"),
+             lambda: hopf.antipode_extend(CPoly.zero(), "dfdb", "right")],
+    "c": [lambda: mobius.antipode_poly(NCPoly.letter(2), "c"),
+          lambda: hopf.antipode_extend(NCPoly.from_word((INV,)), "c", "left")],
+    "nc": [lambda: mobius.antipode_poly(CPoly.letter(2), "nc"),
+           lambda: hopf.antipode_extend(CPoly.one(), "nc", "right")],
+}
+
+
+@pytest.mark.parametrize("variant", list(WRONG_RING))
+def test_engine_refuses_an_element_of_the_other_ring(variant):
+    # refused before any antipode is computed, so the memo is left as it was;
+    # a bad side is refused before the ring
+    cls = hopf.ring(variant)
+    other = CPoly if cls is NCPoly else NCPoly
+    memo = dict(hopf._ANTIPODE)
+    for call in WRONG_RING[variant]:
+        with pytest.raises(TypeError) as got:
+            call()
+        assert str(got.value) == (f"variant {variant!r} takes {cls.__name__} elements, "
+                                  f"not {other.__name__}")
+    _refuses_side(lambda side: hopf.antipode_extend(other.letter(2), variant, side), "bogus")
+    assert hopf._ANTIPODE == memo
 
 
 def _refuses_side(call, side) -> None:

@@ -183,11 +183,8 @@ def test_axioms_free_boundary():
 def test_coproduct_is_multiplicative():
     u = _x("X1*X2", "dfdb")
     v = _x("X3 - 2*X1", "dfdb")
-    from ncbell.hopf import tensor_mul
-
-    assert coproduct(u * v, "dfdb") == tensor_mul(
-        coproduct(u, "dfdb"), coproduct(v, "dfdb"), "dfdb"
-    )
+    table = hopf.LegTable("dfdb")
+    assert coproduct(u * v, table) == tensor_mul(coproduct(u, table), coproduct(v, table), table)
 
 
 def test_character_convolution_is_composition():
@@ -267,6 +264,12 @@ def _keyed(t: dict, table) -> dict:
     return {tuple(table.keys[i] for i in legs): c for legs, c in t.items()}
 
 
+def _key_coproduct(p, variant: str) -> dict:
+    """hopf.coproduct of p in a fresh leg table, back in keys."""
+    table = hopf.LegTable(variant)
+    return _keyed(coproduct(p, table), table)
+
+
 def _coproduct_reference(p, variant: str, memo: dict) -> dict:
     """The coproduct of p as a key tensor, each monomial's a chain of plain
     double loops over the generator coproducts: no leg table. memo maps a
@@ -296,20 +299,21 @@ def _expand_reference(delta: dict, leg: int, variant: str, memo: dict) -> dict:
 
 def test_tensor_expand_expands_each_leg_once(monkeypatch):
     for variant, text in (("dfdb", "X1*X2*X1 + X3"), ("fdb", "X1^2*X2 + X3")):
-        delta = coproduct(parse_text(text, commutative=variant == "fdb", symbol="X"), variant)
+        delta = _key_coproduct(parse_text(text, commutative=variant == "fdb", symbol="X"),
+                               variant)
         memo: dict = {}
         wants = [_expand_reference(delta, leg, variant, memo) for leg in (0, 1)]
         table = hopf.LegTable(variant)
         calls = _counted(monkeypatch, "coproduct_mono", lambda key: key)
         deltas: dict = {}
-        got = [hopf._tensor_expand(table.intern(delta), leg, variant, table, deltas)
+        got = [hopf._tensor_expand(table.intern(delta), leg, table, deltas)
                for leg in (0, 1)]
         monkeypatch.undo()
         assert [_keyed(t, table) for t in got] == wants
         # one memo serves both legs: a monomial met on either side is
         # expanded once in all, in the ids of the one table
         assert sorted(calls) == sorted({key for legs in delta for key in legs})
-        assert ({table.keys[i]: table.keyed(d) for i, d in deltas.items()}
+        assert ({table.keys[i]: _keyed(d, table) for i, d in deltas.items()}
                 == {key: memo[key] for key in calls})
 
 
@@ -320,9 +324,9 @@ def test_axiom_check_computes_each_leg_once(variant, monkeypatch):
     expanded = _counted(monkeypatch, "coproduct_mono", lambda key: key)
     original = hopf.coproduct_mono  # the counting wrapper
 
-    def shared(key, variant, table):
+    def shared(key, table):
         tables.append(table)
-        return original(key, variant, table)
+        return original(key, table)
 
     monkeypatch.setattr(hopf, "coproduct_mono", shared)
     inverted = _counted(monkeypatch, "antipode_poly", lambda p: tuple(p.terms.items()))
@@ -385,9 +389,9 @@ def test_battery_sums_match_the_ring_sums(variant, monkeypatch):
     def in_ids(table, p) -> dict:
         return {table.id(k): c for k, c in p.terms.items()}
 
-    def compared(p, delta, variant, table, deltas, antipodes):
-        got = original(p, delta, variant, table, deltas, antipodes)
-        keyed = table.keyed(delta)
+    def compared(p, delta, table, deltas, antipodes):
+        got = original(p, delta, table, deltas, antipodes)
+        keyed = _keyed(delta, table)
         assert keyed == _coproduct_reference(p, variant, memo)
         assert got == _check_element_reference(p, keyed, variant, memo, ring_antipodes)
         s_left, s_right = _ring_antipode_sums(keyed, ring_antipodes, variant)
@@ -402,8 +406,8 @@ def test_battery_sums_match_the_ring_sums(variant, monkeypatch):
         first = next(iter(delta))
         for bad in ({**delta, first: 2 * delta[first]},
                     {k: c for k, c in delta.items() if k != first}):
-            keyed = table.keyed(bad)
-            assert (original(p, bad, variant, table, deltas, antipodes)
+            keyed = _keyed(bad, table)
+            assert (original(p, bad, table, deltas, antipodes)
                     == _check_element_reference(p, keyed, variant, memo, ring_antipodes))
             s_left, s_right = _ring_antipode_sums(keyed, ring_antipodes, variant)
             assert (hopf._antipode_sums(bad, ids_antipodes, table)
@@ -508,14 +512,15 @@ def test_battery_checks_each_distinct_element_and_pair_once(monkeypatch):
         elements = list(dict.fromkeys(pool))
         distinct_pairs = list(dict.fromkeys(pairs))
         # one leg table for every call
-        table = calls["tensor_mul"][0][3]
-        for name, place in (("_check_element", 3), ("coproduct", 2), ("tensor_mul", 3)):
+        table = calls["tensor_mul"][0][2]
+        for name, place in (("_check_element", 2), ("coproduct", 1), ("tensor_mul", 2)):
             assert all(args[place] is table for args in calls[name])
         assert [args[0] for args in calls["_check_element"]] == elements
         assert ([args[0] for args in calls["coproduct"]]
                 == elements + [u * v for u, v in distinct_pairs])
-        assert ([(table.keyed(t1), table.keyed(t2)) for t1, t2, _, _ in calls["tensor_mul"]]
-                == [(coproduct(u, variant), coproduct(v, variant)) for u, v in distinct_pairs])
+        assert ([(_keyed(t1, table), _keyed(t2, table)) for t1, t2, _ in calls["tensor_mul"]]
+                == [(_key_coproduct(u, variant), _key_coproduct(v, variant))
+                    for u, v in distinct_pairs])
         occurrences += len(pool)
         checks += len(elements)
     # the verify suite's battery at its default degree and seed; dfdb keeps
@@ -570,7 +575,7 @@ def test_each_generator_coproduct_is_built_once_per_call(monkeypatch):
         cls = hopf.ring(variant)
         q = cls.letter(1) + cls.letter(2) + cls.letter(3)
         calls.clear()
-        hopf.coproduct_extend((q * q * q).terms, variant)
+        hopf.coproduct_extend((q * q * q).terms, hopf.LegTable(variant))
         assert sorted(calls) == [1, 2, 3]
     for variant in ("fdb", "dfdb"):
         calls.clear()
@@ -590,7 +595,7 @@ def test_antipode_sums_are_the_counit(word):
     # products of antipode_poly and the legs, not through _antipode_sums
     p = CPoly.from_key(key_of(CPoly, word))
     left = right = CPoly.zero()
-    for (l, r), c in coproduct(p, "fdb").items():
+    for (l, r), c in _key_coproduct(p, "fdb").items():
         left = left + hopf.antipode_poly(CPoly.from_key(l), "fdb") * CPoly.from_key(r) * c
         right = right + CPoly.from_key(l) * hopf.antipode_poly(CPoly.from_key(r), "fdb") * c
     expect = CPoly.one() * counit(p)
@@ -620,8 +625,8 @@ def test_battery_names_a_wrong_coproduct_leg(monkeypatch):
     original = hopf.coproduct_mono
     x2 = CPoly.letter_key(2)
 
-    def wrong(key, variant, table):
-        out = original(key, variant, table)
+    def wrong(key, table):
+        out = original(key, table)
         if key == x2:
             i = table.id(x2)
             out = {**out, (i, i): out.get((i, i), 0) + 1}
@@ -670,7 +675,8 @@ def _random_tensor(terms, variant: str) -> dict:
 def test_tensor_mul_matches_the_double_loop(terms1, terms2, variant):
     t1, t2 = _random_tensor(terms1, variant), _random_tensor(terms2, variant)
     want = _tensor_mul_loop(t1, t2, variant)
-    got = tensor_mul(t1, t2, variant)
+    table = hopf.LegTable(variant)
+    got = _keyed(tensor_mul(table.intern(t1), table.intern(t2), table), table)
     assert got == want
     assert {k: type(c) for k, c in got.items()} == {k: type(c) for k, c in want.items()}
 
@@ -710,18 +716,16 @@ def test_tensor_mul_chain_shares_one_table(chain):
     first, second, *tensors = [_random_tensor(t, variant) for t in terms]
     table = hopf.LegTable(variant)
     # an earlier product fills the table
-    tensor_mul(table.intern(first), table.intern(second), variant, table)
-    got, want, bare = table.intern(tensors[0]), tensors[0], tensors[0]
+    tensor_mul(table.intern(first), table.intern(second), table)
+    got, want = table.intern(tensors[0]), tensors[0]
     for t in tensors[1:]:
-        got = tensor_mul(got, table.intern(t), variant, table)
+        got = tensor_mul(got, table.intern(t), table)
         want = _tensor_mul_loop(want, t, variant)
-        bare = tensor_mul(bare, t, variant)
-        keyed = table.keyed(got)
-        assert keyed == want == bare
+        keyed = _keyed(got, table)
+        assert keyed == want
         # the same term order as the double loop, and the same coefficient types
-        assert list(keyed) == list(want) == list(bare)
-        assert ({k: type(c) for k, c in keyed.items()} == {k: type(c) for k, c in want.items()}
-                == {k: type(c) for k, c in bare.items()})
+        assert list(keyed) == list(want)
+        assert {k: type(c) for k, c in keyed.items()} == {k: type(c) for k, c in want.items()}
     key_mul, keys = hopf.ring(variant).key_mul, table.keys
     assert all(table.ids[key] == i for i, key in enumerate(keys))
     assert all(keys[w] == key_mul(keys[u], keys[v])

@@ -18,7 +18,7 @@ import ncbell
 from ncbell import hopf, mobius, verify
 from ncbell.algebra import INV, CPoly, NCPoly, parse_text, render_text
 from ncbell.bell import bell, bell_partial
-from ncbell.hopf import coproduct_extend, tensor_mul
+from ncbell.hopf import LegTable, coproduct_extend, tensor_mul
 from ncbell.mobius import (
     antipode_m,
     antipode_poly,
@@ -52,15 +52,17 @@ def test_coproduct_letter_three():
 def test_coproduct_multiplicative():
     u = _nc("d2*d1")
     v = _nc("d3 - d1")
-    assert coproduct_extend((u * v).terms, "nc") == tensor_mul(
-        coproduct_extend(u.terms, "nc"), coproduct_extend(v.terms, "nc"), "nc")
+    table = LegTable("nc")
+    assert coproduct_extend((u * v).terms, table) == tensor_mul(
+        coproduct_extend(u.terms, table), coproduct_extend(v.terms, table), table)
 
 
 def test_inverse_letter_is_group_like():
     # Delta(d1^-1 d2) = (d1^-1 (x) d1^-1) Delta(d2)
     inv = NCPoly.letter_key(INV)
-    assert coproduct_extend(_nc("d1^-1*d2").terms, "nc") == tensor_mul(
-        {(inv, inv): 1}, coproduct_m(2, "nc"), "nc")
+    table = LegTable("nc")
+    assert coproduct_extend(_nc("d1^-1*d2").terms, table) == tensor_mul(
+        table.intern({(inv, inv): 1}), table.intern(coproduct_m(2, "nc")), table)
 
 
 def test_counit():
@@ -132,12 +134,15 @@ def test_sides_diverge_free_at_four():
 
 
 def test_coassociativity_boundary():
+    table = LegTable("nc")
+    keys = table.keys
+
     def expand(t, leg):
         out = {}
         for (lk, rk), c in t.items():
-            inner = coproduct_extend({lk if leg == 0 else rk: 1}, "nc")
+            inner = coproduct_extend({lk if leg == 0 else rk: 1}, table)
             for (a, b), c2 in inner.items():
-                key = (a, b, rk) if leg == 0 else (lk, a, b)
+                key = (keys[a], keys[b], rk) if leg == 0 else (lk, keys[a], keys[b])
                 s = out.get(key, Fraction(0)) + c * c2
                 if s:
                     out[key] = s
