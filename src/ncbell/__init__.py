@@ -96,6 +96,8 @@ def __dir__() -> list:
 _MEMOS = {
     "hopf.rank": ("hopf", "_RANK"),
     "hopf.antipode": ("hopf", "_ANTIPODE"),
+    "hopf.coproduct_form": ("hopf", "_COPRODUCT_FORM"),
+    "hopf.antipode_form": ("hopf", "_ANTIPODE_FORM"),
     "mobius.mu": ("mobius", "_MU"),
     "partitions.stirling": ("partitions", "_STIRLING"),
     "partitions.qcount": ("partitions", "_QCOUNT"),
@@ -103,6 +105,7 @@ _MEMOS = {
     "algebra.qfactorial": ("algebra", "_QFACTORIAL"),
     "algebra.qbinomial": ("algebra", "_QBINOMIAL"),
     "bell.partial": ("bell", "_PARTIAL"),
+    "series.bell_form": ("series", "_BELL_FORM"),
 }
 
 

@@ -25,7 +25,10 @@ the pairing pair behind both convolutions. The engine checks the
 antipode side itself: bell_antipode and antipode_extend refuse any side
 but "left" and "right", so the entry points of both modules pass it
 through unchecked and the memo never holds another. antipode_extend, and
-coproduct in this module, refuse an element not of the variant's ring.
+coproduct in this module, refuse an element not of the variant's ring;
+coproduct_mono and pair refuse a key of the other ring with the same
+TypeError, looked for only once the key has failed, so well-formed input
+pays nothing for the check.
 
 Tensors are plain dicts mapping a tuple of legs, two or three, to an
 exact coefficient, an int or a Fraction, never a float, as in the ring
@@ -38,6 +41,14 @@ table and work in its ids. Tensors leave the engine keyed by monomial
 keys: bell_coproduct, coproduct_gen, coproduct_m and coproduct_oracle
 build them so, and pair, render_tensor and tensor_to_json read them; a
 tensor in ids maps back to keys through the table's keys.
+
+The characters of fdb are evaluated on letter forms: convolve and
+character_antipode read the coproduct and the antipode of X_n as
+immutable tuples of (leg letters, coefficient) pairs, built from
+coproduct_gen and antipode_recursive once per n (_COPRODUCT_FORM and
+_ANTIPODE_FORM, "hopf.coproduct_form" and "hopf.antipode_form" in
+ncbell.cache_info), so repeated calls neither rebuild a tensor nor
+expand a leg again.
 """
 
 from __future__ import annotations
@@ -45,7 +56,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import prod
 
-from .algebra import INV, _coeff, _word, add_into, common_denominator, join_signed, key_of, term
+from .algebra import INV, CPoly, _coeff, _word, add_into, common_denominator, join_signed, key_of, term
 from .bell import bell_partial
 from . import algebra, quasidet
 
@@ -313,10 +324,32 @@ def _evaluate(items, numerators: tuple, key_letters) -> int | Fraction:
     return total if exact_int else Fraction(total, den)
 
 
+def _check_key(key, cls, variant: str) -> None:
+    """The engine's TypeError unless key is a monomial key of cls: its
+    letters are ints and they spell it again. Called only once a key has
+    failed, so well-formed input pays nothing for it."""
+    try:
+        letters = cls.key_letters(key)
+        ok = all(type(i) is int for i in letters) and key_of(cls, letters) == key
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise TypeError(f"variant {variant!r} takes {cls.__name__} keys, not {key!r}")
+
+
 def pair(phi: Character, psi: Character, t: dict, variant: str) -> int | Fraction:
     """(phi (x) psi)(t) = sum of c * phi(left) * psi(right) over a 2-tensor,
-    evaluated on integer numerators and divided once."""
-    return _evaluate(t.items(), (_numerators(phi), _numerators(psi)), ring(variant).key_letters)
+    evaluated on integer numerators and divided once. A key of the other
+    ring raises the engine's TypeError; it is looked for only once the
+    evaluation has failed."""
+    cls = ring(variant)
+    try:
+        return _evaluate(t.items(), (_numerators(phi), _numerators(psi)), cls.key_letters)
+    except (TypeError, ValueError):
+        for legs in t:
+            for key in legs:
+                _check_key(key, cls, variant)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +392,14 @@ def coproduct_gen(n: int, variant: str = "dfdb") -> dict:
 
 def coproduct_mono(key, table: LegTable) -> dict:
     """The coproduct of one monomial key, in the ids of table
-    (coproduct_extend)."""
-    _cls(table.variant)
-    return coproduct_extend({key: 1}, table)
+    (coproduct_extend). A key of the other ring raises the engine's
+    TypeError, looked for only once the expansion has failed."""
+    cls = _cls(table.variant)
+    try:
+        return coproduct_extend({key: 1}, table)
+    except (TypeError, ValueError):
+        _check_key(key, cls, table.variant)
+        raise
 
 
 def coproduct(p, table: LegTable) -> dict:
@@ -590,21 +628,63 @@ def character_of_series(g: "FormalSeries") -> Character:
     return Character({i: g.divided(i + 1) for i in range(1, g.order - 1)})
 
 
+_COPRODUCT_FORM: dict = {}  # n -> the fdb coproduct of X_n in letter form
+_ANTIPODE_FORM: dict = {}  # n -> the fdb antipode of X_n in letter form
+
+
+def _letter_form(items) -> tuple:
+    """The (legs, c) pairs of an fdb key tensor in letter form: the same
+    pairs in the same order, each leg the tuple of its letters. A letter
+    tuple is its own free-algebra key, so _evaluate reads the form with
+    the word codec, tuple, and never expands a leg again."""
+    key_letters = CPoly.key_letters
+    return tuple((tuple(map(key_letters, legs)), c) for legs, c in items)
+
+
+def _coproduct_form(n: int) -> tuple:
+    """The letter form of coproduct_gen(n, "fdb"), built once per n."""
+    form = _COPRODUCT_FORM.get(n)
+    if form is None:
+        form = _COPRODUCT_FORM[n] = _letter_form(coproduct_gen(n, "fdb").items())
+    return form
+
+
+def _antipode_form(n: int) -> tuple:
+    """The letter form of antipode_recursive(n, "fdb"), one leg per term,
+    built once per n."""
+    form = _ANTIPODE_FORM.get(n)
+    if form is None:
+        terms = antipode_recursive(n, "fdb").terms
+        form = _ANTIPODE_FORM[n] = _letter_form(((key,), c) for key, c in terms.items())
+    return form
+
+
+def _check_range(max_n: int) -> None:
+    """ValueError for a negative top index of a character; 0 is valid."""
+    if max_n < 0:
+        raise ValueError(f"max_n must be at least 0, got {max_n}")
+
+
 def convolve(phi: Character, psi: Character) -> Character:
     """Convolution (phi * psi)(X_n) = sum over the coproduct of X_n of
     phi(left) psi(right), returned as a character on X_1..X_max_n, the
     range both inputs are defined on. Each character's numerator table is
-    built once per call and shared by every X_n."""
+    built once per call and shared by every X_n, whose coproduct is read
+    from its letter form."""
     max_n = min(max(phi.values, default=0), max(psi.values, default=0))
-    numerators, key_letters = (_numerators(phi), _numerators(psi)), _cls("fdb").key_letters
-    values = {n: _evaluate(coproduct_gen(n, "fdb").items(), numerators, key_letters)
-              for n in range(1, max_n + 1)}
-    return Character(values)
+    numerators = (_numerators(phi), _numerators(psi))
+    return Character({n: _evaluate(_coproduct_form(n), numerators, tuple)
+                      for n in range(1, max_n + 1)})
 
 
 def character_antipode(phi: Character, max_n: int) -> Character:
-    """The character X_n -> phi(S(X_n)) in fdb."""
-    return Character({n: phi(antipode_recursive(n, "fdb")) for n in range(1, max_n + 1)})
+    """The character X_n -> phi(S(X_n)) in fdb, for n = 1..max_n; a
+    negative max_n is refused. phi's numerator table is built once per
+    call, and each S(X_n) is read from its letter form."""
+    _check_range(max_n)
+    numerators = (_numerators(phi),)
+    return Character({n: _evaluate(_antipode_form(n), numerators, tuple)
+                      for n in range(1, max_n + 1)})
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from fractions import Fraction
 
 from .algebra import INV, ring
 from .bell import bell, bell_partial
-from .hopf import Character, antipode_extend, bell_antipode, bell_coproduct, pair
+from .hopf import Character, _check_range, antipode_extend, bell_antipode, bell_coproduct, pair
 
 
 def coproduct_m(n: int, variant: str = "nc") -> dict:
@@ -80,14 +80,18 @@ def antipode_poly(p, variant: str, side: str = "right"):
 
 
 def zeta(max_n: int) -> Character:
-    """The all-ones character on d1..d_max_n and the inverse letter."""
+    """The all-ones character on d1..d_max_n and the inverse letter; a
+    negative max_n is refused."""
+    _check_range(max_n)
     values = {i: 1 for i in range(1, max_n + 1)}
     values[INV] = 1
     return Character(values)
 
 
 def epsilon_char(max_n: int) -> Character:
-    """The counit as a character: 1 on d1 and its inverse, 0 above."""
+    """The counit as a character: 1 on d1 and its inverse, 0 above; a
+    negative max_n is refused."""
+    _check_range(max_n)
     values = {i: 0 for i in range(2, max_n + 1)}
     values[1] = 1
     values[INV] = 1
@@ -102,7 +106,7 @@ def mobius_char(max_n: int, variant: str = "nc") -> Character:
 
     Each value zeta(S(d_k)) is computed once per variant and kept in the
     module memo _MU ("mobius.mu" in ncbell.cache_info); every call returns
-    a new Character built from it.
+    a new Character built from it. A negative max_n is refused.
     """
     z = zeta(max_n)
     values = {}

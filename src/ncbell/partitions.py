@@ -11,10 +11,11 @@ iter_partitions walks the restricted-growth tree and carries each node's
 blocks already in max order: placing the next element, which is larger
 than every element placed so far, moves its block to the end. The q-weight
 is read in the original labels: removing blocks from the largest maximum
-down, one scan of the remaining ground set scores each removal. One
-private scorer, _score, does that from an owner array (the max-order
-position of each element's block); weight checks a partition given in
-any form and builds the array for it.
+down, each removal is scored by one scan of the remaining ground set.
+That score depends only on the stage, the pair (ground set, removed
+block), and one private scanner, _stage_score, reads it from the two as
+bitmasks (bit x for element x); weight checks a partition given in any
+form, builds its block masks and scans each of its stages.
 
 size_words takes the same step on words instead of partitions: since a
 child's word depends only on its parent's, it carries one count per word
@@ -28,10 +29,14 @@ are enumerated once, one block count k at a time, so at most S(s, k) of
 them are held at once, and their weights are tallied into one
 {weight: count} histogram per max-ordered size word. Every composition
 of s then reads its histogram from the memo (_QCOUNT, keyed by s), and
-each call returns a fresh QPoly built from it. The walk yields each
-partition valid and in max order, so the tally refills one owner array
-from its blocks and scores it with _score directly, without weight's
-copy, sort and checks; weight itself is not called.
+each call returns a fresh QPoly built from it. Many partitions share a
+stage: at s = 10 the 115,975 partitions have 9,841 distinct ones. So the
+fill sums each weight from a stage-score table, keyed by (ground mask,
+block mask) and filled by _stage_score on a miss, that lives only for
+that fill, so each distinct stage is scanned once. The walk yields each
+partition valid and in max order, so the tally takes its blocks as they
+stand, without weight's copy, sort and checks; weight itself is not
+called.
 """
 
 from __future__ import annotations
@@ -127,12 +132,14 @@ def size_words(n: int) -> dict:
 
 
 def _block_sizes(sizes) -> tuple:
-    """A max-ordered block-size word as a tuple; ValueError for a size below
-    1. The empty word is the one partition of the empty set, so the counts
-    and the q-counts of () are all 1."""
+    """A max-ordered block-size word as a tuple; ValueError for a size that
+    is not an int of at least 1 (a bool is not a size, though it is an
+    int). The empty word is the one partition of the empty set, so the
+    counts and the q-counts of () are all 1."""
     sizes = tuple(sizes)
-    if any(p < 1 for p in sizes):
-        raise ValueError("block sizes must be positive")
+    for p in sizes:
+        if type(p) is bool or not isinstance(p, int) or p < 1:
+            raise ValueError(f"block sizes must be positive ints, got {p!r}")
     return sizes
 
 
@@ -167,62 +174,87 @@ def N_formula(sizes) -> int:
     return out
 
 
-def _score(owner: list, m: int, k: int) -> int:
-    """The q-weight of the partition of {1..m} into k blocks in which x lies
-    in the block at position owner[x] of the max order (owner[0] unused).
-
-    Blocks are removed one at a time, the one with the largest maximum
-    first, until a single block is left. Each removal is one scan of the
-    current ground set (the elements of the blocks still there), in the
-    original labels: an element of the removed block scores the number of
-    ground elements above it when its predecessor in the ground set lies
-    in another block; the least ground element scores nothing. The weight
-    is the total score. Read in the labels 1..m' of the current ground
-    set, each maximal run of the removed block starting at j > 1 scores
-    m' - j.
-    """
+def _stage_score(ground: int, block: int) -> int:
+    """The score of removing block from ground, both bitmasks (bit x for
+    element x), block holding the largest element of ground: one scan of
+    the ground set in increasing order. An element of block scores the
+    number of ground elements above it when its predecessor in the ground
+    set lies in another block; the least ground element scores nothing.
+    Read in the labels 1..m' of the ground set, each maximal run of block
+    starting at j > 1 scores m' - j."""
     total = 0
-    ground = range(1, m + 1)
-    for t in range(k - 1, 0, -1):
-        above = len(ground)
-        kept = []
-        prev_here = True  # the least ground element scores nothing
-        for x in ground:
-            above -= 1
-            if owner[x] == t:
-                if not prev_here:
-                    total += above
-                prev_here = True
-            else:
-                kept.append(x)
-                prev_here = False
-        ground = kept
+    above = ground.bit_count()
+    prev_here = True  # the least ground element scores nothing
+    while ground:
+        low = ground & -ground
+        ground ^= low
+        above -= 1
+        if block & low:
+            if not prev_here:
+                total += above
+            prev_here = True
+        else:
+            prev_here = False
     return total
 
 
 def weight(P) -> int:
-    """The q-weight of a partition of {1..m}, its blocks in any order, as
-    _score reads it. The generating function over all partitions with
-    fixed max-ordered sizes is the q-binomial product of qcount_product.
+    """The q-weight of a partition of {1..m}, its blocks in any order. The
+    generating function over all partitions with fixed max-ordered sizes
+    is the q-binomial product of qcount_product.
 
-    Every block must be a nonempty, strictly increasing sequence, and the
-    blocks together must hold each of 1..m exactly once; the blocks are
-    copied, put in max order and checked before they are scored.
+    Blocks are removed one at a time, the one with the largest maximum
+    first, until a single block is left; the weight is the total of the
+    _stage_score of each removal on the ground set still there. Every
+    block must be a nonempty, strictly increasing sequence, and the blocks
+    together must hold each of 1..m exactly once; the blocks are copied,
+    put in max order and checked before they are scored.
     """
     blocks = [tuple(b) for b in P]
     m = sum(map(len, blocks))
     if not all(blocks):
         raise ValueError("partition does not cover a {1..m} ground set")
     blocks.sort(key=itemgetter(-1))
-    owner = [-1] * (m + 1)  # owner[x]: position of x's block in max order
-    for t, block in enumerate(blocks):
-        prev = 0
+    ground = 0
+    masks = []  # the bitmask of each block, in max order
+    for block in blocks:
+        prev = mask = 0
         for x in block:
-            if not prev < x <= m or owner[x] >= 0:
+            if not prev < x <= m or ground >> x & 1:
                 raise ValueError("partition does not cover a {1..m} ground set")
-            owner[x] = t
+            mask |= 1 << x
             prev = x
-    return _score(owner, m, len(blocks))
+        ground |= mask
+        masks.append(mask)
+    total = 0
+    for mask in masks[:0:-1]:
+        total += _stage_score(ground, mask)
+        ground ^= mask
+    return total
+
+
+def _tally_weights(tally: dict, parts, s: int, stages: dict, masks: dict) -> None:
+    """Add each partition of parts, a partition of {1..s} with its blocks in
+    max order, to tally[size word][weight]. Its weight is the sum of its
+    stage scores, read from stages, keyed by (ground mask, block mask), or
+    scanned once by _stage_score and added to it; masks maps a block to
+    its bitmask, likewise filled as blocks are met."""
+    full = (2 << s) - 2
+    for P in parts:
+        w = 0
+        ground = full
+        for block in P[:0:-1]:
+            b = masks.get(block)
+            if b is None:
+                b = masks[block] = sum(1 << x for x in block)
+            key = (ground, b)
+            score = stages.get(key)
+            if score is None:
+                score = stages[key] = _stage_score(ground, b)
+            w += score
+            ground ^= b
+        hist = tally.setdefault(tuple(map(len, P)), {})
+        hist[w] = hist.get(w, 0) + 1
 
 
 _QCOUNT: dict = {}
@@ -237,10 +269,10 @@ def qcount_max_ordered(sizes) -> QPoly:
     for each k in turn (one list of S(s, k) partitions at a time, not all
     Bell(s) at once), and tallies {size word: {weight: count}} for every
     block count in _QCOUNT[s]; later calls with the same s read that
-    tally. The walk yields each partition valid and in max order, so it
-    is scored without weight's copy, sort and checks: one owner array is
-    refilled from its blocks and passed to _score. The QPoly returned is
-    new on every call, so changing it leaves the memo alone.
+    tally. The walk yields each partition valid and in max order, so
+    _tally_weights scores it without weight's copy, sort and checks, from
+    a stage-score table that lives only for this fill. The QPoly returned
+    is new on every call, so changing it leaves the memo alone.
     """
     sizes = _block_sizes(sizes)
     if not sizes:
@@ -249,15 +281,10 @@ def qcount_max_ordered(sizes) -> QPoly:
     tally = _QCOUNT.get(s)
     if tally is None:
         tally = {}
-        owner = [0] * (s + 1)
+        stages: dict = {}
+        masks: dict = {}
         for k in range(1, s + 1):
-            for P in enumerate_partitions(s, k):
-                for t, block in enumerate(P):
-                    for x in block:
-                        owner[x] = t
-                hist = tally.setdefault(tuple(map(len, P)), {})
-                w = _score(owner, s, k)
-                hist[w] = hist.get(w, 0) + 1
+            _tally_weights(tally, enumerate_partitions(s, k), s, stages, masks)
         _QCOUNT[s] = tally
     # every composition of s is the size word of some partition of {1..s}
     return QPoly._new(dict(tally[sizes]))

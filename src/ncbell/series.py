@@ -11,9 +11,12 @@ side; it serves egf_bell_check (CPoly), and on int or Fraction input it
 gives Fraction coefficients. compose and compose_via_bell take int and
 Fraction coefficients only and work on integer numerators over one
 denominator, with one Fraction per result coefficient: compose is Horner
-evaluation with powers of g's denominator, and compose_via_bell takes each
-B_{n,k} from bell_partial, which files B_n's terms by length once per n,
-and sums f's numerators times B_{n,k} at g's numerators in ints.
+evaluation with powers of g's denominator, and compose_via_bell sums f's
+numerators times B_{n,k} at g's numerators in ints. It reads each B_{n,k}
+as an immutable tuple of (monomial letters, coefficient) pairs, built
+from bell_partial once per (n, k) (_BELL_FORM, "series.bell_form" in
+ncbell.cache_info), so no call copies a polynomial or runs
+CPoly.evaluate.
 
 The flow half of the module works over MultiPoly, exact multivariate
 polynomials in x1..xm. A VectorField is a list of m components, optionally
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .algebra import (
     CPoly,
@@ -179,6 +182,21 @@ def compose(f: FormalSeries, g: FormalSeries, order: int | None = None) -> Forma
     return FormalSeries([Fraction(c, den) for c in acc], order)
 
 
+_BELL_FORM: dict = {}  # (n, k) -> commutative B_{n,k} as (letters, coefficient) pairs
+
+
+def _bell_form(n: int, k: int) -> tuple:
+    """The commutative B_{n,k} as an immutable tuple of (letters of a
+    monomial, coefficient) pairs in its term order, built from
+    bell_partial once per (n, k)."""
+    form = _BELL_FORM.get((n, k))
+    if form is None:
+        key_letters = CPoly.key_letters
+        form = _BELL_FORM[n, k] = tuple((key_letters(m), c)
+                                        for m, c in bell_partial(n, k, "c").terms.items())
+    return form
+
+
 def compose_via_bell(f: FormalSeries, g: FormalSeries) -> FormalSeries:
     """f(g(t)) through min(f.order, g.order), with divided-power coefficients
     from the classical chain-rule expansion
@@ -186,7 +204,8 @@ def compose_via_bell(f: FormalSeries, g: FormalSeries) -> FormalSeries:
     coefficients (any other is a TypeError). B_{n,k} is homogeneous of
     degree k, so with f_k = F_k / df and g_i = G_i / d on integer
     numerators, h_n = sum_k F_k B_{n,k}(G) d^(n-k) / (df d^n): a sum of
-    ints per order and one Fraction."""
+    ints per order and one Fraction. Each B_{n,k}(G) is summed over the
+    form of _bell_form, its monomials as letter tuples."""
     order = min(f.order, g.order)
     if g.coeff(0) != 0:
         raise ValueError("inner series must vanish at the origin")
@@ -194,13 +213,14 @@ def compose_via_bell(f: FormalSeries, g: FormalSeries) -> FormalSeries:
         raise TypeError("compose_via_bell needs int or Fraction coefficients")
     F, df = common_denominator([f.divided(k) for k in range(order)])
     G, d = common_denominator([g.divided(i) for i in range(1, order)])
-    gvals = dict(enumerate(G, 1))
+    value = [0, *G].__getitem__  # the numerator of g_i, by letter i
     coeffs = [Fraction(F[0], df)]
     for n in range(1, order):
         total = 0
         for k in range(1, n + 1):
             if F[k]:
-                total += F[k] * bell_partial(n, k, "c").evaluate(gvals) * d ** (n - k)
+                b = sum(c * prod(map(value, letters)) for letters, c in _bell_form(n, k))
+                total += F[k] * b * d ** (n - k)
         coeffs.append(Fraction(total, df * d**n * factorial(n)))
     return FormalSeries(coeffs, order)
 

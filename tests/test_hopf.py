@@ -15,8 +15,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ncbell import hopf
-from ncbell.algebra import INV, CPoly, add_into, key_of, parse_text
+import ncbell
+from ncbell import hopf, verify
+from ncbell.algebra import INV, CPoly, NCPoly, add_into, key_of, parse_text
 from ncbell.hopf import (
     Character,
     antipode_quasidet,
@@ -29,6 +30,7 @@ from ncbell.hopf import (
     coproduct_oracle,
     counit,
     hopf_axiom_check,
+    pair,
     rank_poly,
     tensor_mul,
 )
@@ -206,6 +208,102 @@ def test_character_antipode_is_reversion():
     rev = character_of_series(reversion(g, 8))
     for n in range(1, 6):
         assert anti.on_letter(n) == rev.on_letter(n)
+
+
+_VALUES = st.one_of(st.integers(-9, 9), st.fractions(min_value=-5, max_value=5, max_denominator=12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda m: st.tuples(
+    st.lists(_VALUES, min_size=m, max_size=m), st.lists(_VALUES, min_size=m, max_size=m))))
+def test_convolve_and_character_antipode_are_the_pairings(values):
+    # the letter forms give what pair and Character.__call__ give on the
+    # key tensors and antipodes themselves: the same values and types
+    phi, psi = (Character(dict(enumerate(v, 1))) for v in values)
+    m = len(values[0])
+    conv = convolve(phi, psi)
+    want = {n: pair(phi, psi, coproduct_gen(n, "fdb"), "fdb") for n in range(1, m + 1)}
+    assert [(n, v, type(v)) for n, v in conv.values.items()] == \
+        [(n, v, type(v)) for n, v in want.items()]
+    anti = character_antipode(phi, m)
+    want = {n: phi(antipode_recursive(n, "fdb")) for n in range(1, m + 1)}
+    assert [(n, v, type(v)) for n, v in anti.values.items()] == \
+        [(n, v, type(v)) for n, v in want.items()]
+
+
+def test_letter_forms_are_built_once_and_immutable():
+    ncbell.clear_caches()
+    third = Character({1: Fraction(1, 3), 2: -2, 3: Fraction(5, 7)})
+    assert convolve(third, third).values == convolve(third, third).values
+    assert character_antipode(third, 3).values == character_antipode(third, 3).values
+    info = ncbell.cache_info()
+    assert info["hopf.coproduct_form"] == 3 and info["hopf.antipode_form"] == 3
+    for memo in (hopf._COPRODUCT_FORM, hopf._ANTIPODE_FORM):
+        assert all(type(form) is tuple and all(type(legs) is tuple for legs, _ in form)
+                   for form in memo.values())
+    ncbell.clear_caches()
+    assert hopf._COPRODUCT_FORM == {} and hopf._ANTIPODE_FORM == {}
+
+
+def test_characters_suite_builds_each_letter_form_once(monkeypatch):
+    # 20 convolutions read X_1..X_8 and 20 antipode characters X_1..X_6;
+    # each coproduct and antipode is read from the engine once
+    gens, antipodes = [], []
+    original_gen, original_anti = hopf.coproduct_gen, hopf.antipode_recursive
+
+    def gen(n, variant="dfdb"):
+        gens.append((n, variant))
+        return original_gen(n, variant)
+
+    def anti(n, variant="dfdb", side="right"):
+        antipodes.append((n, variant, side))
+        return original_anti(n, variant, side)
+
+    monkeypatch.setattr(hopf, "coproduct_gen", gen)
+    monkeypatch.setattr(hopf, "antipode_recursive", anti)
+    ncbell.clear_caches()
+    ok, detail = verify.suite_characters(None, 0)
+    assert ok, detail
+    assert gens == [(n, "fdb") for n in range(1, 9)]
+    assert antipodes == [(n, "fdb", "right") for n in range(1, 7)]
+    ncbell.clear_caches()
+
+
+@pytest.mark.parametrize("max_n", [-1, -5])
+def test_character_antipode_refuses_a_negative_range(max_n):
+    with pytest.raises(ValueError, match=f"^max_n must be at least 0, got {max_n}$"):
+        character_antipode(Character({1: 1}), max_n)
+
+
+def test_character_antipode_on_an_empty_range():
+    assert character_antipode(Character({1: 1}), 0).values == {}
+
+
+@pytest.mark.parametrize("variant, other", [("fdb", NCPoly), ("dfdb", CPoly)])
+def test_coproduct_mono_refuses_a_key_of_the_other_ring(variant, other):
+    cls = hopf.ring(variant)
+    for letters in ((2,), (1, 3), (2, 2)):
+        key = key_of(other, letters)
+        with pytest.raises(TypeError, match=f"^variant '{variant}' takes {cls.__name__} keys"):
+            hopf.coproduct_mono(key, hopf.LegTable(variant))
+    # its own keys still expand, the unit key of both rings included
+    table = hopf.LegTable(variant)
+    assert hopf.coproduct_mono((), table) == {(table.id(()), table.id(())): 1}
+    got = hopf.coproduct_mono(cls.letter_key(2), table)
+    assert {(table.keys[l], table.keys[r]): c for (l, r), c in got.items()} == coproduct_gen(2, variant)
+
+
+@pytest.mark.parametrize("variant, other", [("fdb", "dfdb"), ("dfdb", "fdb")])
+def test_pair_refuses_a_tensor_of_the_other_ring(variant, other):
+    cls = hopf.ring(variant)
+    ones = Character({1: 1, 2: 1, 3: 1})
+    for n in (1, 2, 3):
+        with pytest.raises(TypeError, match=f"^variant '{variant}' takes {cls.__name__} keys"):
+            hopf.pair(ones, ones, coproduct_gen(n, other), variant)
+    # a tensor of its own ring with a letter the character lacks is still
+    # the ValueError of the evaluation
+    with pytest.raises(ValueError, match="^character not defined on letter 4$"):
+        hopf.pair(ones, ones, coproduct_gen(4, variant), variant)
 
 
 def generating_series_rank_check(n: int, k: int) -> bool:

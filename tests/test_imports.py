@@ -105,9 +105,10 @@ def test_submodule_attribute_imports_it_on_first_use():
 def test_cold_cache_info_imports_nothing():
     info, loaded = _cold("import json, ncbell\nprint(json.dumps(ncbell.cache_info()))")
     assert json.loads(info) == dict.fromkeys(
-        ["bell.nc", "bell.c", "hopf.rank", "hopf.antipode",
-         "mobius.mu", "partitions.stirling", "partitions.qcount", "partitions.size_words",
-         "algebra.qfactorial", "algebra.qbinomial", "bell.partial"], 0)
+        ["bell.nc", "bell.c", "hopf.rank", "hopf.antipode", "hopf.coproduct_form",
+         "hopf.antipode_form", "mobius.mu", "partitions.stirling", "partitions.qcount",
+         "partitions.size_words", "algebra.qfactorial", "algebra.qbinomial", "bell.partial",
+         "series.bell_form"], 0)
     assert set(json.loads(loaded)) == _modules("algebra", "bell")
 
 
@@ -217,7 +218,7 @@ _SHARED = {
     "antipode_poly": "hopf's serves the axiom battery; mobius's has no src caller and stays "
                      "as the d-alphabet element antipode that perfbench/tracer.py times",
     "derive": "both rings: bell() steps through cls.derive",
-    "evaluate": "CPoly: the stirling suite and compose_via_bell; QPoly: the q-statistics suite",
+    "evaluate": "CPoly: the stirling suite; QPoly: the q-statistics suite",
     "from_json_dict": "algebra's is in ncbell.__all__; the series classes': the series verb",
     "letter": "both rings through cls.letter in bell, hopf and quasidet",
     "one": "TermRing's: every ring through cls.one, QPoly in qfactorial and the q-counts; "

@@ -157,6 +157,16 @@ def test_coassociativity_boundary():
     assert expand(t, 0) != expand(t, 1)
 
 
+@pytest.mark.parametrize("make", [zeta, epsilon_char, lambda n: mobius_char(n, "nc"),
+                                  lambda n: mobius_char(n, "c")])
+def test_characters_refuse_a_negative_range(make):
+    for max_n in (-1, -3):
+        with pytest.raises(ValueError, match=f"^max_n must be at least 0, got {max_n}$"):
+            make(max_n)
+    # an empty range is valid: only the inverse letter (and d1 for epsilon)
+    assert set(make(0).values) <= {1, INV}
+
+
 def test_mobius_character_values():
     mu_nc = mobius_char(6, "nc")
     mu_c = mobius_char(6, "c")

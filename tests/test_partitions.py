@@ -26,6 +26,7 @@ from ncbell.partitions import (
     stirling2,
     weight,
 )
+from ncbell.series import FormalSeries, compose_via_bell
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147]
 
@@ -292,6 +293,18 @@ def test_max_ordered_counts_agree_on_edge_cases(sizes):
         assert count == 1 and qbrute == QPoly.one()
 
 
+@pytest.mark.parametrize("sizes", [(True, 2), (2, False), (1.5, 2), (2.0, 1), ("2",), (None,),
+                                   (Fraction(2),)])
+def test_max_ordered_counts_refuse_bool_and_non_int_sizes(sizes):
+    # a bool or a non-int size is refused as check_letter refuses such a
+    # letter, not counted as 1 or failing deep inside
+    routes = (lambda: count_max_ordered(5, sizes), lambda: N_formula(sizes),
+              lambda: qcount_max_ordered(sizes), lambda: qcount_product(sizes))
+    for route in routes:
+        with pytest.raises(ValueError, match="block sizes must be positive ints"):
+            route()
+
+
 def test_qbell_coefficient_is_the_weight_generating_function():
     # the q-Bell coefficient of d_{p_1}...d_{p_k} counts the partitions with
     # max-ordered block sizes p by q^weight, as an identity of polynomials in q
@@ -418,11 +431,17 @@ def test_clear_caches_empties_every_memo():
     size_words(3)
     qbinomial(4, 2)
     bell_partial(4, 2)
+    ones = hopf.Character({1: 1, 2: 1})
+    hopf.convolve(ones, ones)
+    hopf.character_antipode(ones, 2)
+    exp = FormalSeries([0, 1, Fraction(1, 2)])
+    compose_via_bell(exp, exp)
     before = ncbell.cache_info()
     assert set(before) == {"bell.nc", "bell.c", "hopf.rank", "hopf.antipode",
-                           "mobius.mu", "partitions.stirling", "partitions.qcount",
-                           "partitions.size_words", "algebra.qfactorial", "algebra.qbinomial",
-                           "bell.partial"}
+                           "hopf.coproduct_form", "hopf.antipode_form", "mobius.mu",
+                           "partitions.stirling", "partitions.qcount", "partitions.size_words",
+                           "algebra.qfactorial", "algebra.qbinomial", "bell.partial",
+                           "series.bell_form"}
     assert all(size > 0 for size in before.values()), before
     ncbell.clear_caches()
     assert all(size == 0 for size in ncbell.cache_info().values())
@@ -446,6 +465,70 @@ def test_q_statistics_enumerates_each_ground_set_once(monkeypatch):
     # count once, so no list holds more than S(s, k) of them
     assert calls == [(s, k) for s in range(1, 9) for k in range(1, s + 1)]
     assert ncbell.cache_info()["partitions.qcount"] == 8
+
+
+def _mask(block) -> int:
+    return sum(1 << x for x in block)
+
+
+def _stage_keys(P, s: int) -> list:
+    """The (ground mask, block mask) stages of a partition of {1..s} in max
+    order, the last block first."""
+    ground = (2 << s) - 2
+    keys = []
+    for block in P[:0:-1]:
+        b = _mask(block)
+        keys.append((ground, b))
+        ground ^= b
+    return keys
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 14).flatmap(
+    lambda m: st.lists(st.lists(st.integers(0, 4), min_size=m, max_size=m),
+                       min_size=1, max_size=4)))
+def test_cached_stage_scores_sum_to_the_weight(labellings):
+    # several partitions of one {1..m} share a stage table, as in one memo
+    # fill: each stage is cached once with its own score, and each
+    # partition's cached stages sum to its weight
+    m = len(labellings[0])
+    stages: dict = {}
+    masks: dict = {}
+    for labels in labellings:
+        groups: dict = {}
+        for x, label in enumerate(labels, 1):
+            groups.setdefault(label, []).append(x)
+        P = canonical(groups.values())
+        tally: dict = {}
+        partitions._tally_weights(tally, [P], m, stages, masks)
+        keys = _stage_keys(P, m)
+        assert set(keys) <= set(stages)
+        w = weight(P)
+        assert sum(stages[key] for key in keys) == w == reference_weight(P)
+        assert tally == {block_sizes(P): {w: 1}}
+    assert all(score == partitions._stage_score(*key) for key, score in stages.items())
+    assert all(masks[block] == _mask(block) for block in masks)
+
+
+def test_q_statistics_scans_each_distinct_stage_once(monkeypatch):
+    # the reference partition's weight scans its 5 stages; then each memo
+    # fill scans each distinct (ground, block) stage of its ground set once
+    scans = []
+    original = partitions._stage_score
+
+    def counted(ground, block):
+        scans.append((ground, block))
+        return original(ground, block)
+
+    monkeypatch.setattr(partitions, "_stage_score", counted)
+    ncbell.clear_caches()
+    ok, detail = verify.suite_q_statistics(None, 0)
+    assert ok, detail
+    distinct = [len({key for P in iter_partitions(s) for key in _stage_keys(P, s)})
+                for s in range(1, 9)]
+    assert distinct[-1] == 1093
+    assert len(scans) == len(verify.WEIGHT_EXAMPLE) - 1 + sum(distinct)
+    ncbell.clear_caches()
 
 
 def test_qcount_tally_is_the_weight_tally():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import ncbell
 from ncbell import series, verify
+from ncbell.algebra import CPoly, key_of
 from ncbell.bell import bell
 from ncbell.series import (
     FormalSeries,
@@ -44,6 +45,39 @@ def test_compose_via_bell_reads_each_bell_monomial_once(monkeypatch):
     assert len(lengths) == sum(len(bell(n, "c").terms) for n in range(1, 9))
     # e^(e^t - 1) - 1: the Bell numbers
     assert [got.divided(n) for n in range(9)] == [0, 1, 2, 5, 15, 52, 203, 877, 4140]
+
+
+def test_analytic_suite_builds_each_bell_form_once(monkeypatch):
+    # 50 compositions of order 9 read each B_{n,k} they need from bell_partial
+    # once, and the memo keeps one form per (n, k)
+    calls = []
+    original = series.bell_partial
+
+    def counted(n, k, variant="nc"):
+        calls.append((n, k, variant))
+        return original(n, k, variant)
+
+    monkeypatch.setattr(series, "bell_partial", counted)
+    ncbell.clear_caches()
+    ok, detail = verify.suite_analytic(None, 0)
+    assert ok, detail
+    assert calls and len(calls) == len(set(calls)) == ncbell.cache_info()["series.bell_form"]
+    assert {variant for _, _, variant in calls} == {"c"}
+    assert set(series._BELL_FORM) == {(n, k) for n, k, _ in calls}
+    ncbell.clear_caches()
+    assert series._BELL_FORM == {}
+
+
+def test_bell_form_is_the_partial_bell_polynomial():
+    ncbell.clear_caches()
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            form = series._bell_form(n, k)
+            assert type(form) is tuple and form is series._bell_form(n, k)
+            want = bell_module.bell_partial(n, k, "c")
+            assert [(m, c) for m, c in want.terms.items()] == \
+                [(key_of(CPoly, letters), c) for letters, c in form]
+    ncbell.clear_caches()
 
 
 def test_series_basics():
